@@ -19,6 +19,10 @@ rate lam_bar,
 
 The ring row sum is 2/rho^2 for s = 1, 2 and slightly larger when the ring
 holds arms shorter than rho (s >= 3).
+
+``step_explicit``, ``run_evolution`` and ``evolve_until`` all march with the
+one private generator ``_euler_steps``: ceil(T/dt) steps of dt, the last
+clipped to end exactly at T.
 """
 
 from __future__ import annotations
@@ -56,15 +60,21 @@ def step_explicit(state: ScalarField, problem: SteadyProblem, dt: float) -> Scal
         raise CflViolation(f"dt must be positive, got {dt}")
     if dt > cfl_bound(problem) * (1.0 + 1e-12):
         raise CflViolation(f"dt = {dt} exceeds the CFL bound {cfl_bound(problem)}")
-    rhs = residual_values(
-        problem.grid,
-        problem.b.values,
-        problem.c.values,
-        problem.g.values,
-        problem.lam,
-        state.values,
-    )
-    return ScalarField(problem.grid, state.values + dt * rhs)
+    _, u, _ = next(_euler_steps(state.values, problem, dt, dt))
+    return ScalarField(problem.grid, u)
+
+
+def _euler_steps(u: np.ndarray, problem: SteadyProblem, dt: float, T: float):
+    """Forward Euler from u over [0, T]: ceil(T/dt) steps of dt, the last one
+    clipped to end at T.  Yields (t, u, last) after each step."""
+    coefficients = (problem.grid, problem.b.values, problem.c.values, problem.g.values, problem.lam)
+    n_steps = int(np.ceil(T / dt - 1e-12))
+    t = 0.0
+    for k in range(1, n_steps + 1):
+        step = min(dt, T - t)
+        u = u + step * residual_values(*coefficients, u)
+        t += step
+        yield t, u, k == n_steps
 
 
 @dataclass
@@ -121,12 +131,6 @@ def run_evolution(
     if weight is not None and float(np.min(weight.values)) <= 0.0:
         raise NonpositiveWeight("weight field must be strictly positive")
 
-    grid = problem.grid
-    b_values = problem.b.values
-    c_values = problem.c.values
-    g_values = problem.g.values
-    lam = problem.lam
-    n_steps = int(np.ceil(T / dt - 1e-12))
     every = max(1, int(round(output_interval / dt)))
 
     u = h0.values.copy()
@@ -136,12 +140,8 @@ def run_evolution(
     if weight is not None and rate is not None:
         ratios = [float(np.max(u / weight.values))]
 
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        step = min(dt, T - t)
-        u = u + step * residual_values(grid, b_values, c_values, g_values, lam, u)
-        t += step
-        if k % every == 0 or k == n_steps:
+    for k, (t, u, last) in enumerate(_euler_steps(u, problem, dt, T), 1):
+        if k % every == 0 or last:
             times.append(t)
             sups.append(float(np.max(np.abs(u))))
             if ratios is not None:
@@ -157,7 +157,7 @@ def run_evolution(
         dt=dt,
         T=T,
         cfl_margin=dt / bound,
-        final_state=ScalarField(grid, u),
+        final_state=ScalarField(problem.grid, u),
     )
 
 
@@ -169,22 +169,11 @@ def evolve_until(
     stop_above: float,
 ):
     """March until sup |h| crosses a threshold; returns (t, sup, outcome)
-    with outcome in {"decayed", "blew-up", "timeout"}."""
-    dt = 0.9 * cfl_bound(problem)
-    grid = problem.grid
-    b_values = problem.b.values
-    c_values = problem.c.values
-    g_values = problem.g.values
-    lam = problem.lam
-    u = h0.values.copy()
-    t = 0.0
-    check_every = 16
-    k = 0
-    while t < t_max:
-        u = u + dt * residual_values(grid, b_values, c_values, g_values, lam, u)
-        t += dt
-        k += 1
-        if k % check_every == 0 or t >= t_max:
+    with outcome in {"decayed", "blew-up", "timeout"}.  The last step is
+    clipped, so a timeout returns t == t_max."""
+    t, u = 0.0, h0.values.copy()
+    for k, (t, u, last) in enumerate(_euler_steps(u, problem, 0.9 * cfl_bound(problem), t_max), 1):
+        if k % 16 == 0 or last:
             sup = float(np.max(np.abs(u)))
             if sup <= stop_below:
                 return t, sup, "decayed"

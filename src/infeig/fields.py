@@ -24,10 +24,6 @@ class ScalarField:
     def constant(cls, grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.n_active, float(value)))
 
-    @classmethod
-    def from_function(cls, grid, fn) -> "ScalarField":
-        return cls(grid, np.array([float(fn(p)) for p in grid.nodes]))
-
     @property
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -375,14 +375,6 @@ class Grid:
     def n_ghost(self) -> int:
         return self.ghost_points.shape[0]
 
-    @cached_property
-    def interior_mask(self) -> np.ndarray:
-        return self.node_class == INTERIOR
-
-    @cached_property
-    def boundary_mask(self) -> np.ndarray:
-        return self.node_class == BOUNDARY
-
     def ghost_values(self, values: np.ndarray) -> np.ndarray:
         if self.n_ghost == 0:
             return np.zeros(0)

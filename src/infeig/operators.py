@@ -23,7 +23,12 @@ first-order upwind.  ``apply_operator`` evaluates the full residual
 
     lap(u) + b . Du + (c + lam) u - g
 
-at every active node.
+at every active node.  Every evaluation goes through two private kernels:
+``_ring_laplacian`` (behind ``residual_values``, ``inf_laplacian_values``
+and the single-node ``inf_laplacian``) and ``_add_upwind_drift`` (behind
+``residual_values``, ``drift_values`` and the single-node ``drift_term``).
+The policy-frozen matrices and relaxation sweeps in ``steady`` assemble the
+same upwind coefficients as sparse entries.
 """
 
 from __future__ import annotations
@@ -104,22 +109,31 @@ def ring_arm_values(grid: Grid, values: np.ndarray, ext: np.ndarray | None = Non
     return values[:, None] + (ring - values[:, None]) * grid.ring_scale[None, :]
 
 
-def inf_laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    w = ring_arm_values(grid, values)
+def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Ring-scheme lap(u) at every active node, from u's extended values."""
+    w = ring_arm_values(grid, values, ext)
     return (w.max(axis=1) + w.min(axis=1) - 2.0 * values) / grid.rho**2
 
 
-def drift_values(grid: Grid, b_values: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Componentwise upwind b . Du; exact on affine data away from ghosts."""
-    ext = grid.extended_values(values)
+def _add_upwind_drift(out: np.ndarray, grid: Grid, b_values: np.ndarray, values: np.ndarray,
+                      ext: np.ndarray) -> np.ndarray:
+    """Adds the componentwise upwind b . Du to out in place and returns out."""
     bp = np.maximum(b_values, 0.0)
     bm = np.minimum(b_values, 0.0)
-    out = np.zeros_like(values)
     for d in range(grid.dim):
         fwd = ext[grid.axis_plus[:, d]] - values
         bwd = values - ext[grid.axis_minus[:, d]]
         out += (bp[:, d] * fwd + bm[:, d] * bwd) / grid.h
     return out
+
+
+def inf_laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    return _ring_laplacian(grid, values, grid.extended_values(values))
+
+
+def drift_values(grid: Grid, b_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Componentwise upwind b . Du; exact on affine data away from ghosts."""
+    return _add_upwind_drift(np.zeros_like(values), grid, b_values, values, grid.extended_values(values))
 
 
 def residual_values(
@@ -132,15 +146,9 @@ def residual_values(
 ) -> np.ndarray:
     """lap(u) + b . Du + (c + lam) u - g on raw arrays (hot path)."""
     ext = grid.extended_values(values)
-    w = ring_arm_values(grid, values, ext)
-    res = (w.max(axis=1) + w.min(axis=1) - 2.0 * values) / grid.rho**2
+    res = _ring_laplacian(grid, values, ext)
     if np.any(b_values):
-        bp = np.maximum(b_values, 0.0)
-        bm = np.minimum(b_values, 0.0)
-        for d in range(grid.dim):
-            fwd = ext[grid.axis_plus[:, d]] - values
-            bwd = values - ext[grid.axis_minus[:, d]]
-            res += (bp[:, d] * fwd + bm[:, d] * bwd) / grid.h
+        _add_upwind_drift(res, grid, b_values, values, ext)
     res += (c_values + lam) * values - g_values
     return res
 
@@ -162,21 +170,9 @@ def apply_operator(problem: SteadyProblem, u: ScalarField) -> ScalarField:
 
 def inf_laplacian(grid: Grid, u: ScalarField, node: int) -> float:
     """Ring-scheme value at a single node."""
-    ext = grid.extended_values(u.values)
-    un = u.values[node]
-    w = un + (ext[grid.ring_index[node]] - un) * grid.ring_scale
-    return float((w.max() + w.min() - 2.0 * un) / grid.rho**2)
+    return float(inf_laplacian_values(grid, u.values)[node])
 
 
 def drift_term(grid: Grid, u: ScalarField, b: VectorField, node: int) -> float:
     """Upwind drift value at a single node."""
-    ext = grid.extended_values(u.values)
-    total = 0.0
-    un = u.values[node]
-    for d in range(grid.dim):
-        bi = b.values[node, d]
-        if bi > 0:
-            total += bi * (ext[grid.axis_plus[node, d]] - un) / grid.h
-        elif bi < 0:
-            total += bi * (un - ext[grid.axis_minus[node, d]]) / grid.h
-    return float(total)
+    return float(drift_values(grid, b.values, u.values)[node])

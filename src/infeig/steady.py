@@ -15,17 +15,21 @@ Two layers:
           = g - (lam + |c|_inf + 1) u_n,
 
   whose boundedness/blowup dichotomy separates lam < lam_bar from
-  lam >= lam_bar.  The recorded sequence is the plain one; Aitken and
-  minimal-polynomial extrapolation candidates are formed on the side and a
-  candidate is only accepted once its residual for the lam-problem passes
-  the certificate.  Near the eigenvalue the iterates grow like
-  1/(lam_bar - lam) and the float noise floor of the absolute residual grows
-  with them, so the certificate is scale-aware: residual <= max(tol,
-  rel_tol * |u|_inf).
+  lam >= lam_bar.  ``solve_general_rhs`` runs the same sequence for a
+  general g, starting from the negative barrier solution instead of 0; both
+  are the one private loop ``_shifted_iteration``, and its inner solves are
+  ``solve_coercive``'s ``_CoerciveSystem``.  The recorded sequence is the
+  plain one; Aitken and minimal-polynomial extrapolation candidates are
+  formed on the side and a candidate is only accepted once its residual for
+  the lam-problem passes the certificate.  Near the eigenvalue the iterates
+  grow like 1/(lam_bar - lam) and the float noise floor of the absolute
+  residual grows with them, so the certificate is scale-aware: residual <=
+  max(tol, rel_tol * |u|_inf).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +73,6 @@ class SolverConfig:
     max_sweeps: int = 400
     max_outer: int = 120
     blowup_threshold: float | None = None  # None: 1e6 * (1 + |g|_inf)
-    sweep_order: str = "lexicographic"
     extrapolate: bool = True
     record_fields: bool = False
 
@@ -227,7 +230,9 @@ class _CoerciveSystem:
     def __init__(self, grid: Grid, b_values: np.ndarray, c0_values: np.ndarray, cfg: SolverConfig,
                  assembler: _OperatorAssembler | None = None):
         if np.max(c0_values) >= 0.0:
-            raise NotCoercive("zero-order coefficient must be uniformly negative")
+            raise NotCoercive(
+                f"coercive solve needs max(c + lam) < 0, got {float(np.max(c0_values)):.3e}"
+            )
         self.grid = grid
         self.b = b_values
         self.c0 = c0_values
@@ -321,17 +326,17 @@ def solve_coercive(problem: SteadyProblem, cfg: SolverConfig, initial: ScalarFie
     to solver tolerance and bounded by |g|_inf / c0.
     """
     c0 = problem.c.values + problem.lam
-    if np.max(c0) >= 0.0:
-        raise NotCoercive(
-            f"solve_coercive needs max(c + lam) < 0, got {float(np.max(c0)):.3e}"
-        )
     system = _CoerciveSystem(problem.grid, problem.b.values, c0, cfg)
     init = None if initial is None else initial.values
     values, _ = system.solve(problem.g.values.copy(), init)
     return ScalarField(problem.grid, values)
 
 
-def _aitken_candidate(u1, u2, u3):
+def _aitken_candidate(history):
+    """Aitken extrapolation from the last three iterates."""
+    if len(history) < 3:
+        return None
+    u1, u2, u3 = history[-3], history[-2], history[-1]
     d1 = u2 - u1
     d2 = u3 - u2
     n1 = float(np.max(np.abs(d1)))
@@ -372,24 +377,18 @@ def _certificate(residual_sup: float, sup: float, cfg: SolverConfig):
     return None
 
 
-def monotone_iteration(
+def _shifted_iteration(
     grid: Grid,
     b: VectorField,
     c: ScalarField,
     lam: float,
     g: ScalarField,
     cfg: SolverConfig,
+    start: np.ndarray,
 ) -> IterationOutcome:
-    """Run the shifted-coefficient inductive sequence from u_1 = 0.
-
-    Requires g <= 0 nodewise.  Converged means a field whose residual for the
-    lam-problem passes the certificate (positive by construction up to
-    tolerance); Diverged means the sup norm crossed the blowup threshold,
-    doubled for 10 consecutive steps, or the step budget ran out (the last
-    case is flagged ``inconclusive``).
-    """
-    if np.max(g.values) > 0.0:
-        raise ValueError("monotone_iteration requires g <= 0 nodewise")
+    """The shifted-coefficient inductive sequence from u_1 = start, a
+    subsolution of the lam-problem; the sequence rises from it, so a
+    candidate that dips well below it is wild and skipped."""
     g_sup = float(np.max(np.abs(g.values)))
     blowup = cfg.blowup_threshold if cfg.blowup_threshold is not None else 1e6 * (1.0 + g_sup)
     c_sup = float(np.max(np.abs(c.values)))
@@ -409,18 +408,13 @@ def monotone_iteration(
             np.max(np.abs(residual_values(grid, b.values, c.values, g.values, lam, u)))
         )
 
-    u = np.zeros(grid.n_active)
-    sup_history = [0.0]
+    u = start
+    sup_history = [float(np.max(np.abs(u)))]
     fields = [ScalarField(grid, u.copy())] if cfg.record_fields else None
-    recent = [u.copy()]
+    recent = deque([u.copy()], maxlen=6)  # the trailing iterates extrapolation uses
     sweeps = 0
     flags: list = []
     doubling_streak = 0
-
-    r0 = lam_residual(u)
-    cert = _certificate(r0, 0.0, cfg)
-    if cert is not None:  # g identically zero
-        return IterationOutcome(True, ScalarField(grid, u.copy()), 0, 0, r0, 0.0, sup_history, flags, fields)
 
     for n in range(1, cfg.max_outer + 1):
         rhs = g.values - gamma * u
@@ -442,25 +436,13 @@ def monotone_iteration(
 
         if cfg.extrapolate:
             recent.append(u_next.copy())
-            if len(recent) > 6:
-                recent.pop(0)
-            candidates = []
             d = direct.solve_stale(g.values)
             if d is None or n % 3 == 0:
                 direct.rebuild(u_next)
                 d = direct.solve_stale(g.values)
-            if d is not None:
-                candidates.append(d)
-            if len(recent) >= 3:
-                a = _aitken_candidate(recent[-3], recent[-2], recent[-1])
-                if a is not None:
-                    candidates.append(a)
-                m = _mpe_candidate(recent)
-                if m is not None:
-                    candidates.append(m)
-            for cand in candidates:
-                if float(np.min(cand)) < -10.0 * cfg.tol:
-                    continue  # the limit is nonnegative; reject wild candidates
+            for cand in (d, _aitken_candidate(recent), _mpe_candidate(recent)):
+                if cand is None or float(np.min(cand - start)) < -10.0 * cfg.tol:
+                    continue  # the limit lies above start; reject wild candidates
                 rc = lam_residual(cand)
                 sc = float(np.max(np.abs(cand)))
                 cert = _certificate(rc, sc, cfg)
@@ -474,7 +456,7 @@ def monotone_iteration(
 
         if sup >= blowup:
             return IterationOutcome(False, None, n, sweeps, None, sup, sup_history, flags, fields)
-        if len(sup_history) >= 2 and sup >= 2.0 * sup_history[-2] and sup_history[-2] > 0:
+        if sup >= 2.0 * sup_history[-2] and sup_history[-2] > 0:
             doubling_streak += 1
             if doubling_streak >= 10:
                 flags.append("doubling")
@@ -487,6 +469,32 @@ def monotone_iteration(
     return IterationOutcome(
         False, None, cfg.max_outer, sweeps, None, float(np.max(np.abs(u))), sup_history, flags, fields
     )
+
+
+def monotone_iteration(
+    grid: Grid,
+    b: VectorField,
+    c: ScalarField,
+    lam: float,
+    g: ScalarField,
+    cfg: SolverConfig,
+) -> IterationOutcome:
+    """Run the shifted-coefficient inductive sequence from u_1 = 0.
+
+    Requires g <= 0 nodewise.  Converged means a field whose residual for the
+    lam-problem passes the certificate (positive by construction up to
+    tolerance); Diverged means the sup norm crossed the blowup threshold,
+    doubled for 10 consecutive steps, or the step budget ran out (the last
+    case is flagged ``inconclusive``).
+    """
+    if np.max(g.values) > 0.0:
+        raise ValueError("monotone_iteration requires g <= 0 nodewise")
+    u = np.zeros(grid.n_active)
+    r0 = float(np.max(np.abs(residual_values(grid, b.values, c.values, g.values, lam, u))))
+    if _certificate(r0, 0.0, cfg) is not None:  # g identically zero
+        fields = [ScalarField(grid, u.copy())] if cfg.record_fields else None
+        return IterationOutcome(True, ScalarField(grid, u), 0, 0, r0, 0.0, [0.0], [], fields)
+    return _shifted_iteration(grid, b, c, lam, g, cfg, u)
 
 
 def solve_general_rhs(problem: SteadyProblem, cfg: SolverConfig) -> ScalarField:
@@ -507,45 +515,8 @@ def solve_general_rhs(problem: SteadyProblem, cfg: SolverConfig) -> ScalarField:
     barrier = monotone_iteration(grid, b, c, lam, ScalarField.constant(grid, -g_sup), cfg)
     if not barrier.converged:
         raise Diverged(barrier.outer_steps, barrier.sup_norm)
-    u = -barrier.u.values  # negative barrier solution (odd symmetry)
-
-    c_sup = float(np.max(np.abs(c.values)))
-    gamma = lam + c_sup + 1.0
-    assembler = _OperatorAssembler(grid, b.values)
-    system = _CoerciveSystem(grid, b.values, c.values - c_sup - 1.0, cfg, assembler=assembler)
-    direct = _FrozenPolicySolver(assembler, c.values + lam)
-    blowup = cfg.blowup_threshold if cfg.blowup_threshold is not None else 1e6 * (1.0 + g_sup)
-
-    def lam_residual(u_):
-        return float(np.max(np.abs(residual_values(grid, b.values, c.values, g.values, lam, u_))))
-
-    recent = [u.copy()]
-    for n in range(1, cfg.max_outer + 1):
-        rhs = g.values - gamma * u
-        u, _ = system.solve(rhs, initial=u)
-        sup = float(np.max(np.abs(u)))
-        r = lam_residual(u)
-        if _certificate(r, sup, cfg) is not None:
-            return ScalarField(grid, u)
-        if cfg.extrapolate:
-            recent.append(u.copy())
-            if len(recent) > 6:
-                recent.pop(0)
-            d = direct.solve_stale(g.values)
-            if d is None or n % 3 == 0:
-                direct.rebuild(u)
-                d = direct.solve_stale(g.values)
-            for cand in filter(
-                lambda x: x is not None,
-                (
-                    d,
-                    _aitken_candidate(*recent[-3:]) if len(recent) >= 3 else None,
-                    _mpe_candidate(recent),
-                ),
-            ):
-                rc = lam_residual(cand)
-                if _certificate(rc, float(np.max(np.abs(cand))), cfg) is not None:
-                    return ScalarField(grid, cand)
-        if sup >= blowup:
-            raise Diverged(n, sup)
-    raise Diverged(cfg.max_outer, float(np.max(np.abs(u))))
+    # start from the negative barrier solution (odd symmetry)
+    out = _shifted_iteration(grid, b, c, lam, g, cfg, -barrier.u.values)
+    if not out.converged:
+        raise Diverged(out.outer_steps, out.sup_norm)
+    return out.u

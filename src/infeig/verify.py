@@ -23,6 +23,7 @@ from .operators import (
     SteadyProblem,
     VectorField,
     apply_operator,
+    drift_values,
     gradient_projector,
     inf_laplacian_values,
 )
@@ -112,21 +113,15 @@ def _monotone_perturbation(rng):
     grid = build_grid(Disk((0.0, 0.0), 1.0), 0.25, 1)
     b = VectorField.constant(grid, (0.5, -1.0))
     u = rng.normal(size=grid.n_active)
-    base = inf_laplacian_values(grid, u) + _drift(grid, b.values, u)
+    base = inf_laplacian_values(grid, u) + drift_values(grid, b.values, u)
     worst = 0.0
     for j in rng.choice(grid.n_active, size=12, replace=False):
         bumped = u.copy()
         bumped[j] += 0.3
-        new = inf_laplacian_values(grid, bumped) + _drift(grid, b.values, bumped)
+        new = inf_laplacian_values(grid, bumped) + drift_values(grid, b.values, bumped)
         mask = np.arange(grid.n_active) != j
         worst = max(worst, float((base[mask] - new[mask]).max()))
     return worst - 1e-12
-
-
-def _drift(grid, b_values, u):
-    from .operators import drift_values
-
-    return drift_values(grid, b_values, u)
 
 
 def _uniqueness():

@@ -200,3 +200,37 @@ class TestEvolveUntil:
             ScalarField.constant(interval16, 1.0), prob, 0.5, stop_below=1e-9, stop_above=1e9
         )
         assert outcome == "timeout"
+        # 0.5 is 284.4 steps: the last one is clipped, so the march ends at t_max
+        assert t == 0.5
+
+
+class TestSharedStepper:
+    """step_explicit, run_evolution and evolve_until march with one stepper."""
+
+    def _setup(self, disk8):
+        x = disk8.nodes
+        c = ScalarField(disk8, -0.5 - x[:, 0] ** 2)
+        prob = _problem(disk8, c, b=VectorField.constant(disk8, (0.4, -0.2)))
+        return ScalarField(disk8, np.exp(-4.0 * np.sum((x - 0.2) ** 2, axis=1))), prob
+
+    def test_evolve_until_matches_run_evolution(self, disk8):
+        h0, prob = self._setup(disk8)
+        dt = 0.9 * cfl_bound(prob)  # the step both use by default
+        trace = run_evolution(h0, prob, 40.5 * dt, output_interval=dt)
+        # stop at the first check (step 16) and at the clipped final step
+        t, sup, outcome = evolve_until(h0, prob, 40.5 * dt, stop_below=0.0, stop_above=1e-300)
+        assert outcome == "blew-up"
+        assert t == trace.times[16] and sup == trace.sup_norm[16]
+        t, sup, outcome = evolve_until(h0, prob, 40.5 * dt, stop_below=0.0, stop_above=np.inf)
+        assert outcome == "timeout"
+        assert t == trace.times[-1] == trace.T
+        assert sup == trace.sup_norm[-1] == np.max(np.abs(trace.final_state.values))
+
+    def test_run_evolution_matches_explicit_steps(self, disk8):
+        h0, prob = self._setup(disk8)
+        dt = 2.0 ** -np.ceil(-np.log2(cfl_bound(prob)))  # exact in binary, so no step is clipped
+        trace = run_evolution(h0, prob, 12 * dt, dt=dt)
+        u = h0
+        for _ in range(12):
+            u = step_explicit(u, prob, dt)
+        assert np.array_equal(trace.final_state.values, u.values)
