@@ -322,7 +322,9 @@ class Grid:
     ``ring_index`` / ``axis_plus`` / ``axis_minus`` address an extended value
     vector: entries < n_active are active nodes, the rest are ghost closures
     (convex combinations of active nodal values given by ``ghost_nodes`` /
-    ``ghost_weights``).
+    ``ghost_weights``).  The three index arrays are column-major: the
+    operator kernels gather one arm or axis column at a time, and a
+    contiguous column makes each gather a linear read of the index.
     """
 
     domain: Domain
@@ -456,9 +458,9 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
 
     n = nodes.shape[0]
     K = offsets.shape[0]
-    ring_index = np.empty((n, K), dtype=np.int64)
-    axis_plus = np.empty((n, dim), dtype=np.int64)
-    axis_minus = np.empty((n, dim), dtype=np.int64)
+    ring_index = np.empty((n, K), dtype=np.int64, order="F")
+    axis_plus = np.empty((n, dim), dtype=np.int64, order="F")
+    axis_minus = np.empty((n, dim), dtype=np.int64, order="F")
     off_list = offsets.tolist()
     for i, q in enumerate(act_lattice.tolist()):
         for k, v in enumerate(off_list):

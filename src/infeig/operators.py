@@ -27,8 +27,12 @@ at every active node.  Every evaluation goes through two private kernels:
 ``_ring_laplacian`` (behind ``residual_values``, ``inf_laplacian_values``
 and the single-node ``inf_laplacian``) and ``_add_upwind_drift`` (behind
 ``residual_values``, ``drift_values`` and the single-node ``drift_term``).
-The policy-frozen matrices and relaxation sweeps in ``steady`` assemble the
-same upwind coefficients as sparse entries.
+Both work one contiguous index column at a time: ``_ring_laplacian`` keeps
+a running max/min over the K arms and never builds the (N, K) arm array.
+``ring_arm_values`` is that (N, K) array, kept for the arm selections of
+the policy code in ``steady`` and for the tests; it gives bitwise the same
+arm values.  The policy-frozen matrices and relaxation sweeps in ``steady``
+assemble the same upwind coefficients as sparse entries.
 """
 
 from __future__ import annotations
@@ -88,14 +92,6 @@ class SteadyProblem:
         return np.max(np.abs(self.b.values), axis=0)
 
     @cached_property
-    def c_sup(self) -> float:
-        return float(np.max(np.abs(self.c.values)))
-
-    @cached_property
-    def g_sup(self) -> float:
-        return float(np.max(np.abs(self.g.values)))
-
-    @cached_property
     def zero_order_sup(self) -> float:
         """sup |c + lam|, the zero-order contribution to the CFL bound."""
         return float(np.max(np.abs(self.c.values + self.lam)))
@@ -105,25 +101,44 @@ def ring_arm_values(grid: Grid, values: np.ndarray, ext: np.ndarray | None = Non
     """(N, K) rescaled arm values w_k = u + (u(x+v_k) - u) * rho/|v_k|."""
     if ext is None:
         ext = grid.extended_values(values)
-    ring = ext[grid.ring_index]
-    return values[:, None] + (ring - values[:, None]) * grid.ring_scale[None, :]
+    # row-major, so the policy code's argmax/argmin along the arms reads rows
+    w = np.subtract(ext[grid.ring_index], values[:, None], order="C")
+    w *= grid.ring_scale
+    w += values[:, None]
+    return w
 
 
 def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Ring-scheme lap(u) at every active node, from u's extended values."""
-    w = ring_arm_values(grid, values, ext)
-    return (w.max(axis=1) + w.min(axis=1) - 2.0 * values) / grid.rho**2
+    """Ring-scheme lap(u) at every active node, from u's extended values.
+
+    Takes a running max/min over the arms one column at a time; each arm
+    value is formed in the same operation order as ``ring_arm_values``, so
+    the result is bitwise that of the (N, K) reduction."""
+    hi = np.full(values.shape, -np.inf)
+    lo = np.full(values.shape, np.inf)
+    for k, scale in enumerate(grid.ring_scale):
+        w = ext[grid.ring_index[:, k]]
+        w -= values
+        w *= scale
+        w += values
+        np.maximum(hi, w, out=hi)
+        np.minimum(lo, w, out=lo)
+    return (hi + lo - 2.0 * values) / grid.rho**2
 
 
 def _add_upwind_drift(out: np.ndarray, grid: Grid, b_values: np.ndarray, values: np.ndarray,
                       ext: np.ndarray) -> np.ndarray:
     """Adds the componentwise upwind b . Du to out in place and returns out."""
-    bp = np.maximum(b_values, 0.0)
-    bm = np.minimum(b_values, 0.0)
     for d in range(grid.dim):
-        fwd = ext[grid.axis_plus[:, d]] - values
-        bwd = values - ext[grid.axis_minus[:, d]]
-        out += (bp[:, d] * fwd + bm[:, d] * bwd) / grid.h
+        fwd = ext[grid.axis_plus[:, d]]
+        fwd -= values
+        fwd *= np.maximum(b_values[:, d], 0.0)
+        bwd = ext[grid.axis_minus[:, d]]
+        np.subtract(values, bwd, out=bwd)
+        bwd *= np.minimum(b_values[:, d], 0.0)
+        fwd += bwd
+        fwd /= grid.h
+        out += fwd
     return out
 
 

@@ -212,6 +212,19 @@ def test_deterministic_build():
     assert np.array_equal(a.ghost_weights, b.ghost_weights)
 
 
+@pytest.mark.parametrize("domain, h, s", [
+    (Interval(0.0, 1.0), 1.0 / 32.0, 2),
+    (Disk((0.0, 0.0), 1.0), 0.125, 2),
+    (Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2),
+])
+def test_index_columns_contiguous(domain, h, s):
+    # the operator kernels gather one column at a time
+    grid = build_grid(domain, h, s)
+    for index in (grid.ring_index, grid.axis_plus, grid.axis_minus):
+        for k in range(index.shape[1]):
+            assert index[:, k].flags.c_contiguous
+
+
 def test_node_order_lexicographic():
     grid = build_grid(Disk((0.0, 0.0), 1.0), 0.25, 1)
     keys = [tuple(q) for q in (grid.nodes / grid.h).round().astype(int)]

@@ -15,7 +15,14 @@ from infeig.operators import (
     gradient_projector,
     inf_laplacian,
     inf_laplacian_values,
+    residual_values,
+    ring_arm_values,
 )
+
+
+@pytest.fixture(scope="module")
+def disk64s2():
+    return build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 64.0, 2)
 
 
 class TestGradientProjector:
@@ -228,6 +235,39 @@ class TestApplyOperator:
         t = 41.5
         rt = apply_operator(prob, ScalarField(disk8, t * u)).values
         assert np.abs(rt - t * r1).max() <= 1e-12 * max(1.0, np.abs(t * r1).max())
+
+
+def _residual_from_arm_array(grid, b, c, g, lam, u):
+    """The residual from the (N, K) arm array, reduced along the arms."""
+    w = ring_arm_values(grid, u)
+    res = (w.max(axis=1) + w.min(axis=1) - 2.0 * u) / grid.rho**2
+    if np.any(b):
+        ext = grid.extended_values(u)
+        for d in range(grid.dim):
+            fwd = ext[grid.axis_plus[:, d]] - u
+            bwd = u - ext[grid.axis_minus[:, d]]
+            res += (np.maximum(b[:, d], 0.0) * fwd + np.minimum(b[:, d], 0.0) * bwd) / grid.h
+    res += (c + lam) * u - g
+    return res
+
+
+class TestResidualKernel:
+    """The column-wise kernel is bitwise the (N, K) arm-array formula."""
+
+    @pytest.mark.parametrize("name", ["interval64", "disk8", "disk16s2", "disk64s2"])
+    def test_bitwise_against_arm_array(self, name, request, rng):
+        grid = request.getfixturevalue(name)
+        n = grid.n_active
+        c = rng.normal(size=n)
+        g = rng.normal(size=n)
+        v = rng.normal(size=n)
+        arms = v[:, None] + (grid.extended_values(v)[grid.ring_index] - v[:, None]) * grid.ring_scale
+        assert np.array_equal(ring_arm_values(grid, v).view(np.int64), arms.view(np.int64))
+        for b in (np.zeros((n, grid.dim)), rng.normal(size=(n, grid.dim))):
+            for u in (rng.normal(size=n), np.zeros(n), np.full(n, 2.5)):
+                got = residual_values(grid, b, c, g, 0.3, u)
+                want = _residual_from_arm_array(grid, b, c, g, 0.3, u)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestFieldValidation:
