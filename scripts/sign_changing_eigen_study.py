@@ -2,8 +2,9 @@
 """Eigenvalue study for the sign-changing radial coefficient on the unit disk.
 
 Builds the piecewise coefficient (+bump_height inside the bump ball, negative
-outside), sweeps grid resolutions, and reports the certified eigenvalue
-bracket, the eigenfunction minimum, and the residual at the bracket midpoint.
+outside), sweeps grid resolutions, and reports the certified
+(Collatz-Wielandt) eigenvalue bracket, the eigenfunction minimum, and the
+residual at the bracket midpoint.
 The bump height defaults to half the admissible ceiling, so the principal
 eigenvalue should come out strictly positive at every resolution.
 """
@@ -30,7 +31,8 @@ def main():
                     help="bump height as a fraction of the admissible ceiling")
     ap.add_argument("--resolutions", default="16:2,24:2,32:2",
                     help="comma-separated n:s pairs, h = 1/n")
-    ap.add_argument("--bisect-tol", type=float, default=1e-4)
+    ap.add_argument("--bisect-tol", type=float, default=1e-4,
+                    help="target width of the Collatz-Wielandt eigenvalue bracket")
     args = ap.parse_args()
 
     ceiling = positive_bump_bound(1.0, args.bump_radius, args.well_depth, args.rate)

@@ -1,16 +1,26 @@
 """Principal eigenvalue estimation and the maximum-principle check.
 
-The discrete principal eigenvalue lam_bar_h is located by bisection on the
-monotone iteration's convergence/blowup dichotomy with right-hand side
-g = -1: a probe that converges certifies lam < lam_bar_h, a probe that blows
-up certifies lam >= lam_bar_h.  The initial bracket [-|c|_inf - 1,
-|c|_inf + 1] always classifies correctly: the constant 1 is a positive
-supersolution at the lower end, and no positive supersolution exists above
-|c|_inf.  Probes that exhaust the step budget without resolving are counted
-as diverged but flagged, keeping the bracket honest.
+Write L_h u = lap(u) + b . Du + c u for the discrete operator.  The discrete
+principal eigenvalue lam_bar_h solves L_h phi + lam_bar_h phi = 0 with
+phi > 0.  For any x > 0 the nodewise quotient q = -L_h(x)/x brackets it:
 
-The eigenfunction is the normalized converged probe solution at the lower
-bracket endpoint; its residual for the midpoint problem is reported.
+    min q <= lam_bar_h <= max q    (Collatz-Wielandt).
+
+Under the CFL bound I + dt L_h is order-preserving and positively
+1-homogeneous, and the bound is the Collatz-Wielandt formula for such maps
+(Gaubert-Gunawardena 2004; Lemmens-Nussbaum 2012).  It holds for x itself,
+whatever the accuracy of the solves that produced x.
+
+``estimate_principal_eigenvalue`` closes the bracket by nonlinear inverse
+power iteration: from x = 1 and sigma = |c|_inf + 1 it repeats
+x <- y / max y, where y solves (sigma - L_h) y = x with one coercive system
+whose stale factor carries over between solves, and stops once
+max q - min q <= bisect_tol.  It returns [min q, max q], their midpoint and
+x as the eigenfunction, and raises ``BracketFailure`` if the bracket is still
+open after ``max_outer`` solves or an iterate is not strictly positive.  For
+constant c, x = 1 closes the bracket with no solve.  Bisection on the
+monotone iteration's dichotomy is kept in ``oracles`` as an independent
+reference.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import numpy as np
 from .errors import InfeigError
 from .geometry import Grid
 from .operators import ScalarField, SteadyProblem, VectorField, residual_values
-from .steady import IterationOutcome, SolverConfig, monotone_iteration
+from .steady import SolverConfig, _CoerciveSystem, monotone_iteration
 
 
 class EigenError(InfeigError):
@@ -47,29 +57,16 @@ class MaxPrincipleInconclusive(EigenError):
 
 
 @dataclass
-class ProbeRecord:
-    lam: float
-    converged: bool
-    flags: list = field(default_factory=list)
-
-    @property
-    def outcome(self) -> str:
-        tag = "converged" if self.converged else "diverged"
-        if "inconclusive" in self.flags:
-            tag += "*"
-        return tag
-
-
-@dataclass
 class EigenEstimate:
-    lambda_lo: float           # certified convergent probe
-    lambda_hi: float           # certified divergent probe
+    lambda_lo: float           # lower end of the bracket
+    lambda_hi: float           # upper end of the bracket
     lambda_bar: float          # bracket midpoint
     eigenfunction: ScalarField
     eigen_residual: float      # sup residual of the midpoint problem at phi
-    bisection_steps: int
-    history: list = field(default_factory=list)
+    bisection_steps: int       # resolvent solves (bisection steps for the oracle)
+    history: list = field(default_factory=list)   # oracles.ProbeRecord, bisection only
     flags: list = field(default_factory=list)
+    certificate: str = "collatz-wielandt"         # the argument behind both ends
 
     def to_dict(self) -> dict:
         return {
@@ -83,7 +80,14 @@ class EigenEstimate:
                 for p in self.history
             ],
             "flags": list(self.flags),
+            "certificate": self.certificate,
         }
+
+
+def _collatz_wielandt(grid: Grid, b: VectorField, c: ScalarField, x: np.ndarray) -> np.ndarray:
+    """q = -L_h(x)/x node by node; min q <= lam_bar_h <= max q for x > 0."""
+    zero = np.zeros(grid.n_active)
+    return -residual_values(grid, b.values, c.values, zero, 0.0, x) / x
 
 
 def estimate_principal_eigenvalue(
@@ -93,62 +97,40 @@ def estimate_principal_eigenvalue(
     cfg: SolverConfig,
     bisect_tol: float = 1e-4,
 ) -> EigenEstimate:
-    """Bisect the dichotomy down to a bracket of width <= bisect_tol."""
+    """Inverse power iteration down to a Collatz-Wielandt bracket of width
+    <= bisect_tol; raises BracketFailure rather than return an open one."""
     if bisect_tol <= 0:
         raise ValueError("bisect_tol must be positive")
-    g = ScalarField.constant(grid, -1.0)
-    c_sup = float(np.max(np.abs(c.values)))
-    lo, hi = -c_sup - 1.0, c_sup + 1.0
+    sigma = float(np.max(np.abs(c.values))) + 1.0
+    system = _CoerciveSystem(grid, b.values, c.values - sigma, cfg)
+    x = np.ones(grid.n_active)
+    q = _collatz_wielandt(grid, b, c, x)
+    solves = 0
+    while float(np.max(q) - np.min(q)) > bisect_tol:
+        if solves == cfg.max_outer:
+            raise BracketFailure(
+                f"Collatz-Wielandt bracket [{float(np.min(q))!r}, {float(np.max(q))!r}] still "
+                f"wider than {bisect_tol!r} after max_outer = {cfg.max_outer} resolvent solves"
+            )
+        y, _ = system.solve(-x)  # (sigma - L_h) y = x; the factor carries over
+        solves += 1
+        if not float(np.min(y)) > 0.0:
+            raise BracketFailure(
+                f"resolvent solve {solves} returned a field that is not strictly positive "
+                f"(min {float(np.min(y)):.3e})"
+            )
+        x = y / float(np.max(y))
+        q = _collatz_wielandt(grid, b, c, x)
 
-    history: list = []
-    flags: list = []
-    converged_fields: dict = {}
-
-    def probe(lam: float) -> IterationOutcome:
-        out = monotone_iteration(grid, b, c, lam, g, cfg)
-        rec = ProbeRecord(lam, out.converged, list(out.flags))
-        history.append(rec)
-        if "inconclusive" in out.flags:
-            flags.append(f"inconclusive-probe at {lam!r}")
-        if out.converged:
-            converged_fields[lam] = out.u
-        return out
-
-    if not probe(lo).converged:
-        raise BracketFailure(f"lower bracket endpoint {lo} did not converge")
-    if probe(hi).converged:
-        raise BracketFailure(f"upper bracket endpoint {hi} converged")
-
-    steps = 0
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid).converged:
-            lo = mid
-        else:
-            hi = mid
-        steps += 1
-
-    u_lo = converged_fields[lo]
-    phi_values = u_lo.values / float(np.max(np.abs(u_lo.values)))
-    phi = ScalarField(grid, phi_values)
-    if float(np.min(phi_values)) <= 0.0:
-        flags.append("eigenfunction-not-strictly-positive")
-
+    lo, hi = float(np.min(q)), float(np.max(q))
     lam_bar = 0.5 * (lo + hi)
-    zero = np.zeros(grid.n_active)
-    eigen_residual = float(
-        np.max(np.abs(residual_values(grid, b.values, c.values, zero, 0.0, phi_values)
-                      + lam_bar * phi_values))
-    )
     return EigenEstimate(
         lambda_lo=lo,
         lambda_hi=hi,
         lambda_bar=lam_bar,
-        eigenfunction=phi,
-        eigen_residual=eigen_residual,
-        bisection_steps=steps,
-        history=history,
-        flags=flags,
+        eigenfunction=ScalarField(grid, x),
+        eigen_residual=float(np.max(np.abs(q - lam_bar) * x)),
+        bisection_steps=solves,
     )
 
 

@@ -12,18 +12,23 @@
 * ``dense_residual_reference``: a from-scratch nodal re-implementation of the
   full operator used for differential testing against ``apply_operator``;
   it shares no code with the vectorized path.
+* ``bisection_eigenvalue_reference``: the principal eigenvalue by bisection
+  on the monotone iteration's convergence/blowup dichotomy, an argument
+  independent of the power iteration in ``eigen``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigen import BracketFailure, EigenEstimate
 from .errors import InfeigError
 from .geometry import Disk, Grid
-from .operators import ScalarField, SteadyProblem
+from .operators import ScalarField, SteadyProblem, VectorField, residual_values
+from .steady import IterationOutcome, SolverConfig, monotone_iteration
 
 
 class OracleError(InfeigError):
@@ -211,3 +216,95 @@ def dense_residual_reference(problem: SteadyProblem, u: ScalarField) -> ScalarFi
 
         out[i] = lap + drift + (problem.c.values[i] + problem.lam) * ui - problem.g.values[i]
     return ScalarField(grid, out)
+
+
+@dataclass
+class ProbeRecord:
+    lam: float
+    converged: bool
+    flags: list = field(default_factory=list)
+
+    @property
+    def outcome(self) -> str:
+        tag = "converged" if self.converged else "diverged"
+        if "inconclusive" in self.flags:
+            tag += "*"
+        return tag
+
+
+def bisection_eigenvalue_reference(
+    grid: Grid,
+    b: VectorField,
+    c: ScalarField,
+    cfg: SolverConfig,
+    bisect_tol: float = 1e-4,
+) -> EigenEstimate:
+    """Bisect the monotone iteration's convergence/blowup dichotomy with
+    g = -1 down to a bracket of width <= bisect_tol.
+
+    A probe that converges puts lam below lam_bar_h, one that blows up puts
+    it at or above.  The initial bracket [-|c|_inf - 1, |c|_inf + 1] always
+    classifies correctly: the constant 1 is a positive supersolution at the
+    lower end, and no positive supersolution exists above |c|_inf.  Probes
+    that exhaust the step budget are counted as diverged and flagged
+    ``inconclusive``; such a probe can misplace lambda_hi, so this is a
+    reference for the power iteration, not a certificate.  The eigenfunction
+    is the normalized converged probe solution at the lower end.
+    """
+    if bisect_tol <= 0:
+        raise ValueError("bisect_tol must be positive")
+    g = ScalarField.constant(grid, -1.0)
+    c_sup = float(np.max(np.abs(c.values)))
+    lo, hi = -c_sup - 1.0, c_sup + 1.0
+
+    history: list = []
+    flags: list = []
+    converged_fields: dict = {}
+
+    def probe(lam: float) -> IterationOutcome:
+        out = monotone_iteration(grid, b, c, lam, g, cfg)
+        rec = ProbeRecord(lam, out.converged, list(out.flags))
+        history.append(rec)
+        if "inconclusive" in out.flags:
+            flags.append(f"inconclusive-probe at {lam!r}")
+        if out.converged:
+            converged_fields[lam] = out.u
+        return out
+
+    if not probe(lo).converged:
+        raise BracketFailure(f"lower bracket endpoint {lo} did not converge")
+    if probe(hi).converged:
+        raise BracketFailure(f"upper bracket endpoint {hi} converged")
+
+    steps = 0
+    while hi - lo > bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if probe(mid).converged:
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+
+    u_lo = converged_fields[lo]
+    phi_values = u_lo.values / float(np.max(np.abs(u_lo.values)))
+    phi = ScalarField(grid, phi_values)
+    if float(np.min(phi_values)) <= 0.0:
+        flags.append("eigenfunction-not-strictly-positive")
+
+    lam_bar = 0.5 * (lo + hi)
+    zero = np.zeros(grid.n_active)
+    eigen_residual = float(
+        np.max(np.abs(residual_values(grid, b.values, c.values, zero, 0.0, phi_values)
+                      + lam_bar * phi_values))
+    )
+    return EigenEstimate(
+        lambda_lo=lo,
+        lambda_hi=hi,
+        lambda_bar=lam_bar,
+        eigenfunction=phi,
+        eigen_residual=eigen_residual,
+        bisection_steps=steps,
+        history=history,
+        flags=flags,
+        certificate="bisection",
+    )

@@ -4,8 +4,9 @@ Each check is small enough to run on a fresh checkout in seconds and
 exercises one contracted property against an independent reference: exact
 values on polynomials and constants, symmetry identities of the operator,
 differential agreement with the dense nodal reference, solver uniqueness and
-positivity, the eigenvalue laws for constant coefficients, the bump-bound
-limit behavior, and the evolution decay identities.
+positivity, the eigenvalue laws for constant coefficients, the eigenvalue
+with drift against a reference value and the monotone iteration, the
+bump-bound limit behavior, and the evolution decay identities.
 """
 
 from __future__ import annotations
@@ -181,6 +182,23 @@ def _eigen_shift():
     return abs(shifted - (base + 2.0)) - 2e-4
 
 
+def _eigen_drift():
+    """Sign-changing c with drift at h = 1/16: the bracket must hold 0.761279
+    (closed to width 1e-11 it is 0.76127855), and the monotone iteration, an
+    independent argument, must converge 0.02 below its lower end."""
+    cfg = SolverConfig()
+    grid = build_grid(Disk((0.0, 0.0), 1.0), 0.0625, 2)
+    params = SignChangingParams(1.0, 0.2, 0.05, 1.0, 0.5 * positive_bump_bound(1.0, 0.2, 1.0, 5.0), 5.0)
+    c = sign_changing_coefficient(params, grid)
+    b = VectorField.constant(grid, (0.7, -0.3))
+    est = estimate_principal_eigenvalue(grid, b, c, cfg)
+    below = monotone_iteration(grid, b, c, est.lambda_lo - 0.02, ScalarField.constant(grid, -1.0), cfg)
+    if not below.converged or not float(np.min(est.eigenfunction.values)) > 0.0:
+        return 1.0
+    reference = 0.761279
+    return max(est.lambda_hi - est.lambda_lo - 1e-4, est.lambda_lo - reference, reference - est.lambda_hi)
+
+
 def _bump_bound():
     v = positive_bump_bound(1.0, 0.2, 1.0, 5.0)
     ok = abs(v - 0.65078598721269449) <= 1e-12
@@ -247,6 +265,7 @@ def run_verification() -> list:
         ("manufactured-1d-convergence", _manufactured),
         ("eigen-constant-coefficients", _eigen_constants),
         ("eigen-shift-law", _eigen_shift),
+        ("eigen-drift", _eigen_drift),
         ("bump-bound-limits", _bump_bound),
         ("sign-changing-coefficient", _sign_coefficient),
         ("evolution-constant-decay", _evolution_decay),

@@ -18,6 +18,15 @@ coeff.c = -3
 eigen.bisect_tol = 1e-4
 """
 
+README_DISK_CFG = """
+domain.type = disk
+domain.radius = 1
+grid.h = 0.0625
+grid.s = 2
+coeff.c = piecewise(r, 0.2, 0.325, -1.0)
+eigen.bisect_tol = 1e-4
+"""
+
 SOLVE_CFG = """
 domain.type = interval
 domain.a = 0
@@ -90,6 +99,8 @@ class TestSubcommands:
         result = json.loads(open(os.path.join(out, "eigen.json")).read())
         assert abs(result["lambda_bar"] - 3.0) <= 1e-4
         assert result["lambda_hi"] - result["lambda_lo"] <= 1e-4
+        assert result["certificate"] == "collatz-wielandt"
+        assert result["steps"] == 0 and result["history"] == []
         phi = np.loadtxt(os.path.join(out, "eigenfunction.csv"), delimiter=",", skiprows=1)
         assert np.abs(phi[:, 3] - 1.0).max() <= 1e-6
         assert os.path.exists(os.path.join(out, "grid.json"))
@@ -138,6 +149,13 @@ class TestSubcommands:
         # lam above the eigenvalue: the solve diverges
         cfg = _write(tmp_path, "div.cfg", SOLVE_CFG + "coeff.g = -1\nlambda = 0.5\nsolver.max_outer = 40\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    def test_eigen_open_bracket_exit_3(self, tmp_path):
+        # one resolvent solve cannot close the bracket: no open bracket is written
+        cfg = _write(tmp_path, "eigen.cfg", README_DISK_CFG + "solver.max_outer = 1\n")
+        out = tmp_path / "o"
+        assert main(["eigen", "--config", cfg, "--out", str(out)]) == 3
+        assert not (out / "eigen.json").exists()
 
     def test_evolve(self, tmp_path):
         text = SOLVE_CFG + "coeff.c = -1\ncoeff.h0 = 2\nevolve.T = 2\nevolve.output_interval = 0.1\n"

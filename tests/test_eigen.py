@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from infeig import steady
+from infeig.config import load_config, parse_config_text
 from infeig.eigen import (
     BracketFailure,
     MaxPrincipleInconclusive,
@@ -11,12 +13,32 @@ from infeig.eigen import (
 )
 from infeig.geometry import Disk, Interval, build_grid
 from infeig.operators import ScalarField, VectorField
-from infeig.steady import SolverConfig
+from infeig.oracles import bisection_eigenvalue_reference, sign_changing_coefficient
+from infeig.steady import monotone_iteration
+
+README_DISK = """\
+domain.type = disk
+domain.radius = 1
+grid.h = 0.0625
+grid.s = 2
+coeff.c = piecewise(r, 0.2, 0.325, -1.0)
+"""
+
+
+def _readme_disk():
+    run = load_config(parse_config_text(README_DISK))
+    grid = run.build_grid()
+    return grid, VectorField.zero(grid), run.scalar_field(grid, run.c)
+
+
+def _meets(a, b):
+    return a.lambda_lo <= b.lambda_hi and b.lambda_lo <= a.lambda_hi
 
 
 class TestEstimate:
     def test_constant_negative_c(self, interval16, cfg):
-        est = estimate_principal_eigenvalue(
+        # bisection oracle: its bracket never closes to a point
+        est = bisection_eigenvalue_reference(
             interval16, VectorField.zero(interval16), ScalarField.constant(interval16, -3.0), cfg
         )
         assert abs(est.lambda_bar - 3.0) <= 1e-4
@@ -56,8 +78,20 @@ class TestEstimate:
         l2 = estimate_principal_eigenvalue(interval16, b, c2, cfg).lambda_bar
         assert l1 >= l2 - 2e-4
 
+    def test_constant_c_closes_without_solves(self, interval16, disk8, cfg):
+        # on the disk the ghost closure weights sum to 1 only up to rounding
+        for grid, c0, slack in ((interval16, -3.0, 0.0), (disk8, 2.0, 1e-12)):
+            est = estimate_principal_eigenvalue(
+                grid, VectorField.constant(grid, (0.4,) * grid.dim), ScalarField.constant(grid, c0), cfg
+            )
+            assert est.bisection_steps == 0
+            assert np.all(est.eigenfunction.values == 1.0)
+            for value in (est.lambda_lo, est.lambda_hi, est.lambda_bar):
+                assert abs(value + c0) <= slack
+            assert est.eigen_residual <= slack
+
     def test_history_is_monotone_consistent(self, interval16, cfg):
-        est = estimate_principal_eigenvalue(
+        est = bisection_eigenvalue_reference(
             interval16, VectorField.zero(interval16), ScalarField.constant(interval16, -1.0), cfg
         )
         conv = [p.lam for p in est.history if p.converged]
@@ -72,7 +106,7 @@ class TestEstimate:
         b64 = estimate_principal_eigenvalue(
             interval64, VectorField.zero(interval64), ScalarField.constant(interval64, -2.0), cfg
         ).lambda_bar
-        assert b16 == b64  # same bisection path on exact constant data
+        assert b16 == b64  # x = 1 closes the bracket exactly on constant data
 
     def test_with_drift(self, interval16, cfg):
         # drift does not move the eigenvalue for constant c (constants remain
@@ -201,12 +235,57 @@ class TestMaximumPrinciple:
         assert d["lambda_bar"] == 1.0
 
 
+class TestBracket:
+    def test_oracle_meets_fast_bracket(self, interval16, cfg):
+        x = interval16.nodes[:, 0]
+        cases = [(interval16, VectorField.zero(interval16),
+                  ScalarField(interval16, -1.0 + 0.5 * np.sin(3.0 * x))), _readme_disk()]
+        for grid, b, c in cases:
+            fast = estimate_principal_eigenvalue(grid, b, c, cfg)
+            oracle = bisection_eigenvalue_reference(grid, b, c, cfg)
+            assert fast.lambda_hi - fast.lambda_lo <= 1e-4
+            assert fast.bisection_steps > 0
+            assert _meets(fast, oracle), (fast.lambda_lo, fast.lambda_hi, oracle.lambda_lo, oracle.lambda_hi)
+
+    def test_drift_case(self, disk16s2, bump_params, cfg):
+        # the bisection dichotomy returned [0.705627, 0.705688] here: its
+        # inconclusive probes were counted as divergent
+        c = sign_changing_coefficient(bump_params, disk16s2)
+        b = VectorField.constant(disk16s2, (0.7, -0.3))
+        est = estimate_principal_eigenvalue(disk16s2, b, c, cfg)
+        assert est.lambda_hi - est.lambda_lo <= 1e-4
+        assert est.lambda_lo <= 0.761279 <= est.lambda_hi
+        assert np.min(est.eigenfunction.values) > 0.0
+        below = monotone_iteration(disk16s2, b, c, est.lambda_lo - 0.02,
+                                   ScalarField.constant(disk16s2, -1.0), cfg)
+        assert below.converged
+
+    def test_nonpositive_iterate_raises(self, interval16, cfg, monkeypatch):
+        # a resolvent that returns its right-hand side -x breaks positivity
+        monkeypatch.setattr(steady._CoerciveSystem, "solve", lambda self, rhs, initial=None: (rhs, 1))
+        c = ScalarField(interval16, -1.0 + 0.5 * np.sin(3.0 * interval16.nodes[:, 0]))
+        with pytest.raises(BracketFailure, match="not strictly positive"):
+            estimate_principal_eigenvalue(interval16, VectorField.zero(interval16), c, cfg)
+
+
 class TestEstimateToDict:
     def test_schema(self, interval16, cfg):
-        est = estimate_principal_eigenvalue(
+        # bisection oracle: the fast path records no probes
+        est = bisection_eigenvalue_reference(
             interval16, VectorField.zero(interval16), ScalarField.constant(interval16, -1.0), cfg
         )
         d = est.to_dict()
         for key in ("lambda_lo", "lambda_hi", "lambda_bar", "residual", "steps", "history", "flags"):
             assert key in d
         assert d["history"][0]["outcome"] in ("converged", "diverged", "diverged*")
+
+    def test_fast_path_schema(self, interval16, cfg):
+        x = interval16.nodes[:, 0]
+        c = ScalarField(interval16, -1.0 + 0.5 * np.sin(3.0 * x))
+        est = estimate_principal_eigenvalue(interval16, VectorField.zero(interval16), c, cfg)
+        d = est.to_dict()
+        for key in ("lambda_lo", "lambda_hi", "lambda_bar", "residual", "steps", "history", "flags"):
+            assert key in d
+        assert d["certificate"] == "collatz-wielandt"
+        assert d["history"] == [] and d["flags"] == []
+        assert d["steps"] == est.bisection_steps > 0
