@@ -25,12 +25,12 @@ from .eigen import (
     EigenEstimate,
     check_maximum_principle,
     estimate_principal_eigenvalue,
-    extract_eigenfunction,
 )
 from .evolution import EvolutionTrace, check_decay_bound, cfl_bound, run_evolution, step_explicit
 from .oracles import (
     SignChangingParams,
     dense_residual_reference,
+    extract_eigenfunction,
     lipschitz_constant,
     positive_bump_bound,
     radial_second_difference,
@@ -45,11 +45,11 @@ __all__ = [
     "gradient_projector", "inf_laplacian", "drift_term", "apply_operator",
     "SolverConfig", "IterationOutcome",
     "solve_coercive", "monotone_iteration", "solve_general_rhs",
-    "EigenEstimate", "estimate_principal_eigenvalue", "extract_eigenfunction",
-    "check_maximum_principle",
+    "EigenEstimate", "estimate_principal_eigenvalue", "check_maximum_principle",
     "EvolutionTrace", "step_explicit", "run_evolution", "check_decay_bound", "cfl_bound",
     "radial_second_difference", "positive_bump_bound", "SignChangingParams",
     "sign_changing_coefficient", "lipschitz_constant", "dense_residual_reference",
+    "extract_eigenfunction",
 ]
 
 __version__ = "0.1.0"

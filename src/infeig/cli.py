@@ -106,11 +106,13 @@ def _cmd_mpcheck(cfg: RunConfig, out_dir: str) -> int:
     if not seeds:
         raise ConfigError("mpcheck needs at least one seed in mpcheck.seeds")
     lam = cfg.mp_lambda if cfg.mp_lambda is not None else cfg.lam
+    est = estimate_principal_eigenvalue(grid, b, c, cfg.solver, cfg.bisect_tol)
     report = check_maximum_principle(
         grid, b, c, lam, seeds, cfg.solver,
         t_max=cfg.mp_t_max,
         decay_threshold=cfg.mp_decay_threshold,
         blowup_threshold=cfg.mp_blowup,
+        lambda_bar=est.lambda_bar,
     )
     _emit_grid(out_dir, grid)
     write_json(os.path.join(out_dir, "mpcheck.json"), report.to_dict())

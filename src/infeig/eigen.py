@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InfeigError
 from .geometry import Grid
 from .operators import ScalarField, SteadyProblem, VectorField, residual_values
-from .steady import SolverConfig, _CoerciveSystem, monotone_iteration
+from .steady import SolverConfig, _CoerciveSystem, monotone_iteration  # noqa: F401  (span tracers patch it here)
 
 
 class EigenError(InfeigError):
@@ -40,10 +40,6 @@ class EigenError(InfeigError):
 
 
 class BracketFailure(EigenError):
-    pass
-
-
-class ProbeDiverged(EigenError):
     pass
 
 
@@ -132,23 +128,6 @@ def estimate_principal_eigenvalue(
         eigen_residual=float(np.max(np.abs(q - lam_bar) * x)),
         bisection_steps=solves,
     )
-
-
-def extract_eigenfunction(
-    grid: Grid,
-    b: VectorField,
-    c: ScalarField,
-    lam_probe: float,
-    cfg: SolverConfig,
-) -> ScalarField:
-    """Normalized solution of the g = -1 problem at lam_probe < lam_bar_h."""
-    out = monotone_iteration(grid, b, c, lam_probe, ScalarField.constant(grid, -1.0), cfg)
-    if not out.converged:
-        raise ProbeDiverged(
-            f"monotone iteration diverged at lam = {lam_probe}; probe below lam_bar_h"
-        )
-    values = out.u.values
-    return ScalarField(grid, values / float(np.max(np.abs(values))))
 
 
 @dataclass

@@ -322,9 +322,11 @@ class Grid:
     ``ring_index`` / ``axis_plus`` / ``axis_minus`` address an extended value
     vector: entries < n_active are active nodes, the rest are ghost closures
     (convex combinations of active nodal values given by ``ghost_nodes`` /
-    ``ghost_weights``).  The three index arrays are column-major: the
-    operator kernels gather one arm or axis column at a time, and a
-    contiguous column makes each gather a linear read of the index.
+    ``ghost_weights``).  Ghosts are numbered in order of first appearance
+    over nodes, then ring arms, then axis plus/minus.  The three index
+    arrays are column-major: the transposed ``ring_index`` is the
+    C-contiguous (K, N) block the ring kernel gathers in one call, and the
+    drift kernel reads one contiguous axis column at a time.
     """
 
     domain: Domain
@@ -442,38 +444,37 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     offsets = _ring_offsets(dim, s)
     pairs = _pair_table(offsets)
 
-    ghost_keys: dict = {}
-    ghost_entries: list = []
-
-    def resolve(q_tuple) -> int:
-        idx = index_of.get(q_tuple)
-        if idx is not None:
-            return idx
-        gi = ghost_keys.get(q_tuple)
-        if gi is None:
-            gi = len(ghost_entries)
-            ghost_keys[q_tuple] = gi
-            ghost_entries.append(q_tuple)
-        return len(index_of) + gi
-
+    # Stencil steps in column order: ring arms, then axis plus/minus.  The
+    # lattice box is padded by s + 2, so every target of an active node lies
+    # inside it and a step is a fixed offset into the raveled box.
     n = nodes.shape[0]
     K = offsets.shape[0]
-    ring_index = np.empty((n, K), dtype=np.int64, order="F")
-    axis_plus = np.empty((n, dim), dtype=np.int64, order="F")
-    axis_minus = np.empty((n, dim), dtype=np.int64, order="F")
-    off_list = offsets.tolist()
-    for i, q in enumerate(act_lattice.tolist()):
-        for k, v in enumerate(off_list):
-            ring_index[i, k] = resolve(tuple(a + b for a, b in zip(q, v)))
-        for d in range(dim):
-            e = [0] * dim
-            e[d] = 1
-            axis_plus[i, d] = resolve(tuple(a + b for a, b in zip(q, e)))
-            axis_minus[i, d] = resolve(tuple(a - b for a, b in zip(q, e)))
+    eye = np.eye(dim, dtype=np.int64)
+    steps = np.concatenate([offsets, np.stack([eye, -eye], axis=1).reshape(2 * dim, dim)])
+    dense = np.full(tuple(imax - imin + 1), -1, dtype=np.int64)  # box point -> active node
+    box_strides = np.array(dense.strides) // dense.itemsize
+    dense = dense.reshape(-1)
+    base = (act_lattice - imin) @ box_strides
+    dense[base] = np.arange(n)
+    step_offsets = steps @ box_strides
+    index = np.empty((n, steps.shape[0]), dtype=np.int64, order="F")
+    for col, v in enumerate(step_offsets):
+        index[:, col] = dense[base + v]
+    # np.nonzero runs node by node, then column: ghosts are numbered in
+    # order of first appearance
+    rows, cols = np.nonzero(index < 0)
+    _, first, label = np.unique(base[rows] + step_offsets[cols], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ghost_number = np.empty_like(order)
+    ghost_number[order] = np.arange(order.size)
+    index[rows, cols] = n + ghost_number[label.reshape(-1)]
+    ring_index = index[:, :K]
+    axis_plus = np.asfortranarray(index[:, K::2])
+    axis_minus = np.asfortranarray(index[:, K + 1::2])
 
-    n_ghost = len(ghost_entries)
+    n_ghost = order.size
     w_cols = 2 ** dim
-    ghost_points = np.array(ghost_entries, dtype=float).reshape(n_ghost, dim) * h
+    ghost_points = (act_lattice[rows[first[order]]] + steps[cols[first[order]]]) * h
     ghost_nodes = np.zeros((n_ghost, w_cols), dtype=np.int64)
     ghost_weights = np.zeros((n_ghost, w_cols), dtype=float)
     for g in range(n_ghost):

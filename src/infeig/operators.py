@@ -27,9 +27,10 @@ at every active node.  Every evaluation goes through two private kernels:
 ``_ring_laplacian`` (behind ``residual_values``, ``inf_laplacian_values``
 and the single-node ``inf_laplacian``) and ``_add_upwind_drift`` (behind
 ``residual_values``, ``drift_values`` and the single-node ``drift_term``).
-Both work one contiguous index column at a time: ``_ring_laplacian`` keeps
-a running max/min over the K arms and never builds the (N, K) arm array.
-``ring_arm_values`` is that (N, K) array, kept for the arm selections of
+``_ring_laplacian`` gathers the K arms as one (K, N) block through the
+C-contiguous transpose of ``ring_index`` and reduces it along the arms;
+``_add_upwind_drift`` works one contiguous axis column at a time.
+``ring_arm_values`` is the (N, K) arm array, kept for the arm selections of
 the policy code in ``steady`` and for the tests; it gives bitwise the same
 arm values.  The policy-frozen matrices and relaxation sweeps in ``steady``
 assemble the same upwind coefficients as sparse entries.
@@ -111,19 +112,15 @@ def ring_arm_values(grid: Grid, values: np.ndarray, ext: np.ndarray | None = Non
 def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """Ring-scheme lap(u) at every active node, from u's extended values.
 
-    Takes a running max/min over the arms one column at a time; each arm
-    value is formed in the same operation order as ``ring_arm_values``, so
-    the result is bitwise that of the (N, K) reduction."""
-    hi = np.full(values.shape, -np.inf)
-    lo = np.full(values.shape, np.inf)
-    for k, scale in enumerate(grid.ring_scale):
-        w = ext[grid.ring_index[:, k]]
-        w -= values
-        w *= scale
-        w += values
-        np.maximum(hi, w, out=hi)
-        np.minimum(lo, w, out=lo)
-    return (hi + lo - 2.0 * values) / grid.rho**2
+    Gathers the K arms in one call as the (K, N) block ``ext[ring_index.T]``
+    and rescales it in place; each arm value is formed in the same operation
+    order as ``ring_arm_values``, and max/min along axis 0 reduce the rows in
+    arm order, so the result is bitwise that of the (N, K) reduction."""
+    w = ext[grid.ring_index.T]
+    w -= values
+    w *= grid.ring_scale[:, None]
+    w += values
+    return (w.max(axis=0) + w.min(axis=0) - 2.0 * values) / grid.rho**2
 
 
 def _add_upwind_drift(out: np.ndarray, grid: Grid, b_values: np.ndarray, values: np.ndarray,

@@ -15,6 +15,8 @@
 * ``bisection_eigenvalue_reference``: the principal eigenvalue by bisection
   on the monotone iteration's convergence/blowup dichotomy, an argument
   independent of the power iteration in ``eigen``.
+* ``extract_eigenfunction``: the normalized g = -1 solution at a probe just
+  below lam_bar_h, the eigenfunction of the bisection argument.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import BracketFailure, EigenEstimate
+from .eigen import BracketFailure, EigenError, EigenEstimate
 from .errors import InfeigError
 from .geometry import Disk, Grid
 from .operators import ScalarField, SteadyProblem, VectorField, residual_values
@@ -36,6 +38,10 @@ class OracleError(InfeigError):
 
 
 class InvalidParams(OracleError):
+    pass
+
+
+class ProbeDiverged(EigenError):
     pass
 
 
@@ -308,3 +314,20 @@ def bisection_eigenvalue_reference(
         flags=flags,
         certificate="bisection",
     )
+
+
+def extract_eigenfunction(
+    grid: Grid,
+    b: VectorField,
+    c: ScalarField,
+    lam_probe: float,
+    cfg: SolverConfig,
+) -> ScalarField:
+    """Normalized solution of the g = -1 problem at lam_probe < lam_bar_h."""
+    out = monotone_iteration(grid, b, c, lam_probe, ScalarField.constant(grid, -1.0), cfg)
+    if not out.converged:
+        raise ProbeDiverged(
+            f"monotone iteration diverged at lam = {lam_probe}; probe below lam_bar_h"
+        )
+    values = out.u.values
+    return ScalarField(grid, values / float(np.max(np.abs(values))))

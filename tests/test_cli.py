@@ -184,6 +184,21 @@ class TestSubcommands:
         assert report["holds"] is True  # lam = 0.5 < lam_bar = 1
         assert len(report["seeds"]) == 2
 
+    def test_mpcheck_honours_bisect_tol(self, tmp_path):
+        # mpcheck reports the same lambda_bar as eigen under a tighter eigen.bisect_tol
+        text = SOLVE_CFG + (
+            "coeff.c = -1 + 0.3*sin(2*x)\neigen.bisect_tol = 1e-7\nmpcheck.lambda = 0.5\n"
+            "mpcheck.seeds = exp(-20*(x-0.5)^2)\nmpcheck.t_max = 200\n"
+        )
+        cfg = _write(tmp_path, "mp.cfg", text)
+        out = tmp_path / "out"
+        assert main(["eigen", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["mpcheck", "--config", cfg, "--out", str(out)]) == 0
+        eigen = json.loads((out / "eigen.json").read_text())
+        report = json.loads((out / "mpcheck.json").read_text())
+        assert eigen["lambda_hi"] - eigen["lambda_lo"] <= 1e-7
+        assert report["lambda_bar"] == eigen["lambda_bar"]
+
     def test_mpcheck_needs_seeds(self, tmp_path):
         cfg = _write(tmp_path, "mp.cfg", SOLVE_CFG + "mpcheck.lambda = 0\n")
         assert main(["mpcheck", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -6,14 +6,17 @@ from infeig.config import load_config, parse_config_text
 from infeig.eigen import (
     BracketFailure,
     MaxPrincipleInconclusive,
-    ProbeDiverged,
     check_maximum_principle,
     estimate_principal_eigenvalue,
-    extract_eigenfunction,
 )
 from infeig.geometry import Disk, Interval, build_grid
 from infeig.operators import ScalarField, VectorField
-from infeig.oracles import bisection_eigenvalue_reference, sign_changing_coefficient
+from infeig.oracles import (
+    ProbeDiverged,
+    bisection_eigenvalue_reference,
+    extract_eigenfunction,
+    sign_changing_coefficient,
+)
 from infeig.steady import monotone_iteration
 
 README_DISK = """\

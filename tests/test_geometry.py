@@ -218,11 +218,44 @@ def test_deterministic_build():
     (Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2),
 ])
 def test_index_columns_contiguous(domain, h, s):
-    # the operator kernels gather one column at a time
+    # the ring kernel gathers the (K, N) transpose, the drift kernel one axis column at a time
     grid = build_grid(domain, h, s)
+    assert grid.ring_index.T.flags.c_contiguous
     for index in (grid.ring_index, grid.axis_plus, grid.axis_minus):
         for k in range(index.shape[1]):
             assert index[:, k].flags.c_contiguous
+
+
+@pytest.mark.parametrize("domain, h, s", [
+    (Interval(0.0, 1.0), 1.0 / 32.0, 2),
+    (Disk((0.0, 0.0), 1.0), 0.125, 2),
+    (Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2),
+])
+def test_stencil_indices_address_targets(domain, h, s):
+    # each index names the node or ghost at node + offset; ghosts are numbered
+    # by first appearance over nodes, then ring arms, then axis plus/minus
+    grid = build_grid(domain, h, s)
+    n = grid.n_active
+    ghost_keys = [tuple(q) for q in np.rint(grid.ghost_points / h).astype(int).tolist()]
+    assert len(set(ghost_keys)) == grid.n_ghost
+    offsets = np.rint(grid.ring_offsets / h).astype(int).tolist()
+    unit = np.eye(grid.dim, dtype=int).tolist()
+    seen = []
+    for i, q in enumerate(np.rint(grid.nodes / h).astype(int).tolist()):
+        assert grid.lattice_index[tuple(q)] == i
+        columns = [(grid.ring_index[i, k], v) for k, v in enumerate(offsets)]
+        for d, e in enumerate(unit):
+            columns += [(grid.axis_plus[i, d], e), (grid.axis_minus[i, d], [-c for c in e])]
+        for j, v in columns:
+            key = tuple(a + b for a, b in zip(q, v))
+            if j < n:
+                assert grid.lattice_index[key] == j
+            else:
+                assert key not in grid.lattice_index
+                assert ghost_keys[j - n] == key
+                if j - n not in seen:
+                    seen.append(j - n)
+    assert seen == list(range(grid.n_ghost))
 
 
 def test_node_order_lexicographic():

@@ -25,6 +25,17 @@ def disk64s2():
     return build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 64.0, 2)
 
 
+@pytest.fixture(scope="module")
+def disk16s3():
+    # some arms are shorter than rho, so their scale is above 1
+    return build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 16.0, 3)
+
+
+@pytest.fixture(scope="module")
+def annulus20s2():
+    return build_grid(Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2)
+
+
 class TestGradientProjector:
     def test_axis_vector(self):
         assert np.allclose(gradient_projector((1.0, 0.0)), [[1.0, 0.0], [0.0, 0.0]])
@@ -252,9 +263,11 @@ def _residual_from_arm_array(grid, b, c, g, lam, u):
 
 
 class TestResidualKernel:
-    """The column-wise kernel is bitwise the (N, K) arm-array formula."""
+    """The (K, N) block kernel is bitwise the (N, K) arm-array formula."""
 
-    @pytest.mark.parametrize("name", ["interval64", "disk8", "disk16s2", "disk64s2"])
+    @pytest.mark.parametrize(
+        "name", ["interval64", "disk8", "disk16s2", "disk64s2", "disk16s3", "annulus20s2"]
+    )
     def test_bitwise_against_arm_array(self, name, request, rng):
         grid = request.getfixturevalue(name)
         n = grid.n_active
