@@ -19,9 +19,9 @@ Two layers:
   general g, starting from the negative barrier solution instead of 0; both
   are the one private loop ``_shifted_iteration``, and its inner solves are
   ``solve_coercive``'s ``_CoerciveSystem``.  The recorded sequence is the
-  plain one; Aitken and minimal-polynomial extrapolation candidates are
-  formed on the side and a candidate is only accepted once its residual for
-  the lam-problem passes the certificate.  Near the eigenvalue the iterates
+  plain one; its only side channel is a frozen-policy solve of the
+  lam-problem at the current iterate's arm selection, accepted once its
+  lam-residual passes the certificate.  Near the eigenvalue the iterates
   grow like 1/(lam_bar - lam) and the float noise floor of the absolute
   residual grows with them, so the certificate is scale-aware: residual <=
   max(tol, rel_tol * |u|_inf).
@@ -29,7 +29,6 @@ Two layers:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +72,7 @@ class SolverConfig:
     max_sweeps: int = 400
     max_outer: int = 120
     blowup_threshold: float | None = None  # None: 1e6 * (1 + |g|_inf)
-    extrapolate: bool = True
+    extrapolate: bool = True  # try the frozen-policy candidate each outer step
     record_fields: bool = False
 
     def __post_init__(self):
@@ -208,24 +207,23 @@ class _FrozenPolicySolver:
             return None
         return out
 
-    def rebuild(self, u: np.ndarray) -> bool:
-        """Refactorize at u's arm selection; returns False on a singular
-        frozen system (the caller simply skips that candidate)."""
+    def rebuild(self, u: np.ndarray) -> None:
+        """Refactorize at u's arm selection.  A singular frozen system leaves no factor, so
+        ``solve_stale`` returns None; only the direct candidate (c + lam not negative) needs this."""
         policy = self.assembler.policy(u)
         if self._cached_policy is not None and np.array_equal(policy, self._cached_policy):
-            return self._cached_factor is not None
+            return
         matrix = self.assembler.matrix(policy, self.zero_order)
         self._cached_policy = policy
         try:
             self._cached_factor = spla.splu(matrix)
         except RuntimeError:
             self._cached_factor = None
-            return False
-        return True
 
 
 class _CoerciveSystem:
-    """Policy-iteration solver for lap(u) + b.Du + c0(x) u = rhs, c0 < 0."""
+    """Policy-iteration solver for lap(u) + b.Du + c0(x) u = rhs, c0 < 0, so the frozen
+    matrices are diagonally dominant: a failed factorization is an error, not a fallback."""
 
     def __init__(self, grid: Grid, b_values: np.ndarray, c0_values: np.ndarray, cfg: SolverConfig,
                  assembler: _OperatorAssembler | None = None):
@@ -263,6 +261,13 @@ class _CoerciveSystem:
             off += (bp[:, d] * ext[g.axis_plus[:, d]] - bm[:, d] * ext[g.axis_minus[:, d]]) / g.h
         return (rhs - off) / diag
 
+    def _fresh_solve(self, at: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        self._solver.rebuild(at)
+        out = self._solver.solve_stale(rhs)
+        if out is None:
+            raise NoConvergence("splu factorization of the policy-frozen coercive matrix failed")
+        return out
+
     def solve(self, rhs: np.ndarray, initial: np.ndarray | None = None):
         """Returns (values, passes); certified by the nonlinear residual."""
         cfg = self.cfg
@@ -276,30 +281,22 @@ class _CoerciveSystem:
                 return u, passes
 
             cand = self._solver.solve_stale(rhs)
-            rebuilt = False
-            if cand is None:
-                rebuilt = True
-                self._solver.rebuild(u)
-                cand = self._solver.solve_stale(rhs)
+            rebuilt = cand is None
+            if rebuilt:
+                cand = self._fresh_solve(u, rhs)
             passes += 1
-            if cand is None:
-                u = self._relax_sweep(u, rhs)
-                r = float(np.max(np.abs(self.residual(u, rhs))))
-                continue
             rc = float(np.max(np.abs(self.residual(cand, rhs))))
             if rc <= target:
                 return cand, passes
             if not rebuilt and rc >= 0.9 * r:
                 # the stale selection stopped helping: refresh at the better point
-                self._solver.rebuild(cand if rc < r else u)
-                fresh = self._solver.solve_stale(rhs)
-                if fresh is not None:
-                    passes += 1
-                    rf = float(np.max(np.abs(self.residual(fresh, rhs))))
-                    if rf <= target:
-                        return fresh, passes
-                    if rf < rc:
-                        cand, rc = fresh, rf
+                fresh = self._fresh_solve(cand if rc < r else u, rhs)
+                passes += 1
+                rf = float(np.max(np.abs(self.residual(fresh, rhs))))
+                if rf <= target:
+                    return fresh, passes
+                if rf < rc:
+                    cand, rc = fresh, rf
             if rc < 0.9 * r:
                 u, r = cand, rc
                 stalls = 0
@@ -323,50 +320,14 @@ def solve_coercive(problem: SteadyProblem, cfg: SolverConfig, initial: ScalarFie
     """Solve the steady problem when c + lam is uniformly negative.
 
     The solution is unique; the output is independent of the initial guess up
-    to solver tolerance and bounded by |g|_inf / c0.
+    to solver tolerance and bounded by |g|_inf / c0.  A failed factorization
+    is an error (NoConvergence), not a fallback.
     """
     c0 = problem.c.values + problem.lam
     system = _CoerciveSystem(problem.grid, problem.b.values, c0, cfg)
     init = None if initial is None else initial.values
     values, _ = system.solve(problem.g.values.copy(), init)
     return ScalarField(problem.grid, values)
-
-
-def _aitken_candidate(history):
-    """Aitken extrapolation from the last three iterates."""
-    if len(history) < 3:
-        return None
-    u1, u2, u3 = history[-3], history[-2], history[-1]
-    d1 = u2 - u1
-    d2 = u3 - u2
-    n1 = float(np.max(np.abs(d1)))
-    n2 = float(np.max(np.abs(d2)))
-    if n1 <= 0.0 or n2 >= n1:
-        return None
-    kappa = n2 / n1
-    return u3 + d2 * (kappa / (1.0 - kappa))
-
-
-def _mpe_candidate(history):
-    """Minimal-polynomial extrapolation over the trailing iterates."""
-    if len(history) < 3:
-        return None
-    U = np.stack(history, axis=1)
-    D = np.diff(U, axis=1)
-    G = D.T @ D
-    ones = np.ones(G.shape[0])
-    try:
-        y, *_ = np.linalg.lstsq(G, ones, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    s = float(y.sum())
-    if not np.isfinite(s) or s == 0.0:
-        return None
-    gamma = y / s
-    cand = U[:, 1:] @ gamma
-    if not np.all(np.isfinite(cand)):
-        return None
-    return cand
 
 
 def _certificate(residual_sup: float, sup: float, cfg: SolverConfig):
@@ -411,7 +372,6 @@ def _shifted_iteration(
     u = start
     sup_history = [float(np.max(np.abs(u)))]
     fields = [ScalarField(grid, u.copy())] if cfg.record_fields else None
-    recent = deque([u.copy()], maxlen=6)  # the trailing iterates extrapolation uses
     sweeps = 0
     flags: list = []
     doubling_streak = 0
@@ -435,23 +395,20 @@ def _shifted_iteration(
             )
 
         if cfg.extrapolate:
-            recent.append(u_next.copy())
             d = direct.solve_stale(g.values)
             if d is None or n % 3 == 0:
                 direct.rebuild(u_next)
                 d = direct.solve_stale(g.values)
-            for cand in (d, _aitken_candidate(recent), _mpe_candidate(recent)):
-                if cand is None or float(np.min(cand - start)) < -10.0 * cfg.tol:
-                    continue  # the limit lies above start; reject wild candidates
-                rc = lam_residual(cand)
-                sc = float(np.max(np.abs(cand)))
+            if d is not None and float(np.min(d - start)) >= -10.0 * cfg.tol:
+                rc = lam_residual(d)
+                sc = float(np.max(np.abs(d)))
                 cert = _certificate(rc, sc, cfg)
                 if cert is not None:
                     flags.append("extrapolated")
                     if cert == "rel":
                         flags.append("rel-certified")
                     return IterationOutcome(
-                        True, ScalarField(grid, cand), n, sweeps, rc, sc, sup_history, flags, fields
+                        True, ScalarField(grid, d), n, sweeps, rc, sc, sup_history, flags, fields
                     )
 
         if sup >= blowup:
@@ -503,7 +460,8 @@ def solve_general_rhs(problem: SteadyProblem, cfg: SolverConfig) -> ScalarField:
     Coercive case goes straight to solve_coercive.  Otherwise the iteration
     starts from the negative barrier solution u0 (minus the positive solution
     of the -|g|_inf problem) and increases toward the solution, staying below
-    the positive barrier v0.  Raises Diverged when lam >= lam_bar in practice.
+    the positive barrier v0; both passes try only the frozen-policy candidate
+    on the side.  Raises Diverged when lam >= lam_bar in practice.
     """
     grid, b, c, g, lam = problem.grid, problem.b, problem.c, problem.g, problem.lam
     if np.max(c.values + lam) < 0.0:

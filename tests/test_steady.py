@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from infeig import steady
+from infeig.config import load_config, parse_config_text
 from infeig.geometry import Disk, Interval, build_grid
 from infeig.operators import ScalarField, SteadyProblem, VectorField, apply_operator
 from infeig.oracles import dense_residual_reference
 from infeig.steady import (
     Diverged,
     IterationOutcome,
+    NoConvergence,
     NotCoercive,
     SolverConfig,
     monotone_iteration,
@@ -78,6 +81,20 @@ class TestSolveCoercive:
         a = solve_coercive(prob, cfg)
         b = solve_coercive(_problem(disk8, -1.0, g), SolverConfig())
         assert np.array_equal(a.values, b.values)
+
+    def test_failed_factorization_is_loud(self, disk8, cfg, monkeypatch):
+        # c0 < 0 makes the frozen matrix diagonally dominant; if splu fails
+        # anyway, the solve stops at once instead of relaxing for max_sweeps
+        attempts = []
+
+        def failing_splu(matrix, *args, **kwargs):
+            attempts.append(matrix.shape)
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(steady.spla, "splu", failing_splu)
+        with pytest.raises(NoConvergence, match="factorization"):
+            solve_coercive(_problem(disk8, -1.0, -1.0), cfg)
+        assert len(attempts) == 1
 
 
 class TestMonotoneIteration:
@@ -176,6 +193,24 @@ class TestMonotoneIteration:
         assert isinstance(out, IterationOutcome)
         assert out.sup_history[0] == 0.0
         assert len(out.sup_history) == out.outer_steps + 1
+
+    def test_extrapolated_flag(self, disk16s2):
+        # the README lambda-problem: the frozen-policy candidate certifies
+        # within a few outer steps and says so; the plain sequence agrees
+        run = load_config(parse_config_text(
+            "domain.type = disk\ndomain.radius = 1\ngrid.h = 0.0625\ngrid.s = 2\n"
+            "coeff.c = piecewise(r, 0.2, 0.325, -1.0)\n"
+        ))
+        c = run.scalar_field(disk16s2, run.c)
+        b = VectorField.zero(disk16s2)
+        g = ScalarField.constant(disk16s2, -1.0)
+        fast = monotone_iteration(disk16s2, b, c, 0.0, g, SolverConfig())
+        plain = monotone_iteration(disk16s2, b, c, 0.0, g, SolverConfig(extrapolate=False))
+        assert fast.converged and plain.converged
+        assert "extrapolated" in fast.flags
+        assert "extrapolated" not in plain.flags
+        assert fast.outer_steps < plain.outer_steps
+        assert np.abs(fast.u.values - plain.u.values).max() <= 1e-6
 
 
 class TestSolveGeneralRhs:
