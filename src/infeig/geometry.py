@@ -13,6 +13,7 @@ Lattice nodes sit at integer multiples of the spacing ``h`` so that grids at
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -535,6 +536,51 @@ def _ghost_closure(domain, h, point, index_of, nodes):
         j = int(np.argmin(np.linalg.norm(nodes - m, axis=1)))
         return [j], [1.0]
     return idxs, [w / total for w in wts]
+
+
+def _lattice_points(grid: Grid) -> np.ndarray:
+    """(N, dim) integer lattice coordinates of the active nodes."""
+    return np.rint(grid.nodes / grid.h).astype(np.int64)
+
+
+def _lookup(grid: Grid, points: np.ndarray) -> np.ndarray:
+    """Active node index of each integer lattice point, -1 where it is not active."""
+    get = grid.lattice_index.get
+    return np.fromiter((get(p, -1) for p in map(tuple, points.tolist())), dtype=np.int64, count=len(points))
+
+
+def _nearest_nodes(grid: Grid, points: np.ndarray) -> np.ndarray:
+    return np.array([np.argmin(np.linalg.norm(grid.nodes - p, axis=1)) for p in points], dtype=np.int64)
+
+
+def injection_index(coarse: Grid, fine: Grid) -> np.ndarray:
+    """(N_coarse,) fine node under each node of ``coarse``, the grid with twice
+    ``fine``'s spacing: the same lattice point, or the nearest fine node for a
+    coarse boundary node just outside the fine active set."""
+    idx = _lookup(fine, 2 * _lattice_points(coarse))
+    missing = np.flatnonzero(idx < 0)
+    idx[missing] = _nearest_nodes(fine, coarse.nodes[missing])
+    return idx
+
+
+def interpolation_weights(coarse: Grid, fine: Grid) -> tuple:
+    """Bilinear interpolation from ``coarse``, the grid with twice ``fine``'s
+    spacing, onto ``fine``'s nodes: (N_fine, 2**dim) coarse node indices and
+    nonnegative weights summing to 1 per row.  As in the ghost closure, weights
+    on inactive corners are dropped and the rest renormalized, falling back to
+    the nearest active node if the whole cell is inactive."""
+    base, odd = np.divmod(_lattice_points(fine), 2)
+    corners = np.array(list(itertools.product((0, 1), repeat=fine.dim)))
+    frac = 0.5 * odd[:, None, :]
+    weights = np.prod(np.where(corners, frac, 1.0 - frac), axis=2)
+    idx = _lookup(coarse, (base[:, None, :] + corners).reshape(-1, fine.dim)).reshape(weights.shape)
+    weights[idx < 0] = 0.0
+    idx[idx < 0] = 0
+    total = weights.sum(axis=1)
+    lost = np.flatnonzero(total == 0.0)
+    idx[lost, 0] = _nearest_nodes(coarse, fine.nodes[lost])
+    weights[lost, 0] = total[lost] = 1.0
+    return idx, weights / total[:, None]
 
 
 def distance_field(grid: Grid):

@@ -1,13 +1,27 @@
 """Steady Neumann solvers.
 
-Two layers:
-
 * ``solve_coercive`` handles the uniformly coercive case max(c + lam) < 0.
-  The nodal fixed point freezes the ring's max/min arm selection, which makes
-  the system linear; we alternate exact solves of the policy-frozen sparse
-  system with re-selection of the arms, falling back to damped steps and
-  plain relaxation sweeps if a policy solve fails to reduce the residual.
-  Convergence is always certified by evaluating the nonlinear residual.
+  Freezing the ring's max/min arm selection makes the system linear, and
+  every frozen matrix is diagonally dominant.  Nested policy iteration runs
+  Howard's algorithm on the min arms (exact ``splu`` solves of the frozen
+  system, then re-selection) inside Hoffman-Karp on the max arms; an arm
+  switches only where it beats the current one by more than 1e-14, since
+  nearly tied arms cycle otherwise.  The arm selection starts from the
+  solution on the grid with twice the spacing, solved the same way down to
+  the coarsest grid that builds.  At h = 1/32 (disk, s = 2) that takes 48
+  factorizations over all grids; at h = 1/64, 66.  Convergence is certified
+  by evaluating the nonlinear residual.
+
+* The repeated resolvent solves, the inner solves of ``_shifted_iteration``
+  below and of ``eigen``'s inverse power iteration, use
+  ``_CoerciveSystem.solve`` instead: a lazy loop that reuses the stale
+  factor while it cuts the residual, refactorizes at the better point when
+  it stops, and falls back to damped steps and relaxation sweeps.  Their
+  right-hand sides change little from one solve to the next, so the lazy
+  loop carries its factor and its start over and factorizes far less than
+  nested policy iteration from the same starts: 140 against 412 ``splu``
+  calls on the README solve at h = 1/32, and 15 against 323 for the README
+  eigen solve at h = 1/16.
 
 * ``monotone_iteration`` runs the inductive sequence u_1 = 0,
 
@@ -18,7 +32,7 @@ Two layers:
   lam >= lam_bar.  ``solve_general_rhs`` runs the same sequence for a
   general g, starting from the negative barrier solution instead of 0; both
   are the one private loop ``_shifted_iteration``, and its inner solves are
-  ``solve_coercive``'s ``_CoerciveSystem``.  The recorded sequence is the
+  the lazy ``_CoerciveSystem.solve``.  The recorded sequence is the
   plain one; its only side channel is a frozen-policy solve of the
   lam-problem at the current iterate's arm selection, accepted once its
   lam-residual passes the certificate.  Near the eigenvalue the iterates
@@ -36,7 +50,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InfeigError
-from .geometry import Grid
+from .geometry import GeometryError, Grid, build_grid, injection_index, interpolation_weights
 from .operators import (
     ScalarField,
     SteadyProblem,
@@ -222,8 +236,10 @@ class _FrozenPolicySolver:
 
 
 class _CoerciveSystem:
-    """Policy-iteration solver for lap(u) + b.Du + c0(x) u = rhs, c0 < 0, so the frozen
-    matrices are diagonally dominant: a failed factorization is an error, not a fallback."""
+    """lap(u) + b.Du + c0(x) u = rhs with c0 < 0, so the frozen matrices are diagonally
+    dominant: a failed factorization is an error, not a fallback.  ``solve`` is the lazy
+    loop of the repeated resolvent solves; ``solve_coercive`` runs nested policy
+    iteration on the same assembler, residual and target."""
 
     def __init__(self, grid: Grid, b_values: np.ndarray, c0_values: np.ndarray, cfg: SolverConfig,
                  assembler: _OperatorAssembler | None = None):
@@ -268,11 +284,15 @@ class _CoerciveSystem:
             raise NoConvergence("splu factorization of the policy-frozen coercive matrix failed")
         return out
 
+    def target(self, rhs: np.ndarray) -> float:
+        """Residual sup that certifies a solve, a fifth of the caller's certificate."""
+        return max(0.2 * self.cfg.tol, 0.2 * self.cfg.rel_tol * max(1.0, float(np.max(np.abs(rhs)))))
+
     def solve(self, rhs: np.ndarray, initial: np.ndarray | None = None):
         """Returns (values, passes); certified by the nonlinear residual."""
         cfg = self.cfg
         u = np.zeros(self.n) if initial is None else np.array(initial, dtype=float)
-        target = max(0.2 * cfg.tol, 0.2 * cfg.rel_tol * max(1.0, float(np.max(np.abs(rhs)))))
+        target = self.target(rhs)
         passes = 0
         stalls = 0
         r = float(np.max(np.abs(self.residual(u, rhs))))
@@ -316,18 +336,99 @@ class _CoerciveSystem:
         )
 
 
+_SWITCH_GAP = 1e-14  # an arm switches only when it beats the current one by more; nearly tied arms cycle
+
+
+def _switch_arms(w: np.ndarray, sel: np.ndarray, best: np.ndarray, sign: float) -> bool:
+    """Moves sel to best in place where sign * (w_best - w_sel) > _SWITCH_GAP; True if any moved."""
+    rows = np.arange(sel.size)
+    moved = sign * (w[rows, best] - w[rows, sel]) > _SWITCH_GAP
+    sel[moved] = best[moved]
+    return bool(np.any(moved))
+
+
+def _start_arms(grid: Grid, u: np.ndarray) -> tuple:
+    """Max and min arm at each node; where they tie (everywhere at u = 0), the
+    min arm is the max arm's antipode, so no frozen row counts one arm twice."""
+    w = ring_arm_values(grid, u)
+    sel_max = np.argmax(w, axis=1)
+    sel_min = np.argmin(w, axis=1)
+    antipode = np.empty(grid.ring_pairs.size, dtype=np.int64)
+    antipode[grid.ring_pairs] = grid.ring_pairs[:, ::-1]
+    tied = sel_max == sel_min
+    sel_min[tied] = antipode[sel_max[tied]]
+    return sel_max, sel_min
+
+
+def _nested_policy_iteration(system: _CoerciveSystem, rhs: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Howard's algorithm on the min arms inside Hoffman-Karp on the max arms,
+    from start's arm selection; at most cfg.max_sweeps factorizations."""
+    grid, cfg = system.grid, system.cfg
+    sel_max, sel_min = _start_arms(grid, start)
+    factorizations = 0
+    while True:
+        while True:
+            if factorizations == cfg.max_sweeps:
+                raise NoConvergence(
+                    f"nested policy iteration exceeded max_sweeps={cfg.max_sweeps} factorizations"
+                )
+            matrix = system.assembler.matrix(np.concatenate([sel_max, sel_min]), system.c0)
+            try:
+                u = spla.splu(matrix).solve(rhs)
+            except RuntimeError as e:
+                raise NoConvergence("splu factorization of the policy-frozen coercive matrix failed") from e
+            factorizations += 1
+            w = ring_arm_values(grid, u)
+            if not _switch_arms(w, sel_min, np.argmin(w, axis=1), -1.0):
+                break
+        if not _switch_arms(w, sel_max, np.argmax(w, axis=1), 1.0):
+            break
+    r = float(np.max(np.abs(system.residual(u, rhs))))
+    target = system.target(rhs)
+    if r > target:
+        raise NoConvergence(f"nested policy iteration stopped at residual {r:.3e} above target {target:.3e}")
+    return u
+
+
+def _coarse_to_fine(grid: Grid, b_values: np.ndarray, c0_values: np.ndarray, rhs: np.ndarray,
+                    cfg: SolverConfig) -> np.ndarray:
+    """Nested policy iteration started from the solution on the grid with twice
+    the spacing, found the same way; the coarsest grid that builds starts from 0."""
+    system = _CoerciveSystem(grid, b_values, c0_values, cfg)
+    try:
+        coarse = build_grid(grid.domain, 2.0 * grid.h, grid.s)
+    except GeometryError:
+        start = np.zeros(grid.n_active)
+    else:
+        down = injection_index(coarse, grid)
+        coarse_u = _coarse_to_fine(coarse, b_values[down], c0_values[down], rhs[down], cfg)
+        idx, weights = interpolation_weights(coarse, grid)
+        start = np.einsum("nk,nk->n", weights, coarse_u[idx])
+    return _nested_policy_iteration(system, rhs, start)
+
+
 def solve_coercive(problem: SteadyProblem, cfg: SolverConfig, initial: ScalarField | None = None) -> ScalarField:
     """Solve the steady problem when c + lam is uniformly negative.
 
-    The solution is unique; the output is independent of the initial guess up
-    to solver tolerance and bounded by |g|_inf / c0.  A failed factorization
-    is an error (NoConvergence), not a fallback.
+    Nested policy iteration (Howard's algorithm on the min arms inside
+    Hoffman-Karp on the max arms, see the module docstring).  Without
+    ``initial`` it starts from the solution on the grid with twice the
+    spacing, found the same way; with ``initial``, from that field.
+    ``cfg.max_sweeps`` caps the factorizations on each grid.
+
+    The solution is unique; the output is independent of the start up to
+    solver tolerance and bounded by |g|_inf / c0.  It is certified by the
+    nonlinear residual; a failed factorization or an uncertified result is an
+    error (NoConvergence), not a fallback.
     """
+    grid, b = problem.grid, problem.b.values
     c0 = problem.c.values + problem.lam
-    system = _CoerciveSystem(problem.grid, problem.b.values, c0, cfg)
-    init = None if initial is None else initial.values
-    values, _ = system.solve(problem.g.values.copy(), init)
-    return ScalarField(problem.grid, values)
+    rhs = problem.g.values
+    if initial is None:
+        values = _coarse_to_fine(grid, b, c0, rhs, cfg)
+    else:
+        values = _nested_policy_iteration(_CoerciveSystem(grid, b, c0, cfg), rhs, initial.values)
+    return ScalarField(grid, values)
 
 
 def _certificate(residual_sup: float, sup: float, cfg: SolverConfig):

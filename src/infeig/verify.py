@@ -4,9 +4,10 @@ Each check is small enough to run on a fresh checkout in seconds and
 exercises one contracted property against an independent reference: exact
 values on polynomials and constants, symmetry identities of the operator,
 differential agreement with the dense nodal reference, solver uniqueness and
-positivity, the eigenvalue laws for constant coefficients, the eigenvalue
-with drift against a reference value and the monotone iteration, the
-bump-bound limit behavior, and the evolution decay identities.
+positivity, the residual of the coercive solve at h = 1/64, the eigenvalue
+laws for constant coefficients, the eigenvalue with drift against a reference
+value and the monotone iteration, the bump-bound limit behavior, and the
+evolution decay identities.
 """
 
 from __future__ import annotations
@@ -141,6 +142,23 @@ def _uniqueness():
     return float(np.abs(u1.values - u2.values).max()) - 2.0 * cfg.tol
 
 
+def _coercive_h64():
+    """The coercive case c = -1, g = -exp(-5 r^2) on the unit disk at h = 1/64,
+    s = 2 (N = 13085): the residual of solve_coercive's result against tol."""
+    grid = build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 64.0, 2)
+    r = np.linalg.norm(grid.nodes, axis=1)
+    prob = SteadyProblem(
+        grid,
+        VectorField.zero(grid),
+        ScalarField.constant(grid, -1.0),
+        ScalarField(grid, -np.exp(-5.0 * r**2)),
+        0.0,
+    )
+    cfg = SolverConfig()
+    u = solve_coercive(prob, cfg)
+    return float(np.abs(apply_operator(prob, u).values).max()) - cfg.tol
+
+
 def _manufactured():
     worst = -np.inf
     errs = {}
@@ -262,6 +280,7 @@ def run_verification() -> list:
         ("dense-reference-agreement", lambda: _dense_reference(rng)),
         ("monotone-perturbation", lambda: _monotone_perturbation(rng)),
         ("coercive-uniqueness", _uniqueness),
+        ("coercive-h64", _coercive_h64),
         ("manufactured-1d-convergence", _manufactured),
         ("eigen-constant-coefficients", _eigen_constants),
         ("eigen-shift-law", _eigen_shift),

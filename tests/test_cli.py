@@ -126,6 +126,17 @@ class TestSubcommands:
         sol = np.loadtxt(os.path.join(out, "solution.csv"), delimiter=",", skiprows=1)
         assert np.abs(sol[:, 3] - 1.0).max() <= 1e-7
 
+    def test_solve_coercive_h64(self, tmp_path):
+        # the coercive case at h = 1/64 (N = 13085), the size the solvers are
+        # held to; a coarser grid would not exercise the fine-grid solve
+        text = README_DISK_CFG + "grid.h = 0.015625\ncoeff.c = -1\ncoeff.g = -exp(-5*r^2)\n"
+        cfg = _write(tmp_path, "coercive.cfg", text)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        res = json.loads(open(os.path.join(out, "residual.json")).read())
+        assert res["n_active"] == 13085
+        assert res["residual_sup"] <= load_config(parse_config_text(text)).solver.tol
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write(tmp_path, "eigen.cfg", EIGEN_CFG)
         out1 = str(tmp_path / "a")

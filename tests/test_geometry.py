@@ -16,6 +16,8 @@ from infeig.geometry import (
     build_grid,
     distance_field,
     grid_metadata,
+    injection_index,
+    interpolation_weights,
     node_rows,
     outward_normal,
 )
@@ -256,6 +258,29 @@ def test_stencil_indices_address_targets(domain, h, s):
                 if j - n not in seen:
                     seen.append(j - n)
     assert seen == list(range(grid.n_ghost))
+
+
+@pytest.mark.parametrize("domain, h, s", [
+    (Interval(0.0, 1.0), 1.0 / 32.0, 1),
+    (Disk((0.0, 0.0), 1.0), 0.0625, 2),
+    (Annulus((0.0, 0.0), 0.25, 1.0), 0.025, 2),
+])
+def test_transfers_between_nested_grids(domain, h, s):
+    fine = build_grid(domain, h, s)
+    coarse = build_grid(domain, 2.0 * h, s)
+    # injection: the same lattice point where it is active, else the nearest fine node
+    down = injection_index(coarse, fine)
+    nearest = [np.min(np.linalg.norm(fine.nodes - p, axis=1)) for p in coarse.nodes]
+    assert np.array_equal(np.linalg.norm(fine.nodes[down] - coarse.nodes, axis=1), nearest)
+    assert np.count_nonzero(nearest) < 0.1 * coarse.n_active
+    # interpolation: convex weights, exact on affine data wherever the whole
+    # cell is active, which holds at every fine interior node
+    idx, w = interpolation_weights(coarse, fine)
+    assert np.all(w >= 0.0) and np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    slope = np.array([2.0, -3.0])[: fine.dim]
+    up = np.einsum("nk,nk->n", w, (1.0 + coarse.nodes @ slope)[idx])
+    interior = fine.node_class == INTERIOR
+    assert np.abs(up - (1.0 + fine.nodes @ slope))[interior].max() <= 1e-12
 
 
 def test_node_order_lexicographic():

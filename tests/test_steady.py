@@ -4,7 +4,7 @@ import pytest
 from infeig import steady
 from infeig.config import load_config, parse_config_text
 from infeig.geometry import Disk, Interval, build_grid
-from infeig.operators import ScalarField, SteadyProblem, VectorField, apply_operator
+from infeig.operators import ScalarField, SteadyProblem, VectorField, apply_operator, ring_arm_values
 from infeig.oracles import dense_residual_reference
 from infeig.steady import (
     Diverged,
@@ -26,6 +26,20 @@ def _problem(grid, c, g, lam=0.0, b=None):
         g if isinstance(g, ScalarField) else ScalarField.constant(grid, g),
         lam,
     )
+
+
+@pytest.fixture()
+def splu_sizes(monkeypatch):
+    """Sizes of the matrices ``steady`` factorizes, in call order."""
+    splu = steady.spla.splu
+    sizes = []
+
+    def counting_splu(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(steady.spla, "splu", counting_splu)
+    return sizes
 
 
 class TestSolveCoercive:
@@ -95,6 +109,49 @@ class TestSolveCoercive:
         with pytest.raises(NoConvergence, match="factorization"):
             solve_coercive(_problem(disk8, -1.0, -1.0), cfg)
         assert len(attempts) == 1
+
+    def test_max_sweeps_caps_factorizations(self, disk8, splu_sizes):
+        r = np.linalg.norm(disk8.nodes, axis=1)
+        prob = _problem(disk8, -1.0, ScalarField(disk8, -np.exp(-5.0 * r**2)))
+        with pytest.raises(NoConvergence, match="max_sweeps=1 "):
+            solve_coercive(prob, SolverConfig(max_sweeps=1), initial=ScalarField.constant(disk8, 0.0))
+        assert splu_sizes == [disk8.n_active]
+
+    def test_start_arms_break_ties_by_antipode(self, disk16s2, rng):
+        grid = disk16s2
+        sel_max, sel_min = steady._start_arms(grid, np.zeros(grid.n_active))
+        assert np.array_equal(grid.ring_offsets[sel_min], -grid.ring_offsets[sel_max])
+        u = rng.normal(size=grid.n_active)
+        w = ring_arm_values(grid, u)
+        sel_max, sel_min = steady._start_arms(grid, u)
+        assert np.array_equal(sel_max, np.argmax(w, axis=1))
+        assert np.array_equal(sel_min, np.argmin(w, axis=1))
+
+    def test_interval_h1024(self, cfg):
+        # from u = 0 Howard's algorithm moves the arm switches a few nodes per
+        # factorization and runs out of max_sweeps here; the coarse start
+        # certifies with about a dozen factorizations over all grids
+        run = load_config(parse_config_text(
+            "domain.type = interval\ndomain.a = -1\ndomain.b = 1\ngrid.h = 0.0009765625\n"
+            "grid.s = 1\ncoeff.c = piecewise(abs(x), 0.2, 0.325, -1.0) - 1\ncoeff.g = -1\n"
+        ))
+        grid = run.build_grid()
+        prob = _problem(grid, run.scalar_field(grid, run.c), run.scalar_field(grid, run.g))
+        u = solve_coercive(prob, cfg)
+        assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
+
+    def test_coarse_start_agrees_with_zero_start(self, cfg, splu_sizes):
+        # the default start comes from the grid with twice the spacing and
+        # needs fewer factorizations, counted over all grids, than a start from 0
+        grid = build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 32.0, 2)
+        r = np.linalg.norm(grid.nodes, axis=1)
+        prob = _problem(grid, -1.0, ScalarField(grid, -np.exp(-5.0 * r**2)))
+        coarse_start = solve_coercive(prob, cfg)
+        coarse_calls = len(splu_sizes)
+        zero_start = solve_coercive(prob, cfg, initial=ScalarField.constant(grid, 0.0))
+        assert np.abs(coarse_start.values - zero_start.values).max() <= 2.0 * cfg.tol
+        assert set(splu_sizes[:coarse_calls]) > {grid.n_active}
+        assert coarse_calls < len(splu_sizes) - coarse_calls
 
 
 class TestMonotoneIteration:
