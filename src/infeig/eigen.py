@@ -14,7 +14,7 @@ whatever the accuracy of the solves that produced x.
 ``estimate_principal_eigenvalue`` closes the bracket by nonlinear inverse
 power iteration: from x = 1 and sigma = |c|_inf + 1 it repeats
 x <- y / max y, where y solves (sigma - L_h) y = x with one coercive system
-whose stale factor carries over between solves, and stops once
+whose arm selection and factor carry over between solves, and stops once
 max q - min q <= bisect_tol.  It returns [min q, max q], their midpoint and
 x as the eigenfunction, and raises ``BracketFailure`` if the bracket is still
 open after ``max_outer`` solves or an iterate is not strictly positive.  For
@@ -108,7 +108,7 @@ def estimate_principal_eigenvalue(
                 f"Collatz-Wielandt bracket [{float(np.min(q))!r}, {float(np.max(q))!r}] still "
                 f"wider than {bisect_tol!r} after max_outer = {cfg.max_outer} resolvent solves"
             )
-        y, _ = system.solve(-x)  # (sigma - L_h) y = x; the factor carries over
+        y, _ = system.solve(-x, initial=x)  # (sigma - L_h) y = x; arms and factor carry over
         solves += 1
         if not float(np.min(y)) > 0.0:
             raise BracketFailure(

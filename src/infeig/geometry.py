@@ -482,6 +482,7 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         idxs, wts = _ghost_closure(domain, h, ghost_points[g], index_of, nodes)
         ghost_nodes[g, : len(idxs)] = idxs
         ghost_weights[g, : len(wts)] = wts
+    ghost_weights = _sum_to_one(ghost_weights)
 
     return Grid(
         domain=domain,
@@ -500,6 +501,17 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         ghost_weights=ghost_weights,
         lattice_index=index_of,
     )
+
+
+_UNITS = 2.0**52
+
+
+def _sum_to_one(weights: np.ndarray) -> np.ndarray:
+    """Rows rounded to whole multiples of 1 / _UNITS that add up to exactly 1.
+    Every partial sum of such a row is exact, so it adds up to 1 in any order."""
+    q = np.rint(weights * _UNITS)
+    q[np.arange(len(q)), np.argmax(q, axis=1)] += _UNITS - q.sum(axis=1)
+    return q / _UNITS
 
 
 def _ghost_closure(domain, h, point, index_of, nodes):

@@ -32,8 +32,8 @@ C-contiguous transpose of ``ring_index`` and reduces it along the arms;
 ``_add_upwind_drift`` works one contiguous axis column at a time.
 ``ring_arm_values`` is the (N, K) arm array, kept for the arm selections of
 the policy code in ``steady`` and for the tests; it gives bitwise the same
-arm values.  The policy-frozen matrices and relaxation sweeps in ``steady``
-assemble the same upwind coefficients as sparse entries.
+arm values.  The policy-frozen matrices in ``steady`` assemble the same
+upwind coefficients as sparse entries.
 """
 
 from __future__ import annotations

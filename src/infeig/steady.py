@@ -2,26 +2,24 @@
 
 * ``solve_coercive`` handles the uniformly coercive case max(c + lam) < 0.
   Freezing the ring's max/min arm selection makes the system linear, and
-  every frozen matrix is diagonally dominant.  Nested policy iteration runs
-  Howard's algorithm on the min arms (exact ``splu`` solves of the frozen
-  system, then re-selection) inside Hoffman-Karp on the max arms; an arm
+  every frozen matrix is diagonally dominant.  ``_CoerciveSystem.solve``,
+  the one resolvent, runs policy iteration on the arm selection: solve the
+  frozen system exactly (``splu``), then switch the min arms (Howard's
+  algorithm; Bokanowski-Maroso-Zidani 2009) and, while the residual keeps
+  falling, the max arms in the same step.  After the residual first rises,
+  the max arms switch only in a step where no min arm moved, which is
+  Howard's algorithm nested inside Hoffman-Karp and terminates.  An arm
   switches only where it beats the current one by more than 1e-14, since
-  nearly tied arms cycle otherwise.  The arm selection starts from the
+  nearly tied arms cycle otherwise.  The first solve starts from the
   solution on the grid with twice the spacing, solved the same way down to
-  the coarsest grid that builds.  At h = 1/32 (disk, s = 2) that takes 48
-  factorizations over all grids; at h = 1/64, 66.  Convergence is certified
-  by evaluating the nonlinear residual.
+  the coarsest grid that builds, or from the arms of a given field.
+  Convergence is certified by evaluating the nonlinear residual.
 
 * The repeated resolvent solves, the inner solves of ``_shifted_iteration``
-  below and of ``eigen``'s inverse power iteration, use
-  ``_CoerciveSystem.solve`` instead: a lazy loop that reuses the stale
-  factor while it cuts the residual, refactorizes at the better point when
-  it stops, and falls back to damped steps and relaxation sweeps.  Their
-  right-hand sides change little from one solve to the next, so the lazy
-  loop carries its factor and its start over and factorizes far less than
-  nested policy iteration from the same starts: 140 against 412 ``splu``
-  calls on the README solve at h = 1/32, and 15 against 323 for the README
-  eigen solve at h = 1/16.
+  below and of ``eigen``'s inverse power iteration, go through the same
+  system.  It carries the arm selection and factor of its last solve, so a
+  solve whose right-hand side changed little starts from arms that are
+  nearly right and reuses the factor while they are unchanged.
 
 * ``monotone_iteration`` runs the inductive sequence u_1 = 0,
 
@@ -31,9 +29,8 @@
   whose boundedness/blowup dichotomy separates lam < lam_bar from
   lam >= lam_bar.  ``solve_general_rhs`` runs the same sequence for a
   general g, starting from the negative barrier solution instead of 0; both
-  are the one private loop ``_shifted_iteration``, and its inner solves are
-  the lazy ``_CoerciveSystem.solve``.  The recorded sequence is the
-  plain one; its only side channel is a frozen-policy solve of the
+  are the one private loop ``_shifted_iteration``.  The recorded sequence is
+  the plain one; its only side channel is a frozen-policy solve of the
   lam-problem at the current iterate's arm selection, accepted once its
   lam-residual passes the certificate.  Near the eigenvalue the iterates
   grow like 1/(lam_bar - lam) and the float noise floor of the absolute
@@ -105,7 +102,7 @@ class IterationOutcome:
     converged: bool
     u: ScalarField | None
     outer_steps: int
-    sweeps: int
+    sweeps: int  # factorizations of the coercive resolvent
     residual: float | None
     sup_norm: float
     sup_history: list = field(default_factory=list)
@@ -235,107 +232,6 @@ class _FrozenPolicySolver:
             self._cached_factor = None
 
 
-class _CoerciveSystem:
-    """lap(u) + b.Du + c0(x) u = rhs with c0 < 0, so the frozen matrices are diagonally
-    dominant: a failed factorization is an error, not a fallback.  ``solve`` is the lazy
-    loop of the repeated resolvent solves; ``solve_coercive`` runs nested policy
-    iteration on the same assembler, residual and target."""
-
-    def __init__(self, grid: Grid, b_values: np.ndarray, c0_values: np.ndarray, cfg: SolverConfig,
-                 assembler: _OperatorAssembler | None = None):
-        if np.max(c0_values) >= 0.0:
-            raise NotCoercive(
-                f"coercive solve needs max(c + lam) < 0, got {float(np.max(c0_values)):.3e}"
-            )
-        self.grid = grid
-        self.b = b_values
-        self.c0 = c0_values
-        self.cfg = cfg
-        self.n = grid.n_active
-        self.assembler = assembler if assembler is not None else _OperatorAssembler(grid, b_values)
-        self._solver = _FrozenPolicySolver(self.assembler, np.array(c0_values, dtype=float))
-
-    def residual(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return residual_values(self.grid, self.b, self.c0, rhs, 0.0, u)
-
-    def _relax_sweep(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Simultaneous nodal update with frozen arm selection and ghosts."""
-        g = self.grid
-        ext = g.extended_values(u)
-        w = ring_arm_values(g, u, ext)
-        sel_max = np.argmax(w, axis=1)
-        sel_min = np.argmin(w, axis=1)
-        all_rows = np.arange(self.n)
-        inv_rho2 = 1.0 / g.rho**2
-        s1 = g.ring_scale[sel_max]
-        s2 = g.ring_scale[sel_min]
-        off = (s1 * ext[g.ring_index[all_rows, sel_max]] + s2 * ext[g.ring_index[all_rows, sel_min]]) * inv_rho2
-        diag = self.c0 + self.assembler._drift_diag - (s1 + s2) * inv_rho2
-        bp = np.maximum(self.b, 0.0)
-        bm = np.minimum(self.b, 0.0)
-        for d in range(g.dim):
-            off += (bp[:, d] * ext[g.axis_plus[:, d]] - bm[:, d] * ext[g.axis_minus[:, d]]) / g.h
-        return (rhs - off) / diag
-
-    def _fresh_solve(self, at: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        self._solver.rebuild(at)
-        out = self._solver.solve_stale(rhs)
-        if out is None:
-            raise NoConvergence("splu factorization of the policy-frozen coercive matrix failed")
-        return out
-
-    def target(self, rhs: np.ndarray) -> float:
-        """Residual sup that certifies a solve, a fifth of the caller's certificate."""
-        return max(0.2 * self.cfg.tol, 0.2 * self.cfg.rel_tol * max(1.0, float(np.max(np.abs(rhs)))))
-
-    def solve(self, rhs: np.ndarray, initial: np.ndarray | None = None):
-        """Returns (values, passes); certified by the nonlinear residual."""
-        cfg = self.cfg
-        u = np.zeros(self.n) if initial is None else np.array(initial, dtype=float)
-        target = self.target(rhs)
-        passes = 0
-        stalls = 0
-        r = float(np.max(np.abs(self.residual(u, rhs))))
-        for _ in range(cfg.max_sweeps):
-            if r <= target:
-                return u, passes
-
-            cand = self._solver.solve_stale(rhs)
-            rebuilt = cand is None
-            if rebuilt:
-                cand = self._fresh_solve(u, rhs)
-            passes += 1
-            rc = float(np.max(np.abs(self.residual(cand, rhs))))
-            if rc <= target:
-                return cand, passes
-            if not rebuilt and rc >= 0.9 * r:
-                # the stale selection stopped helping: refresh at the better point
-                fresh = self._fresh_solve(cand if rc < r else u, rhs)
-                passes += 1
-                rf = float(np.max(np.abs(self.residual(fresh, rhs))))
-                if rf <= target:
-                    return fresh, passes
-                if rf < rc:
-                    cand, rc = fresh, rf
-            if rc < 0.9 * r:
-                u, r = cand, rc
-                stalls = 0
-                continue
-            # still stalled: damp, then relax if it keeps stalling
-            stalls += 1
-            mid = 0.5 * (u + cand)
-            rm = float(np.max(np.abs(self.residual(mid, rhs))))
-            u, r = min(((u, r), (cand, rc), (mid, rm)), key=lambda t: t[1])
-            if stalls >= 2:
-                for _ in range(3):
-                    u = self._relax_sweep(u, rhs)
-                    passes += 1
-                r = float(np.max(np.abs(self.residual(u, rhs))))
-        raise NoConvergence(
-            f"coercive solve exceeded max_sweeps={cfg.max_sweeps} (residual {r:.3e}, target {target:.3e})"
-        )
-
-
 _SWITCH_GAP = 1e-14  # an arm switches only when it beats the current one by more; nearly tied arms cycle
 
 
@@ -360,60 +256,102 @@ def _start_arms(grid: Grid, u: np.ndarray) -> tuple:
     return sel_max, sel_min
 
 
-def _nested_policy_iteration(system: _CoerciveSystem, rhs: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Howard's algorithm on the min arms inside Hoffman-Karp on the max arms,
-    from start's arm selection; at most cfg.max_sweeps factorizations."""
-    grid, cfg = system.grid, system.cfg
-    sel_max, sel_min = _start_arms(grid, start)
-    factorizations = 0
-    while True:
-        while True:
-            if factorizations == cfg.max_sweeps:
-                raise NoConvergence(
-                    f"nested policy iteration exceeded max_sweeps={cfg.max_sweeps} factorizations"
-                )
-            matrix = system.assembler.matrix(np.concatenate([sel_max, sel_min]), system.c0)
-            try:
-                u = spla.splu(matrix).solve(rhs)
-            except RuntimeError as e:
-                raise NoConvergence("splu factorization of the policy-frozen coercive matrix failed") from e
-            factorizations += 1
-            w = ring_arm_values(grid, u)
-            if not _switch_arms(w, sel_min, np.argmin(w, axis=1), -1.0):
-                break
-        if not _switch_arms(w, sel_max, np.argmax(w, axis=1), 1.0):
-            break
-    r = float(np.max(np.abs(system.residual(u, rhs))))
-    target = system.target(rhs)
-    if r > target:
-        raise NoConvergence(f"nested policy iteration stopped at residual {r:.3e} above target {target:.3e}")
-    return u
+class _CoerciveSystem:
+    """lap(u) + b.Du + c0(x) u = rhs with c0 < 0, so every frozen matrix is diagonally
+    dominant: a failed factorization is an error, not a fallback.  The system carries
+    the arm selection and the ``splu`` factor of its last solve into the next one."""
 
+    def __init__(self, grid: Grid, b_values: np.ndarray, c0_values: np.ndarray, cfg: SolverConfig,
+                 assembler: _OperatorAssembler | None = None):
+        if np.max(c0_values) >= 0.0:
+            raise NotCoercive(
+                f"coercive solve needs max(c + lam) < 0, got {float(np.max(c0_values)):.3e}"
+            )
+        self.grid = grid
+        self.b = b_values
+        self.c0 = c0_values
+        self.cfg = cfg
+        self.n = grid.n_active
+        self.assembler = assembler if assembler is not None else _OperatorAssembler(grid, b_values)
+        self._arms = None    # (sel_max, sel_min) of the last solve
+        self._factor = None  # splu of the frozen matrix at self._arms; None once an arm moves
 
-def _coarse_to_fine(grid: Grid, b_values: np.ndarray, c0_values: np.ndarray, rhs: np.ndarray,
-                    cfg: SolverConfig) -> np.ndarray:
-    """Nested policy iteration started from the solution on the grid with twice
-    the spacing, found the same way; the coarsest grid that builds starts from 0."""
-    system = _CoerciveSystem(grid, b_values, c0_values, cfg)
-    try:
-        coarse = build_grid(grid.domain, 2.0 * grid.h, grid.s)
-    except GeometryError:
-        start = np.zeros(grid.n_active)
-    else:
+    def residual(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return residual_values(self.grid, self.b, self.c0, rhs, 0.0, u)
+
+    def target(self, rhs: np.ndarray) -> float:
+        """Residual sup that certifies a solve, a fifth of the caller's certificate."""
+        return max(0.2 * self.cfg.tol, 0.2 * self.cfg.rel_tol * max(1.0, float(np.max(np.abs(rhs)))))
+
+    def _coarse_start(self, rhs: np.ndarray) -> tuple:
+        """The solution on the grid with twice the spacing, interpolated, and the
+        factorizations it took; zeros on the coarsest grid that builds."""
+        grid = self.grid
+        try:
+            coarse = build_grid(grid.domain, 2.0 * grid.h, grid.s)
+        except GeometryError:
+            return np.zeros(self.n), 0
         down = injection_index(coarse, grid)
-        coarse_u = _coarse_to_fine(coarse, b_values[down], c0_values[down], rhs[down], cfg)
+        coarse_u, count = _CoerciveSystem(coarse, self.b[down], self.c0[down], self.cfg).solve(rhs[down])
         idx, weights = interpolation_weights(coarse, grid)
-        start = np.einsum("nk,nk->n", weights, coarse_u[idx])
-    return _nested_policy_iteration(system, rhs, start)
+        return np.einsum("nk,nk->n", weights, coarse_u[idx]), count
+
+    def solve(self, rhs: np.ndarray, initial: np.ndarray | None = None):
+        """Policy iteration from the carried arm selection; returns (values,
+        factorizations), certified by the nonlinear residual.
+
+        The first solve takes its arms from ``initial``, or from the coarse start
+        when it is None.  Each step solves the frozen system and switches the min
+        arms; the max arms switch in the same step while the residual keeps
+        falling, and after its first rise only in a step where no min arm moved:
+        nested policy iteration, which terminates.  ``cfg.max_sweeps`` caps the
+        factorizations on this grid.
+        """
+        cfg = self.cfg
+        count = 0
+        if self._arms is None:
+            if initial is None:
+                initial, count = self._coarse_start(rhs)
+            self._arms = _start_arms(self.grid, initial)
+        sel_max, sel_min = self._arms
+        target = self.target(rhs)
+        fresh = 0
+        last = np.inf
+        nested = False
+        while True:
+            if self._factor is None:
+                if fresh == cfg.max_sweeps:
+                    raise NoConvergence(
+                        f"coercive solve exceeded max_sweeps={cfg.max_sweeps} factorizations "
+                        f"(residual {last:.3e}, target {target:.3e})"
+                    )
+                matrix = self.assembler.matrix(np.concatenate(self._arms), self.c0)
+                try:
+                    self._factor = spla.splu(matrix)
+                except RuntimeError as e:
+                    raise NoConvergence("splu factorization of the policy-frozen coercive matrix failed") from e
+                fresh += 1
+            u = self._factor.solve(rhs)
+            r = float(np.max(np.abs(self.residual(u, rhs))))
+            if r <= target:
+                return u, count + fresh
+            nested = nested or r >= last
+            last = r
+            w = ring_arm_values(self.grid, u)
+            moved = _switch_arms(w, sel_min, np.argmin(w, axis=1), -1.0)
+            if not (nested and moved):
+                moved = _switch_arms(w, sel_max, np.argmax(w, axis=1), 1.0) or moved
+            if not moved:
+                raise NoConvergence(f"policy iteration stopped at residual {r:.3e} above target {target:.3e}")
+            self._factor = None
 
 
 def solve_coercive(problem: SteadyProblem, cfg: SolverConfig, initial: ScalarField | None = None) -> ScalarField:
     """Solve the steady problem when c + lam is uniformly negative.
 
-    Nested policy iteration (Howard's algorithm on the min arms inside
-    Hoffman-Karp on the max arms, see the module docstring).  Without
-    ``initial`` it starts from the solution on the grid with twice the
-    spacing, found the same way; with ``initial``, from that field.
+    Policy iteration on the ring's arm selection (see the module docstring).
+    Without ``initial`` it starts from the solution on the grid with twice the
+    spacing, found the same way; with ``initial``, from that field's arms.
     ``cfg.max_sweeps`` caps the factorizations on each grid.
 
     The solution is unique; the output is independent of the start up to
@@ -421,14 +359,9 @@ def solve_coercive(problem: SteadyProblem, cfg: SolverConfig, initial: ScalarFie
     nonlinear residual; a failed factorization or an uncertified result is an
     error (NoConvergence), not a fallback.
     """
-    grid, b = problem.grid, problem.b.values
-    c0 = problem.c.values + problem.lam
-    rhs = problem.g.values
-    if initial is None:
-        values = _coarse_to_fine(grid, b, c0, rhs, cfg)
-    else:
-        values = _nested_policy_iteration(_CoerciveSystem(grid, b, c0, cfg), rhs, initial.values)
-    return ScalarField(grid, values)
+    system = _CoerciveSystem(problem.grid, problem.b.values, problem.c.values + problem.lam, cfg)
+    values, _ = system.solve(problem.g.values, None if initial is None else initial.values)
+    return ScalarField(problem.grid, values)
 
 
 def _certificate(residual_sup: float, sup: float, cfg: SolverConfig):
@@ -479,8 +412,8 @@ def _shifted_iteration(
 
     for n in range(1, cfg.max_outer + 1):
         rhs = g.values - gamma * u
-        u_next, passes = system.solve(rhs, initial=u)
-        sweeps += passes
+        u_next, factorizations = system.solve(rhs, initial=u)
+        sweeps += factorizations
         sup = float(np.max(np.abs(u_next)))
         sup_history.append(sup)
         if fields is not None:

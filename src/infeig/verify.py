@@ -6,8 +6,8 @@ values on polynomials and constants, symmetry identities of the operator,
 differential agreement with the dense nodal reference, solver uniqueness and
 positivity, the residual of the coercive solve at h = 1/64, the eigenvalue
 laws for constant coefficients, the eigenvalue with drift against a reference
-value and the monotone iteration, the bump-bound limit behavior, and the
-evolution decay identities.
+value and the monotone iteration, the eigenvalue on a 1D grid at h = 1/1024,
+the bump-bound limit behavior, and the evolution decay identities.
 """
 
 from __future__ import annotations
@@ -217,6 +217,16 @@ def _eigen_drift():
     return max(est.lambda_hi - est.lambda_lo - 1e-4, est.lambda_lo - reference, reference - est.lambda_hi)
 
 
+def _eigen_interval_h1024():
+    """The README c as c(|x|) on [-1, 1] at h = 1/1024, s = 1: the bracket must
+    hold 0.719935 (closed to width 4e-9 it is 0.71993534)."""
+    grid = build_grid(Interval(-1.0, 1.0), 1.0 / 1024.0, 1)
+    c = ScalarField(grid, np.where(np.abs(grid.nodes[:, 0]) <= 0.2, 0.325, -1.0))
+    est = estimate_principal_eigenvalue(grid, VectorField.zero(grid), c, SolverConfig())
+    reference = 0.719935
+    return max(est.lambda_hi - est.lambda_lo - 1e-4, est.lambda_lo - reference, reference - est.lambda_hi)
+
+
 def _bump_bound():
     v = positive_bump_bound(1.0, 0.2, 1.0, 5.0)
     ok = abs(v - 0.65078598721269449) <= 1e-12
@@ -285,6 +295,7 @@ def run_verification() -> list:
         ("eigen-constant-coefficients", _eigen_constants),
         ("eigen-shift-law", _eigen_shift),
         ("eigen-drift", _eigen_drift),
+        ("eigen-interval-h1024", _eigen_interval_h1024),
         ("bump-bound-limits", _bump_bound),
         ("sign-changing-coefficient", _sign_coefficient),
         ("evolution-constant-decay", _evolution_decay),

@@ -82,16 +82,16 @@ class TestEstimate:
         assert l1 >= l2 - 2e-4
 
     def test_constant_c_closes_without_solves(self, interval16, disk8, cfg):
-        # on the disk the ghost closure weights sum to 1 only up to rounding
-        for grid, c0, slack in ((interval16, -3.0, 0.0), (disk8, 2.0, 1e-12)):
+        # the ghost closure is exact on constants, so L_h(1) = c to the last bit
+        for grid, c0 in ((interval16, -3.0), (disk8, 2.0)):
             est = estimate_principal_eigenvalue(
                 grid, VectorField.constant(grid, (0.4,) * grid.dim), ScalarField.constant(grid, c0), cfg
             )
             assert est.bisection_steps == 0
             assert np.all(est.eigenfunction.values == 1.0)
             for value in (est.lambda_lo, est.lambda_hi, est.lambda_bar):
-                assert abs(value + c0) <= slack
-            assert est.eigen_residual <= slack
+                assert value == -c0
+            assert est.eigen_residual == 0.0
 
     def test_history_is_monotone_consistent(self, interval16, cfg):
         est = bisection_eigenvalue_reference(
@@ -262,6 +262,18 @@ class TestBracket:
         below = monotone_iteration(disk16s2, b, c, est.lambda_lo - 0.02,
                                    ScalarField.constant(disk16s2, -1.0), cfg)
         assert below.converged
+
+    def test_interval_h1024(self, cfg):
+        # the README c as c(|x|) on [-1, 1]: the resolvent starts from the
+        # antipodal tie rule at x = 1 and carries its arms between solves
+        grid = build_grid(Interval(-1.0, 1.0), 1.0 / 1024.0, 1)
+        c = ScalarField(grid, np.where(np.abs(grid.nodes[:, 0]) <= 0.2, 0.325, -1.0))
+        est = estimate_principal_eigenvalue(grid, VectorField.zero(grid), c, cfg)
+        assert est.lambda_hi - est.lambda_lo <= 1e-4
+        assert est.lambda_lo <= 0.719935 <= est.lambda_hi  # 0.71993534 closed to width 4e-9
+        assert 0.719923 <= est.lambda_lo <= 0.719925
+        assert 0.719947 <= est.lambda_hi <= 0.719949
+        assert np.min(est.eigenfunction.values) > 0.0
 
     def test_nonpositive_iterate_raises(self, interval16, cfg, monkeypatch):
         # a resolvent that returns its right-hand side -x breaks positivity

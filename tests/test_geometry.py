@@ -161,6 +161,18 @@ def test_ghost_weights_are_convex():
     assert np.all(grid.ghost_nodes < grid.n_active)
 
 
+@pytest.mark.parametrize("domain, h, s", [
+    (Disk((0.0, 0.0), 1.0), 1.0 / 8.0, 1),
+    (Disk((0.0, 0.0), 1.0), 1.0 / 16.0, 2),
+    (Annulus((0.0, 0.0), 0.25, 1.0), 1.0 / 40.0, 2),
+])
+def test_ghost_closure_exact_on_constants(domain, h, s):
+    # renormalized bilinear weights used to miss 1 by an ulp on a few rows
+    grid = build_grid(domain, h, s)
+    assert np.all(grid.ghost_weights.sum(axis=1) == 1.0)
+    assert np.all(grid.extended_values(np.ones(grid.n_active)) == 1.0)
+
+
 def test_interior_stencils_complete():
     grid = build_grid(Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2)
     assert np.all(grid.ring_index >= 0)

@@ -153,6 +153,32 @@ class TestSolveCoercive:
         assert set(splu_sizes[:coarse_calls]) > {grid.n_active}
         assert coarse_calls < len(splu_sizes) - coarse_calls
 
+    def test_system_carries_arms_and_factor(self, disk16s2, cfg, splu_sizes):
+        # a second solve starts from the last solve's arms and reuses its factor
+        r = np.linalg.norm(disk16s2.nodes, axis=1)
+        rhs = -np.exp(-5.0 * r**2)
+        b = np.zeros((disk16s2.n_active, 2))
+        system = steady._CoerciveSystem(disk16s2, b, np.full(disk16s2.n_active, -1.0), cfg)
+        first, count = system.solve(rhs, initial=np.zeros(disk16s2.n_active))
+        assert count == len(splu_sizes) > 0
+        del splu_sizes[:]
+        second, count = system.solve(rhs)
+        assert count == 0 and splu_sizes == []
+        assert np.array_equal(first, second)
+
+    def test_nested_fallback_off_centre_disk(self):
+        # switching both players at every step cycles here until max_sweeps;
+        # after the residual first rises the loop falls back to nested policy
+        # iteration, which terminates
+        cfg = SolverConfig()
+        grid = build_grid(Disk((0.3, -0.1), 0.8), 1.0 / 48.0, 2)
+        x = grid.nodes[:, 0]
+        r = np.linalg.norm(grid.nodes, axis=1)
+        c = ScalarField(grid, -0.5 - (r >= 0.2))
+        prob = _problem(grid, c, ScalarField(grid, np.sin(5.0 * x) - 0.3))
+        u = solve_coercive(prob, cfg)
+        assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
+
 
 class TestMonotoneIteration:
     def test_constant_fixed_point(self, interval64, cfg):
