@@ -17,7 +17,9 @@ x <- y / max y, where y solves (sigma - L_h) y = x with one coercive system
 whose arm selection and factor carry over between solves, and stops once
 max q - min q <= bisect_tol.  It returns [min q, max q], their midpoint and
 x as the eigenfunction, and raises ``BracketFailure`` if the bracket is still
-open after ``max_outer`` solves or an iterate is not strictly positive.  For
+open after ``max_outer`` solves, if a solve leaves it no narrower (bisect_tol
+is then below the rounding floor of q), or if an iterate is not strictly
+positive.  For
 constant c, x = 1 closes the bracket with no solve.  Bisection on the
 monotone iteration's dichotomy is kept in ``oracles`` as an independent
 reference.
@@ -101,8 +103,9 @@ def estimate_principal_eigenvalue(
     system = _CoerciveSystem(grid, b.values, c.values - sigma, cfg)
     x = np.ones(grid.n_active)
     q = _collatz_wielandt(grid, b, c, x)
+    width = float(np.max(q) - np.min(q))
     solves = 0
-    while float(np.max(q) - np.min(q)) > bisect_tol:
+    while width > bisect_tol:
         if solves == cfg.max_outer:
             raise BracketFailure(
                 f"Collatz-Wielandt bracket [{float(np.min(q))!r}, {float(np.max(q))!r}] still "
@@ -117,6 +120,13 @@ def estimate_principal_eigenvalue(
             )
         x = y / float(np.max(y))
         q = _collatz_wielandt(grid, b, c, x)
+        width, last = float(np.max(q) - np.min(q)), width
+        if width > bisect_tol and width >= last:
+            raise BracketFailure(
+                f"Collatz-Wielandt bracket [{float(np.min(q))!r}, {float(np.max(q))!r}] stopped "
+                f"closing at width {width!r} after {solves} resolvent solves: bisect_tol = "
+                f"{bisect_tol!r} is below the rounding floor of q"
+            )
 
     lo, hi = float(np.min(q)), float(np.max(q))
     lam_bar = 0.5 * (lo + hi)

@@ -13,9 +13,8 @@ Lattice nodes sit at integer multiples of the spacing ``h`` so that grids at
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -344,7 +343,6 @@ class Grid:
     ghost_points: np.ndarray   # (G, dim)
     ghost_nodes: np.ndarray    # (G, 2**dim) node indices (padded)
     ghost_weights: np.ndarray  # (G, 2**dim) nonnegative, rows sum to 1
-    lattice_index: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -436,8 +434,6 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
             f"grid has {n_interior} interior nodes; need at least {min_interior}"
         )
 
-    index_of = {tuple(q): i for i, q in enumerate(act_lattice.tolist())}
-
     normals = np.zeros_like(nodes, dtype=float)
     for i in np.flatnonzero(act_class == BOUNDARY):
         normals[i] = domain.boundary_normal(nodes[i])
@@ -473,15 +469,11 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     axis_plus = np.asfortranarray(index[:, K::2])
     axis_minus = np.asfortranarray(index[:, K + 1::2])
 
-    n_ghost = order.size
-    w_cols = 2 ** dim
+    # ghost closure: reflect each exterior point across the boundary and
+    # interpolate bilinearly at the reflection
     ghost_points = (act_lattice[rows[first[order]]] + steps[cols[first[order]]]) * h
-    ghost_nodes = np.zeros((n_ghost, w_cols), dtype=np.int64)
-    ghost_weights = np.zeros((n_ghost, w_cols), dtype=float)
-    for g in range(n_ghost):
-        idxs, wts = _ghost_closure(domain, h, ghost_points[g], index_of, nodes)
-        ghost_nodes[g, : len(idxs)] = idxs
-        ghost_weights[g, : len(wts)] = wts
+    reflected = np.array([domain.reflect(p) for p in ghost_points]).reshape(ghost_points.shape)
+    ghost_nodes, ghost_weights = _bilinear(act_lattice, reflected / h)
     ghost_weights = _sum_to_one(ghost_weights)
 
     return Grid(
@@ -499,7 +491,6 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         ghost_points=ghost_points,
         ghost_nodes=ghost_nodes,
         ghost_weights=ghost_weights,
-        lattice_index=index_of,
     )
 
 
@@ -514,40 +505,43 @@ def _sum_to_one(weights: np.ndarray) -> np.ndarray:
     return q / _UNITS
 
 
-def _ghost_closure(domain, h, point, index_of, nodes):
-    """Reflect an exterior lattice point across the boundary and interpolate.
+def _lookup(lattice: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Row of each integer point in ``lattice`` (distinct integer points in
+    lexicographic order, like the active nodes of a grid), -1 where it is none."""
+    lo = lattice.min(axis=0)
+    shape = tuple(lattice.max(axis=0) - lo + 1)
+    keys = np.ravel_multi_index(tuple((lattice - lo).T), shape)
+    # a point outside the lattice's box clips onto some key; the row check rejects it
+    pos = np.searchsorted(keys, np.ravel_multi_index(tuple((points - lo).T), shape, mode="clip"))
+    pos = np.minimum(pos, len(lattice) - 1)
+    return np.where(np.all(lattice[pos] == points, axis=1), pos, -1)
 
-    Returns (node indices, nonnegative weights summing to 1).  Interpolation
-    is bilinear on the cell containing the reflected point; weights on
-    inactive corners are dropped and the rest renormalized, falling back to
-    the nearest active node if the whole cell is inactive.
+
+def _bilinear(lattice: np.ndarray, x: np.ndarray) -> tuple:
+    """Bilinear interpolation at points ``x`` (in lattice units) from the nodes
+    of ``lattice``: (P, 2**dim) row indices and nonnegative weights summing to 1.
+
+    Weights on corners that are not in ``lattice`` are dropped and the rest
+    renormalized, kept corners first in the order (0, 0), (1, 0), (0, 1),
+    (1, 1), the rest padded with index 0 and weight 0.  A point none of whose
+    weighted corners is in ``lattice`` takes its nearest node with weight 1.
     """
-    m = domain.reflect(point)
-    dim = len(m)
-    base = np.floor(m / h).astype(int)
-    frac = m / h - base
-    idxs = []
-    wts = []
-    if dim == 1:
-        corners = [(0,), (1,)]
-    else:
-        corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for c in corners:
-        w = 1.0
-        for d in range(dim):
-            w *= frac[d] if c[d] else 1.0 - frac[d]
-        if w <= 0.0:
-            continue
-        key = tuple(int(base[d] + c[d]) for d in range(dim))
-        j = index_of.get(key)
-        if j is not None:
-            idxs.append(j)
-            wts.append(w)
-    total = sum(wts)
-    if total <= 0.0:
-        j = int(np.argmin(np.linalg.norm(nodes - m, axis=1)))
-        return [j], [1.0]
-    return idxs, [w / total for w in wts]
+    dim = lattice.shape[1]
+    corners = (np.arange(2**dim)[:, None] >> np.arange(dim)) & 1
+    base = np.floor(x)
+    frac = (x - base)[:, None, :]
+    weights = np.prod(np.where(corners, frac, 1.0 - frac), axis=2)
+    points = base.astype(np.int64)[:, None, :] + corners
+    idx = _lookup(lattice, points.reshape(-1, dim)).reshape(weights.shape)
+    kept = (weights > 0.0) & (idx >= 0)
+    front = np.argsort(~kept, axis=1, kind="stable")
+    idx = np.take_along_axis(np.where(kept, idx, 0), front, axis=1)
+    weights = np.take_along_axis(np.where(kept, weights, 0.0), front, axis=1)
+    total = weights.cumsum(axis=1)[:, -1]  # a sequential sum over the kept corners in order
+    for p in np.flatnonzero(total == 0.0):
+        idx[p, 0] = np.argmin(np.linalg.norm(lattice - x[p], axis=1))
+        weights[p, 0] = total[p] = 1.0
+    return idx, weights / total[:, None]
 
 
 def _lattice_points(grid: Grid) -> np.ndarray:
@@ -555,44 +549,22 @@ def _lattice_points(grid: Grid) -> np.ndarray:
     return np.rint(grid.nodes / grid.h).astype(np.int64)
 
 
-def _lookup(grid: Grid, points: np.ndarray) -> np.ndarray:
-    """Active node index of each integer lattice point, -1 where it is not active."""
-    get = grid.lattice_index.get
-    return np.fromiter((get(p, -1) for p in map(tuple, points.tolist())), dtype=np.int64, count=len(points))
-
-
-def _nearest_nodes(grid: Grid, points: np.ndarray) -> np.ndarray:
-    return np.array([np.argmin(np.linalg.norm(grid.nodes - p, axis=1)) for p in points], dtype=np.int64)
-
-
 def injection_index(coarse: Grid, fine: Grid) -> np.ndarray:
     """(N_coarse,) fine node under each node of ``coarse``, the grid with twice
     ``fine``'s spacing: the same lattice point, or the nearest fine node for a
-    coarse boundary node just outside the fine active set."""
-    idx = _lookup(fine, 2 * _lattice_points(coarse))
-    missing = np.flatnonzero(idx < 0)
-    idx[missing] = _nearest_nodes(fine, coarse.nodes[missing])
+    coarse boundary node just outside the fine active set.  Distances are taken
+    between physical nodes, whose rounding tells equidistant candidates apart."""
+    idx = _lookup(_lattice_points(fine), 2 * _lattice_points(coarse))
+    for i in np.flatnonzero(idx < 0):
+        idx[i] = np.argmin(np.linalg.norm(fine.nodes - coarse.nodes[i], axis=1))
     return idx
 
 
 def interpolation_weights(coarse: Grid, fine: Grid) -> tuple:
     """Bilinear interpolation from ``coarse``, the grid with twice ``fine``'s
     spacing, onto ``fine``'s nodes: (N_fine, 2**dim) coarse node indices and
-    nonnegative weights summing to 1 per row.  As in the ghost closure, weights
-    on inactive corners are dropped and the rest renormalized, falling back to
-    the nearest active node if the whole cell is inactive."""
-    base, odd = np.divmod(_lattice_points(fine), 2)
-    corners = np.array(list(itertools.product((0, 1), repeat=fine.dim)))
-    frac = 0.5 * odd[:, None, :]
-    weights = np.prod(np.where(corners, frac, 1.0 - frac), axis=2)
-    idx = _lookup(coarse, (base[:, None, :] + corners).reshape(-1, fine.dim)).reshape(weights.shape)
-    weights[idx < 0] = 0.0
-    idx[idx < 0] = 0
-    total = weights.sum(axis=1)
-    lost = np.flatnonzero(total == 0.0)
-    idx[lost, 0] = _nearest_nodes(coarse, fine.nodes[lost])
-    weights[lost, 0] = total[lost] = 1.0
-    return idx, weights / total[:, None]
+    nonnegative weights summing to 1 per row, by the ghost closure's rule."""
+    return _bilinear(_lattice_points(coarse), 0.5 * _lattice_points(fine))
 
 
 def distance_field(grid: Grid):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,17 @@ class TestBracket:
         assert 0.719923 <= est.lambda_lo <= 0.719925
         assert 0.719947 <= est.lambda_hi <= 0.719949
         assert np.min(est.eigenfunction.values) > 0.0
+
+    def test_tolerance_below_rounding_floor_stops_early(self, cfg):
+        # the bracket stalls near width 1.3e-9 here; 1e-11 cannot be met, and
+        # the loop says so once a solve fails to narrow it, not after max_outer
+        grid = build_grid(Interval(-1.0, 1.0), 1.0 / 1024.0, 1)
+        c = ScalarField(grid, np.where(np.abs(grid.nodes[:, 0]) <= 0.2, 0.325, -1.0))
+        with pytest.raises(BracketFailure, match="below the rounding floor") as err:
+            estimate_principal_eigenvalue(grid, VectorField.zero(grid), c, cfg, bisect_tol=1e-11)
+        solves = int(re.search(r"after (\d+) resolvent solves", str(err.value)).group(1))
+        assert solves < 30 < cfg.max_outer
+        assert "0.71993533" in str(err.value)
 
     def test_nonpositive_iterate_raises(self, interval16, cfg, monkeypatch):
         # a resolvent that returns its right-hand side -x breaks positivity

@@ -21,6 +21,12 @@ from infeig.geometry import (
     node_rows,
     outward_normal,
 )
+from infeig.geometry import _bilinear, _lookup
+
+
+def _lattice_map(grid):
+    """{integer lattice point: active node index}"""
+    return {tuple(q): i for i, q in enumerate(np.rint(grid.nodes / grid.h).astype(int).tolist())}
 
 
 def test_interval_example():
@@ -121,8 +127,8 @@ def test_classification_stable_under_refinement():
     for domain in (Disk((0.0, 0.0), 1.0), Annulus((0.0, 0.0), 0.25, 1.0)):
         coarse = build_grid(domain, 0.125, 1)
         fine = build_grid(domain, 0.0625, 1)
-        fine_lookup = {tuple(q) for q, i in fine.lattice_index.items() if fine.node_class[i] == INTERIOR}
-        for key, i in coarse.lattice_index.items():
+        fine_lookup = {q for q, i in _lattice_map(fine).items() if fine.node_class[i] == INTERIOR}
+        for key, i in _lattice_map(coarse).items():
             if coarse.node_class[i] == INTERIOR:
                 assert tuple(2 * k for k in key) in fine_lookup
 
@@ -250,22 +256,24 @@ def test_stencil_indices_address_targets(domain, h, s):
     # by first appearance over nodes, then ring arms, then axis plus/minus
     grid = build_grid(domain, h, s)
     n = grid.n_active
+    lattice_index = _lattice_map(grid)
+    assert len(lattice_index) == n
     ghost_keys = [tuple(q) for q in np.rint(grid.ghost_points / h).astype(int).tolist()]
     assert len(set(ghost_keys)) == grid.n_ghost
     offsets = np.rint(grid.ring_offsets / h).astype(int).tolist()
     unit = np.eye(grid.dim, dtype=int).tolist()
     seen = []
     for i, q in enumerate(np.rint(grid.nodes / h).astype(int).tolist()):
-        assert grid.lattice_index[tuple(q)] == i
+        assert lattice_index[tuple(q)] == i
         columns = [(grid.ring_index[i, k], v) for k, v in enumerate(offsets)]
         for d, e in enumerate(unit):
             columns += [(grid.axis_plus[i, d], e), (grid.axis_minus[i, d], [-c for c in e])]
         for j, v in columns:
             key = tuple(a + b for a, b in zip(q, v))
             if j < n:
-                assert grid.lattice_index[key] == j
+                assert lattice_index[key] == j
             else:
-                assert key not in grid.lattice_index
+                assert key not in lattice_index
                 assert ghost_keys[j - n] == key
                 if j - n not in seen:
                     seen.append(j - n)
@@ -293,6 +301,34 @@ def test_transfers_between_nested_grids(domain, h, s):
     up = np.einsum("nk,nk->n", w, (1.0 + coarse.nodes @ slope)[idx])
     interior = fine.node_class == INTERIOR
     assert np.abs(up - (1.0 + fine.nodes @ slope))[interior].max() <= 1e-12
+
+
+def test_lookup_misses_return_minus_one():
+    lattice = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [2, 1]])
+    points = np.array([[1, 1], [2, 1], [0, 0], [2, 0], [5, 5], [-1, 0], [0, 2], [3, -4]])
+    assert _lookup(lattice, points).tolist() == [3, 4, 0, -1, -1, -1, -1, -1]
+    line = np.array([[-3], [-2], [0]])
+    assert _lookup(line, np.array([[-1], [0], [-3], [4], [-9]])).tolist() == [-1, 2, 0, -1, -1]
+
+
+def test_bilinear_drops_inactive_corners():
+    lattice = np.array([[0, 1], [1, 0], [1, 1]])  # the cell's corner (0, 0) is inactive
+    idx, w = _bilinear(lattice, np.array([[0.25, 0.5]]))
+    # corners (1, 0), (0, 1), (1, 1) keep 0.125, 0.375, 0.125 of 0.625, packed to the front
+    assert idx.tolist() == [[1, 0, 2, 0]]
+    assert w.tolist() == [[0.2, 0.6, 0.2, 0.0]]
+    # on a lattice point, corners of zero weight are dropped even when active
+    idx, w = _bilinear(lattice, np.array([[1.0, 0.0]]))
+    assert idx.tolist() == [[1, 0, 0, 0]] and w.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+
+
+def test_bilinear_falls_back_to_nearest_node():
+    lattice = np.array([[0, 0], [3, 3]])
+    idx, w = _bilinear(lattice, np.array([[1.5, 1.75], [1.25, 0.5]]))
+    assert idx.tolist() == [[1, 0, 0, 0], [0, 0, 0, 0]]
+    assert w.tolist() == [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    idx, w = _bilinear(np.array([[0], [4]]), np.array([[2.75]]))
+    assert idx.tolist() == [[1, 0]] and w.tolist() == [[1.0, 0.0]]
 
 
 def test_node_order_lexicographic():
