@@ -551,13 +551,10 @@ def _lattice_points(grid: Grid) -> np.ndarray:
 
 def injection_index(coarse: Grid, fine: Grid) -> np.ndarray:
     """(N_coarse,) fine node under each node of ``coarse``, the grid with twice
-    ``fine``'s spacing: the same lattice point, or the nearest fine node for a
-    coarse boundary node just outside the fine active set.  Distances are taken
-    between physical nodes, whose rounding tells equidistant candidates apart."""
-    idx = _lookup(_lattice_points(fine), 2 * _lattice_points(coarse))
-    for i in np.flatnonzero(idx < 0):
-        idx[i] = np.argmin(np.linalg.norm(fine.nodes - coarse.nodes[i], axis=1))
-    return idx
+    ``fine``'s spacing: the same lattice point, or, for a coarse boundary node
+    just outside the fine active set, the nearest fine node in lattice units by
+    ``_bilinear``'s rule (the first in node order among equidistant ones)."""
+    return _bilinear(_lattice_points(fine), 2 * _lattice_points(coarse))[0][:, 0]
 
 
 def interpolation_weights(coarse: Grid, fine: Grid) -> tuple:

@@ -31,11 +31,12 @@
   general g, starting from the negative barrier solution instead of 0; both
   are the one private loop ``_shifted_iteration``.  The recorded sequence is
   the plain one; its only side channel is a frozen-policy solve of the
-  lam-problem at the current iterate's arm selection, accepted once its
-  lam-residual passes the certificate.  Near the eigenvalue the iterates
-  grow like 1/(lam_bar - lam) and the float noise floor of the absolute
-  residual grows with them, so the certificate is scale-aware: residual <=
-  max(tol, rel_tol * |u|_inf).
+  lam-problem at the resolvent's arms after each step, assembled and
+  factored like the resolvent's own matrices, and accepted once its
+  lam-residual passes the certificate and its sup stays below the blowup
+  threshold.  Near the eigenvalue the iterates grow like 1/(lam_bar - lam)
+  and the float noise floor of the absolute residual grows with them, so the
+  certificate is scale-aware: residual <= max(tol, rel_tol * |u|_inf).
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class IterationOutcome:
     converged: bool
     u: ScalarField | None
     outer_steps: int
-    sweeps: int  # factorizations of the coercive resolvent
+    sweeps: int  # factorizations of the pass: the resolvent's and the candidate's
     residual: float | None
     sup_norm: float
     sup_history: list = field(default_factory=list)
@@ -114,9 +115,10 @@ class _OperatorAssembler:
     """Shared assembly of policy-frozen sparse matrices for one (grid, b).
 
     The upwind drift entries and the drift diagonal are policy-independent
-    and built once; ``matrix(u, zero_order)`` adds the ring arms selected at
-    u and the chosen zero-order diagonal.  Ghost arms are expanded through
-    their closure weights, so self-weights land on the diagonal naturally.
+    and built once; ``matrix(policy, zero_order)`` adds the ring arms of
+    ``policy`` (the max arms, then the min arms) and the zero-order diagonal.
+    Ghost arms are expanded through their closure weights, so self-weights
+    land on the diagonal naturally.
     """
 
     def __init__(self, grid: Grid, b_values: np.ndarray):
@@ -163,11 +165,6 @@ class _OperatorAssembler:
                 v_out.append(coef[gm][nz] * w[nz])
         return np.concatenate(r_out), np.concatenate(c_out), np.concatenate(v_out)
 
-    def policy(self, u: np.ndarray) -> np.ndarray:
-        g = self.grid
-        w = ring_arm_values(g, u)
-        return np.concatenate([np.argmax(w, axis=1), np.argmin(w, axis=1)])
-
     def matrix(self, policy: np.ndarray, zero_order: np.ndarray) -> sp.csc_matrix:
         g = self.grid
         n = self.n
@@ -193,43 +190,6 @@ class _OperatorAssembler:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n),
         )
-
-
-class _FrozenPolicySolver:
-    """splu-backed solves of policy-frozen systems.
-
-    Factorizations are expensive and arm selections jitter between nearly
-    tied arms, so the stale factor is kept and reused until a caller decides
-    its solves have stopped helping; correctness always comes from the
-    caller's residual check, never from the factor being current.
-    """
-
-    def __init__(self, assembler: _OperatorAssembler, zero_order: np.ndarray):
-        self.assembler = assembler
-        self.zero_order = zero_order
-        self._cached_policy = None
-        self._cached_factor = None
-
-    def solve_stale(self, rhs: np.ndarray) -> np.ndarray | None:
-        if self._cached_factor is None:
-            return None
-        out = self._cached_factor.solve(rhs)
-        if not np.all(np.isfinite(out)):
-            return None
-        return out
-
-    def rebuild(self, u: np.ndarray) -> None:
-        """Refactorize at u's arm selection.  A singular frozen system leaves no factor, so
-        ``solve_stale`` returns None; only the direct candidate (c + lam not negative) needs this."""
-        policy = self.assembler.policy(u)
-        if self._cached_policy is not None and np.array_equal(policy, self._cached_policy):
-            return
-        matrix = self.assembler.matrix(policy, self.zero_order)
-        self._cached_policy = policy
-        try:
-            self._cached_factor = spla.splu(matrix)
-        except RuntimeError:
-            self._cached_factor = None
 
 
 _SWITCH_GAP = 1e-14  # an arm switches only when it beats the current one by more; nearly tied arms cycle
@@ -261,8 +221,7 @@ class _CoerciveSystem:
     dominant: a failed factorization is an error, not a fallback.  The system carries
     the arm selection and the ``splu`` factor of its last solve into the next one."""
 
-    def __init__(self, grid: Grid, b_values: np.ndarray, c0_values: np.ndarray, cfg: SolverConfig,
-                 assembler: _OperatorAssembler | None = None):
+    def __init__(self, grid: Grid, b_values: np.ndarray, c0_values: np.ndarray, cfg: SolverConfig):
         if np.max(c0_values) >= 0.0:
             raise NotCoercive(
                 f"coercive solve needs max(c + lam) < 0, got {float(np.max(c0_values)):.3e}"
@@ -272,7 +231,7 @@ class _CoerciveSystem:
         self.c0 = c0_values
         self.cfg = cfg
         self.n = grid.n_active
-        self.assembler = assembler if assembler is not None else _OperatorAssembler(grid, b_values)
+        self.assembler = _OperatorAssembler(grid, b_values)
         self._arms = None    # (sel_max, sel_min) of the last solve
         self._factor = None  # splu of the frozen matrix at self._arms; None once an arm moves
 
@@ -342,7 +301,11 @@ class _CoerciveSystem:
             if not (nested and moved):
                 moved = _switch_arms(w, sel_max, np.argmax(w, axis=1), 1.0) or moved
             if not moved:
-                raise NoConvergence(f"policy iteration stopped at residual {r:.3e} above target {target:.3e}")
+                floor = float(np.max(np.abs(u))) * np.finfo(float).eps / self.grid.rho**2
+                raise NoConvergence(
+                    f"policy iteration stopped with no arm to switch at residual {r:.3e} above target "
+                    f"{target:.3e}; the rounding floor |u|_inf * eps / rho^2 is {floor:.3e}"
+                )
             self._factor = None
 
 
@@ -389,14 +352,17 @@ def _shifted_iteration(
     c_sup = float(np.max(np.abs(c.values)))
     gamma = lam + c_sup + 1.0
     c_shift = c.values - c_sup - 1.0
-    assembler = _OperatorAssembler(grid, b.values)
-    system = _CoerciveSystem(grid, b.values, c_shift, cfg, assembler=assembler)
-    # Side-channel candidate: solve the lam-problem directly with the arm
-    # selection frozen at the current iterate.  Its residual is the policy
-    # mismatch alone, so once the selection has stabilized this certifies in
-    # one shot; above lam_bar the frozen resolvent flips sign, the returned
-    # field's own selection disagrees, and the residual gate rejects it.
-    direct = _FrozenPolicySolver(assembler, c.values + lam)
+    system = _CoerciveSystem(grid, b.values, c_shift, cfg)
+    # Side-channel candidate: the lam-problem solved directly at the arms of
+    # the resolvent's last solve.  Its residual is the policy mismatch alone,
+    # so once the arms have settled it certifies in one shot.  g is fixed, so
+    # at unchanged arms it is the candidate already rejected and is not
+    # solved again.  Above lam_bar the frozen matrix flips sign and the
+    # field's own arms disagree, so the residual gate rejects it; at lam_bar
+    # the matrix is singular and the field huge, so the blowup gate does,
+    # where the relative certificate alone would accept it.
+    lam_diag = c.values + lam
+    tried_arms = None
 
     def lam_residual(u):
         return float(
@@ -428,14 +394,18 @@ def _shifted_iteration(
                 True, ScalarField(grid, u_next), n, sweeps, r, sup, sup_history, flags, fields
             )
 
-        if cfg.extrapolate:
-            d = direct.solve_stale(g.values)
-            if d is None or n % 3 == 0:
-                direct.rebuild(u_next)
-                d = direct.solve_stale(g.values)
-            if d is not None and float(np.min(d - start)) >= -10.0 * cfg.tol:
+        arms = np.concatenate(system._arms)
+        if cfg.extrapolate and (tried_arms is None or not np.array_equal(arms, tried_arms)):
+            tried_arms = arms
+            sweeps += 1
+            try:
+                d = spla.splu(system.assembler.matrix(arms, lam_diag)).solve(g.values)
+            except RuntimeError:  # a singular lam-matrix: no candidate at these arms
+                d = None
+            sc = float(np.max(np.abs(d))) if d is not None else np.inf
+            # sc < blowup is False for a non-finite candidate too
+            if sc < blowup and float(np.min(d - start)) >= -10.0 * cfg.tol:
                 rc = lam_residual(d)
-                sc = float(np.max(np.abs(d)))
                 cert = _certificate(rc, sc, cfg)
                 if cert is not None:
                     flags.append("extrapolated")

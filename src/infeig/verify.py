@@ -4,10 +4,11 @@ Each check is small enough to run on a fresh checkout in seconds and
 exercises one contracted property against an independent reference: exact
 values on polynomials and constants, symmetry identities of the operator,
 differential agreement with the dense nodal reference, solver uniqueness and
-positivity, the residual of the coercive solve at h = 1/64, the eigenvalue
-laws for constant coefficients, the eigenvalue with drift against a reference
-value and the monotone iteration, the eigenvalue on a 1D grid at h = 1/1024,
-the bump-bound limit behavior, and the evolution decay identities.
+positivity, the residual of the coercive solve at h = 1/64, the refusal of a
+solve at the eigenvalue, the eigenvalue laws for constant coefficients, the
+eigenvalue with drift against a reference value and the monotone iteration,
+the eigenvalue on a 1D grid at h = 1/1024, the bump-bound limit behavior, and
+the evolution decay identities.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .oracles import (
     positive_bump_bound,
     sign_changing_coefficient,
 )
-from .steady import SolverConfig, monotone_iteration, solve_coercive
+from .steady import Diverged, SolverConfig, monotone_iteration, solve_coercive, solve_general_rhs
 
 
 @dataclass
@@ -157,6 +158,25 @@ def _coercive_h64():
     cfg = SolverConfig()
     u = solve_coercive(prob, cfg)
     return float(np.abs(apply_operator(prob, u).values).max()) - cfg.tol
+
+
+def _solve_refuses_at_threshold():
+    """c = 0, lam = 0 = lam_bar, g = -1 on the unit disk at h = 1/8, with the
+    CLI's solver settings: the lam-matrix is singular, no solution exists, and
+    solve_general_rhs must raise Diverged rather than return a huge field."""
+    grid = build_grid(Disk((0.0, 0.0), 1.0), 0.125, 1)
+    prob = SteadyProblem(
+        grid,
+        VectorField.zero(grid),
+        ScalarField.constant(grid, 0.0),
+        ScalarField.constant(grid, -1.0),
+        0.0,
+    )
+    try:
+        solve_general_rhs(prob, SolverConfig())
+    except Diverged:
+        return 0.0
+    return 1.0
 
 
 def _manufactured():
@@ -291,6 +311,7 @@ def run_verification() -> list:
         ("monotone-perturbation", lambda: _monotone_perturbation(rng)),
         ("coercive-uniqueness", _uniqueness),
         ("coercive-h64", _coercive_h64),
+        ("solve-refuses-at-threshold", _solve_refuses_at_threshold),
         ("manufactured-1d-convergence", _manufactured),
         ("eigen-constant-coefficients", _eigen_constants),
         ("eigen-shift-law", _eigen_shift),

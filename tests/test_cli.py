@@ -160,6 +160,13 @@ class TestSubcommands:
         # lam above the eigenvalue: the solve diverges
         cfg = _write(tmp_path, "div.cfg", SOLVE_CFG + "coeff.g = -1\nlambda = 0.5\nsolver.max_outer = 40\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        # constant c and lam = lam_bar = -c: the lam-matrix is singular, and
+        # the huge field it gives is refused rather than written
+        for c, lam in (("0", "0"), ("-1", "1")):
+            text = f"domain.type = disk\ngrid.h = 0.125\ncoeff.c = {c}\ncoeff.g = -1\nlambda = {lam}\n"
+            out = tmp_path / f"o{lam}"
+            assert main(["solve", "--config", _write(tmp_path, "at.cfg", text), "--out", str(out)]) == 3
+            assert not (out / "solution.csv").exists()
 
     def test_eigen_open_bracket_exit_3(self, tmp_path):
         # one resolvent solve cannot close the bracket: no open bracket is written

@@ -284,14 +284,20 @@ def test_stencil_indices_address_targets(domain, h, s):
     (Interval(0.0, 1.0), 1.0 / 32.0, 1),
     (Disk((0.0, 0.0), 1.0), 0.0625, 2),
     (Annulus((0.0, 0.0), 0.25, 1.0), 0.025, 2),
+    (Disk((0.3, -0.1), 0.8), 1.0 / 48.0, 2),  # some coarse nodes have equidistant fine nodes
 ])
 def test_transfers_between_nested_grids(domain, h, s):
     fine = build_grid(domain, h, s)
     coarse = build_grid(domain, 2.0 * h, s)
-    # injection: the same lattice point where it is active, else the nearest fine node
+    # injection: the same lattice point where it is active, else the nearest
+    # fine node in lattice units, the first in node order among equidistant ones
     down = injection_index(coarse, fine)
-    nearest = [np.min(np.linalg.norm(fine.nodes - p, axis=1)) for p in coarse.nodes]
-    assert np.array_equal(np.linalg.norm(fine.nodes[down] - coarse.nodes, axis=1), nearest)
+    fine_q = np.rint(fine.nodes / fine.h)
+    coarse_q = 2.0 * np.rint(coarse.nodes / coarse.h)
+    dist = [np.linalg.norm(fine_q - q, axis=1) for q in coarse_q]
+    nearest = [np.min(d) for d in dist]
+    assert np.array_equal(np.linalg.norm(fine_q[down] - coarse_q, axis=1), nearest)
+    assert down.tolist() == [int(np.argmin(d)) for d in dist]
     assert np.count_nonzero(nearest) < 0.1 * coarse.n_active
     # interpolation: convex weights, exact on affine data wherever the whole
     # cell is active, which holds at every fine interior node

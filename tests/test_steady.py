@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,15 @@ def splu_sizes(monkeypatch):
 
     monkeypatch.setattr(steady.spla, "splu", counting_splu)
     return sizes
+
+
+def _readme_c(grid):
+    """The README coefficient c = piecewise(r, 0.2, 0.325, -1.0) on ``grid``."""
+    run = load_config(parse_config_text(
+        "domain.type = disk\ndomain.radius = 1\ngrid.h = 0.0625\ngrid.s = 2\n"
+        "coeff.c = piecewise(r, 0.2, 0.325, -1.0)\n"
+    ))
+    return run.scalar_field(grid, run.c)
 
 
 class TestSolveCoercive:
@@ -140,6 +151,20 @@ class TestSolveCoercive:
         u = solve_coercive(prob, cfg)
         assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
 
+    def test_stall_names_rounding_floor(self, cfg):
+        # at h = 1/4096 the target 0.2 * tol = 2e-9 lies below what rounding
+        # lets the residual reach: policy iteration runs out of arms to switch
+        # at 2.85e-9, and the error names the floor instead of lowering the target
+        grid = build_grid(Interval(-1.0, 1.0), 1.0 / 4096.0, 1)
+        x = grid.nodes[:, 0]
+        c = ScalarField(grid, -0.5 - (np.abs(x) >= 0.2))
+        prob = _problem(grid, c, ScalarField(grid, np.sin(5.0 * x) - 0.3))
+        with pytest.raises(NoConvergence, match="no arm to switch.*rounding floor") as err:
+            solve_coercive(prob, cfg)
+        residual, target, floor = (float(v) for v in re.findall(r"\d\.\d{3}e[-+]\d+", str(err.value)))
+        assert target == pytest.approx(0.2 * cfg.tol, rel=1e-3)
+        assert floor < target < residual < 3.0 * floor
+
     def test_coarse_start_agrees_with_zero_start(self, cfg, splu_sizes):
         # the default start comes from the grid with twice the spacing and
         # needs fewer factorizations, counted over all grids, than a start from 0
@@ -190,13 +215,16 @@ class TestMonotoneIteration:
         assert np.abs(out.u.values - 1.0).max() <= 10.0 * cfg.tol
         assert out.residual <= max(cfg.tol, cfg.rel_tol * out.sup_norm)
 
-    def test_blowup_above_threshold(self, interval64, cfg):
-        out = monotone_iteration(
-            interval64, VectorField.zero(interval64), ScalarField.constant(interval64, 0.0),
-            0.5, ScalarField.constant(interval64, -1.0), cfg,
-        )
-        assert not out.converged
-        assert out.u is None
+    def test_blowup_above_threshold(self, interval64, disk8, cfg):
+        # c = 0, so lam_bar = 0: lam = 0.5 lies above it; at lam = lam_bar the
+        # lam-matrix is singular, and its huge candidate must not be accepted
+        for grid, lam in ((interval64, 0.5), (disk8, 0.0)):
+            out = monotone_iteration(
+                grid, VectorField.zero(grid), ScalarField.constant(grid, 0.0),
+                lam, ScalarField.constant(grid, -1.0), cfg,
+            )
+            assert not out.converged
+            assert out.u is None
 
     def test_shifted_constant_balance(self, interval16, cfg):
         out = monotone_iteration(
@@ -280,11 +308,7 @@ class TestMonotoneIteration:
     def test_extrapolated_flag(self, disk16s2):
         # the README lambda-problem: the frozen-policy candidate certifies
         # within a few outer steps and says so; the plain sequence agrees
-        run = load_config(parse_config_text(
-            "domain.type = disk\ndomain.radius = 1\ngrid.h = 0.0625\ngrid.s = 2\n"
-            "coeff.c = piecewise(r, 0.2, 0.325, -1.0)\n"
-        ))
-        c = run.scalar_field(disk16s2, run.c)
+        c = _readme_c(disk16s2)
         b = VectorField.zero(disk16s2)
         g = ScalarField.constant(disk16s2, -1.0)
         fast = monotone_iteration(disk16s2, b, c, 0.0, g, SolverConfig())
@@ -294,6 +318,16 @@ class TestMonotoneIteration:
         assert "extrapolated" not in plain.flags
         assert fast.outer_steps < plain.outer_steps
         assert np.abs(fast.u.values - plain.u.values).max() <= 1e-6
+
+    def test_sweeps_count_every_factorization(self, disk16s2, splu_sizes):
+        # the README lambda-problem: sweeps counts the candidate's
+        # factorizations as well as the resolvent's
+        out = monotone_iteration(
+            disk16s2, VectorField.zero(disk16s2), _readme_c(disk16s2), 0.0,
+            ScalarField.constant(disk16s2, -1.0), SolverConfig(),
+        )
+        assert out.converged and "extrapolated" in out.flags
+        assert out.sweeps == len(splu_sizes)
 
 
 class TestSolveGeneralRhs:
@@ -330,10 +364,13 @@ class TestSolveGeneralRhs:
         assert np.all(u.values <= barrier.u.values + cfg.tol)
         assert np.all(u.values >= -barrier.u.values - cfg.tol)
 
-    def test_diverges_above_eigenvalue(self, interval16):
+    def test_diverges_above_eigenvalue(self, interval16, disk8):
+        # c = 0, so lam_bar = 0: above it, and at it, where the lam-matrix is
+        # singular and its huge candidate would pass the relative certificate
         cfg = SolverConfig(max_outer=60)
-        with pytest.raises(Diverged):
-            solve_general_rhs(_problem(interval16, 0.0, -1.0, lam=0.5), cfg)
+        for grid, lam in ((interval16, 0.5), (disk8, 0.0)):
+            with pytest.raises(Diverged):
+                solve_general_rhs(_problem(grid, 0.0, -1.0, lam=lam), cfg)
 
 
 class TestSolverConfig:
