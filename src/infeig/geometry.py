@@ -7,6 +7,12 @@ ring stencil used by the wide-stencil operator, and closes every exterior arm
 with a reflection-based ghost rule that imposes the homogeneous Neumann
 condition to first order.
 
+Every domain method that takes points (``signed_distance``, ``reflect``,
+``boundary_normal``, ``exterior_sphere_radius``) takes a (..., dim) array and
+returns one result per point, each bit for bit what a single (dim,) point
+gives, so ``build_grid`` calls each method once for all its points.  Where a
+point needs no reflection, ``reflect`` returns the point itself.
+
 Lattice nodes sit at integer multiples of the spacing ``h`` so that grids at
 ``h`` and ``h/2`` are nested.
 """
@@ -43,6 +49,34 @@ class NotBoundaryNode(GeometryError):
     pass
 
 
+def _length(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of a (..., dim) array: the square root of
+    the row's dot product, bit for bit the norm of that row taken alone."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+def _radial(center: tuple, pts) -> tuple:
+    """Offsets v = p - center of a (..., 2) array of points, their lengths rho
+    and unit directions v / rho, with e_1 at the centre itself."""
+    v = np.asarray(pts, dtype=float) - np.asarray(center)
+    rho = _length(v)
+    at_centre = (rho == 0.0)[..., None]
+    return v, rho, np.where(at_centre, [1.0, 0.0], v / np.where(at_centre, 1.0, rho[..., None]))
+
+
+def _box_reflect(lo, hi, pts) -> np.ndarray:
+    """Mirror each coordinate below ``lo`` or above ``hi`` across that wall."""
+    q = np.asarray(pts, dtype=float)
+    return np.where(q < lo, 2.0 * lo - q, np.where(q > hi, 2.0 * hi - q, q))
+
+
+def _finite_point(point, kind: str) -> tuple:
+    p = tuple(float(v) for v in point)
+    if len(p) != 2 or not all(map(math.isfinite, p)):
+        raise InvalidParams(f"{kind} must be a finite 2D point, got {point!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class Interval:
     """1D domain (a, b)."""
@@ -51,8 +85,8 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise InvalidParams(f"interval needs a < b, got ({self.a}, {self.b})")
+        if not (self.a < self.b and math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvalidParams(f"interval needs finite a < b, got ({self.a}, {self.b})")
 
     dim = 1
 
@@ -60,21 +94,15 @@ class Interval:
         x = np.asarray(pts, dtype=float)[..., 0]
         return np.maximum(self.a - x, x - self.b)
 
-    def boundary_normal(self, p):
-        x = float(p[0])
-        mid = 0.5 * (self.a + self.b)
-        return np.array([-1.0]) if x < mid else np.array([1.0])
+    def boundary_normal(self, pts):
+        x = np.asarray(pts, dtype=float)
+        return np.where(x < 0.5 * (self.a + self.b), -1.0, 1.0)
 
-    def reflect(self, p):
-        x = float(p[0])
-        if x < self.a:
-            return np.array([2.0 * self.a - x])
-        if x > self.b:
-            return np.array([2.0 * self.b - x])
-        return np.array([x])
+    def reflect(self, pts):
+        return _box_reflect(*self.bounding_box(), pts)
 
-    def exterior_sphere_radius(self, p) -> float:
-        return math.inf
+    def exterior_sphere_radius(self, pts):
+        return np.full(np.shape(pts)[:-1], math.inf)
 
     def center(self):
         return np.array([0.5 * (self.a + self.b)])
@@ -97,9 +125,9 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise InvalidParams("disk radius must be positive")
-        object.__setattr__(self, "center_point", tuple(float(c) for c in self.center_point))
+        object.__setattr__(self, "center_point", _finite_point(self.center_point, "disk center"))
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise InvalidParams(f"disk radius must be finite and positive, got {self.radius!r}")
 
     dim = 2
 
@@ -108,23 +136,19 @@ class Disk:
         rho = np.linalg.norm(p - np.asarray(self.center_point), axis=-1)
         return rho - self.radius
 
-    def boundary_normal(self, p):
-        v = np.asarray(p, dtype=float) - np.asarray(self.center_point)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            return np.array([1.0, 0.0])
-        return v / n
+    def boundary_normal(self, pts):
+        return _radial(self.center_point, pts)[2]
 
-    def reflect(self, p):
+    def reflect(self, pts):
+        p = np.asarray(pts, dtype=float)
         c = np.asarray(self.center_point)
-        v = np.asarray(p, dtype=float) - c
-        rho = np.linalg.norm(v)
-        if rho <= self.radius or rho == 0.0:
-            return np.asarray(p, dtype=float)
-        return c + (2.0 * self.radius - rho) * v / rho
+        v, rho, _ = _radial(c, p)
+        outside = (rho > self.radius)[..., None]
+        mirrored = c + (2.0 * self.radius - rho)[..., None] * v / np.where(outside, rho[..., None], 1.0)
+        return np.where(outside, mirrored, p)
 
-    def exterior_sphere_radius(self, p) -> float:
-        return self.radius
+    def exterior_sphere_radius(self, pts):
+        return np.full(np.shape(pts)[:-1], self.radius)
 
     def center(self):
         return np.asarray(self.center_point, dtype=float)
@@ -149,9 +173,9 @@ class Annulus:
     outer_radius: float
 
     def __post_init__(self):
-        if not 0 < self.inner_radius < self.outer_radius:
-            raise InvalidParams("annulus needs 0 < inner_radius < outer_radius")
-        object.__setattr__(self, "center_point", tuple(float(c) for c in self.center_point))
+        object.__setattr__(self, "center_point", _finite_point(self.center_point, "annulus center"))
+        if not (0 < self.inner_radius < self.outer_radius and math.isfinite(self.outer_radius)):
+            raise InvalidParams("annulus needs finite 0 < inner_radius < outer_radius")
 
     dim = 2
 
@@ -160,33 +184,24 @@ class Annulus:
         rho = np.linalg.norm(p - np.asarray(self.center_point), axis=-1)
         return np.maximum(self.inner_radius - rho, rho - self.outer_radius)
 
-    def _radial(self, p):
-        v = np.asarray(p, dtype=float) - np.asarray(self.center_point)
-        rho = np.linalg.norm(v)
-        if rho == 0.0:
-            return 0.0, np.array([1.0, 0.0])
-        return rho, v / rho
+    def boundary_normal(self, pts):
+        _, rho, u = _radial(self.center_point, pts)
+        inner = rho - self.inner_radius < self.outer_radius - rho
+        return np.where(inner[..., None], -u, u)  # inner wall: outward points into the hole
 
-    def boundary_normal(self, p):
-        rho, u = self._radial(p)
-        if rho - self.inner_radius < self.outer_radius - rho:
-            return -u  # inner wall: outward points into the hole
-        return u
-
-    def reflect(self, p):
+    def reflect(self, pts):
+        p = np.asarray(pts, dtype=float)
         c = np.asarray(self.center_point)
-        rho, u = self._radial(p)
-        if rho < self.inner_radius:
-            return c + (2.0 * self.inner_radius - rho) * u
-        if rho > self.outer_radius:
-            return c + (2.0 * self.outer_radius - rho) * u
-        return np.asarray(p, dtype=float)
+        _, rho, u = _radial(c, p)
+        inside = rho < self.inner_radius
+        wall = np.where(inside, self.inner_radius, self.outer_radius)
+        mirrored = c + (2.0 * wall - rho)[..., None] * u
+        return np.where((inside | (rho > self.outer_radius))[..., None], mirrored, p)
 
-    def exterior_sphere_radius(self, p) -> float:
-        rho, _ = self._radial(p)
-        if rho - self.inner_radius < self.outer_radius - rho:
-            return self.inner_radius
-        return self.outer_radius
+    def exterior_sphere_radius(self, pts):
+        rho = _radial(self.center_point, pts)[1]
+        inner = rho - self.inner_radius < self.outer_radius - rho
+        return np.where(inner, self.inner_radius, self.outer_radius)
 
     def center(self):
         return np.asarray(self.center_point, dtype=float)
@@ -223,10 +238,8 @@ class Rectangle:
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        if len(lo) != 2 or len(hi) != 2:
-            raise InvalidParams("rectangle lo/hi must be 2D points")
+        lo = _finite_point(self.lo, "rectangle lo")
+        hi = _finite_point(self.hi, "rectangle hi")
         if not all(a < b for a, b in zip(lo, hi)):
             raise InvalidParams("rectangle needs lo < hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -243,32 +256,22 @@ class Rectangle:
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
         return np.where(inside <= 0.0, inside, outside)
 
-    def boundary_normal(self, p):
-        p = np.asarray(p, dtype=float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        gap = np.minimum(p - lo, hi - p)  # distance to each pair of walls
-        n = np.zeros(2)
-        # walls within half the smallest gap of the nearest one all contribute;
-        # at a corner this averages the two face normals
-        near = gap <= gap.min() + 1e-12
-        for i in range(2):
-            if near[i]:
-                n[i] = -1.0 if (p[i] - lo[i]) <= (hi[i] - p[i]) else 1.0
-        norm = np.linalg.norm(n)
-        return n / norm
+    def boundary_normal(self, pts):
+        p = np.asarray(pts, dtype=float)
+        below = p - np.asarray(self.lo)
+        above = np.asarray(self.hi) - p
+        gap = np.minimum(below, above)  # distance to each pair of walls
+        # every wall within 1e-12 of the nearest one contributes; at a corner
+        # this averages the two face normals
+        near = gap <= gap.min(axis=-1, keepdims=True) + 1e-12
+        n = np.where(near, np.where(below <= above, -1.0, 1.0), 0.0)
+        return n / _length(n)[..., None]
 
-    def reflect(self, p):
-        q = np.array(p, dtype=float)
-        for i in range(2):
-            if q[i] < self.lo[i]:
-                q[i] = 2.0 * self.lo[i] - q[i]
-            elif q[i] > self.hi[i]:
-                q[i] = 2.0 * self.hi[i] - q[i]
-        return q
+    def reflect(self, pts):
+        return _box_reflect(*self.bounding_box(), pts)
 
-    def exterior_sphere_radius(self, p) -> float:
-        return math.inf
+    def exterior_sphere_radius(self, pts):
+        return np.full(np.shape(pts)[:-1], math.inf)
 
     def center(self):
         return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
@@ -286,33 +289,25 @@ class Rectangle:
 Domain = Interval | Disk | Annulus | Rectangle
 
 
+def _box(lo, hi) -> np.ndarray:
+    """(P, dim) integer points of the box [lo, hi], in lexicographic order."""
+    axes = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, len(axes))
+
+
 def _ring_offsets(dim: int, s: int) -> np.ndarray:
-    """Integer lattice offsets whose length is within half a cell of s."""
-    lim = s + 1
-    if dim == 1:
-        cand = np.array([[v] for v in range(-lim, lim + 1) if v != 0])
-    else:
-        cand = np.array(
-            [[i, j] for i in range(-lim, lim + 1) for j in range(-lim, lim + 1) if (i, j) != (0, 0)]
-        )
+    """Integer lattice offsets whose length is within half a cell of s, in
+    lexicographic order."""
+    cand = _box([-s - 1] * dim, [s + 1] * dim)
     lengths = np.linalg.norm(cand, axis=1)
-    keep = np.abs(lengths - s) <= 0.5 + 1e-12
-    return cand[keep]
+    return cand[np.abs(lengths - s) <= 0.5 + 1e-12]
 
 
 def _pair_table(offsets: np.ndarray) -> np.ndarray:
-    """Group ring offsets into antipodal (forward, backward) pairs."""
-    index = {tuple(v): k for k, v in enumerate(offsets.tolist())}
-    pairs = []
-    seen = set()
-    for k, v in enumerate(offsets.tolist()):
-        if k in seen:
-            continue
-        kk = index[tuple(-c for c in v)]
-        pairs.append((k, kk))
-        seen.add(k)
-        seen.add(kk)
-    return np.array(pairs, dtype=np.int64)
+    """Antipodal (forward, backward) pairs of ring offsets.  The offsets are
+    symmetric and in lexicographic order, so offset K-1-k is -offset k."""
+    k = np.arange(len(offsets) // 2)
+    return np.column_stack([k, len(offsets) - 1 - k])
 
 
 @dataclass
@@ -405,13 +400,7 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     imin = np.floor(lo / h).astype(int) - pad
     imax = np.ceil(hi / h).astype(int) + pad
 
-    axes = [np.arange(imin[d], imax[d] + 1) for d in range(dim)]
-    if dim == 1:
-        lattice = axes[0][:, None]
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        lattice = np.column_stack([gx.ravel(), gy.ravel()])
-
+    lattice = _box(imin, imax)
     coords = lattice * h
     sdf = domain.signed_distance(coords)
     is_boundary = np.abs(sdf) < 0.5 * h
@@ -435,8 +424,8 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         )
 
     normals = np.zeros_like(nodes, dtype=float)
-    for i in np.flatnonzero(act_class == BOUNDARY):
-        normals[i] = domain.boundary_normal(nodes[i])
+    on_boundary = act_class == BOUNDARY
+    normals[on_boundary] = domain.boundary_normal(nodes[on_boundary])
 
     offsets = _ring_offsets(dim, s)
     pairs = _pair_table(offsets)
@@ -472,8 +461,7 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     # ghost closure: reflect each exterior point across the boundary and
     # interpolate bilinearly at the reflection
     ghost_points = (act_lattice[rows[first[order]]] + steps[cols[first[order]]]) * h
-    reflected = np.array([domain.reflect(p) for p in ghost_points]).reshape(ghost_points.shape)
-    ghost_nodes, ghost_weights = _bilinear(act_lattice, reflected / h)
+    ghost_nodes, ghost_weights = _bilinear(act_lattice, domain.reflect(ghost_points) / h)
     ghost_weights = _sum_to_one(ghost_weights)
 
     return Grid(

@@ -28,7 +28,7 @@
 
   whose boundedness/blowup dichotomy separates lam < lam_bar from
   lam >= lam_bar.  ``solve_general_rhs`` runs the same sequence for a
-  general g, starting from the negative barrier solution instead of 0; both
+  general g, starting from minus the solution for -g^+ (0 when g <= 0); both
   are the one private loop ``_shifted_iteration``.  The recorded sequence is
   the plain one; its only side channel is a frozen-policy solve of the
   lam-problem at the resolvent's arms after each step, assembled and
@@ -71,10 +71,13 @@ class NoConvergence(SolverError):
 
 
 class Diverged(SolverError):
-    def __init__(self, outer_step: int, sup_norm: float):
+    def __init__(self, outer_step: int, sup_norm: float, flags=()):
         self.outer_step = outer_step
         self.sup_norm = sup_norm
-        super().__init__(f"iteration diverged at outer step {outer_step}, sup = {sup_norm:.3e}")
+        stop = ("inconclusive (max_outer used up)" if "inconclusive" in flags
+                else "diverged (sup doubled ten steps running)" if "doubling" in flags
+                else "diverged (sup reached the blowup threshold)")
+        super().__init__(f"iteration {stop} at outer step {outer_step}, sup = {sup_norm:.3e}")
 
 
 @dataclass
@@ -462,10 +465,12 @@ def solve_general_rhs(problem: SteadyProblem, cfg: SolverConfig) -> ScalarField:
     """Solve the lam-problem for an arbitrary right-hand side, lam < lam_bar.
 
     Coercive case goes straight to solve_coercive.  Otherwise the iteration
-    starts from the negative barrier solution u0 (minus the positive solution
-    of the -|g|_inf problem) and increases toward the solution, staying below
-    the positive barrier v0; both passes try only the frozen-policy candidate
-    on the side.  Raises Diverged when lam >= lam_bar in practice.
+    starts from -w, where w >= 0 solves the lam-problem with right-hand side
+    -g^+; L(-w) = g^+ >= g makes -w a subsolution, and the sequence rises
+    from it toward the solution.  For g <= 0 the barrier pass returns w = 0
+    without a solve, so only the plain sequence from 0 runs.  Both passes try
+    only the frozen-policy candidate on the side.  Raises Diverged when a
+    pass stops uncertified: at lam >= lam_bar, or when max_outer runs out.
     """
     grid, b, c, g, lam = problem.grid, problem.b, problem.c, problem.g, problem.lam
     if np.max(c.values + lam) < 0.0:
@@ -473,12 +478,10 @@ def solve_general_rhs(problem: SteadyProblem, cfg: SolverConfig) -> ScalarField:
     if not np.any(g.values):
         return ScalarField.constant(grid, 0.0)
 
-    g_sup = float(np.max(np.abs(g.values)))
-    barrier = monotone_iteration(grid, b, c, lam, ScalarField.constant(grid, -g_sup), cfg)
+    barrier = monotone_iteration(grid, b, c, lam, ScalarField(grid, -np.maximum(g.values, 0.0)), cfg)
     if not barrier.converged:
-        raise Diverged(barrier.outer_steps, barrier.sup_norm)
-    # start from the negative barrier solution (odd symmetry)
+        raise Diverged(barrier.outer_steps, barrier.sup_norm, barrier.flags)
     out = _shifted_iteration(grid, b, c, lam, g, cfg, -barrier.u.values)
     if not out.converged:
-        raise Diverged(out.outer_steps, out.sup_norm)
+        raise Diverged(out.outer_steps, out.sup_norm, out.flags)
     return out.u

@@ -151,6 +151,16 @@ class TestSubcommands:
     def test_config_error_exit_2(self, tmp_path):
         cfg = _write(tmp_path, "bad.cfg", "coeff.c = 2*(x+\n")
         assert main(["eigen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        # malformed disk and annulus geometry is a config error, not a crash
+        for kind, setting in (
+            ("disk", "domain.center=0,0,0"),
+            ("disk", "domain.center=0"),
+            ("disk", "domain.radius=inf"),
+            ("annulus", "domain.center=0"),
+        ):
+            cfg = _write(tmp_path, "dom.cfg", f"domain.type = {kind}\ngrid.h = 0.125\ncoeff.c = -1\n")
+            argv = ["eigen", "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]
+            assert main(argv) == 2, (kind, setting)
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["eigen", "--out", str(tmp_path)]) == 2

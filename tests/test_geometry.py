@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,41 @@ def test_build_errors():
         Annulus((0.0, 0.0), 0.5, 0.25)
     with pytest.raises(InvalidParams):
         Rectangle((0.0, 0.0), (0.0, 1.0))
+    for bad in (
+        lambda: Disk((0.0, 0.0, 0.0), 1.0),
+        lambda: Disk((0.0,), 1.0),
+        lambda: Disk((0.0, math.nan), 1.0),
+        lambda: Disk((0.0, 0.0), math.inf),
+        lambda: Disk((0.0, 0.0), math.nan),
+        lambda: Annulus((0.0,), 0.25, 1.0),
+        lambda: Annulus((0.0, 0.0), 0.25, math.inf),
+        lambda: Interval(0.0, math.inf),
+        lambda: Rectangle((0.0, -math.inf), (1.0, 1.0)),
+    ):
+        with pytest.raises(InvalidParams):
+            bad()
+
+
+@pytest.mark.parametrize("domain", [
+    Interval(-0.5, 1.0),
+    Disk((0.3, -0.1), 0.8),
+    Annulus((0.1, 0.2), 0.3, 0.9),
+    Rectangle((-0.3, 0.1), (1.1, 0.9)),
+])
+def test_domain_methods_take_point_arrays(domain):
+    # an (M, dim) array gives bit for bit the row-by-row results, and the
+    # centre, where a radial direction is undefined, raises no warning
+    lo, hi = domain.bounding_box()
+    pad = 0.25 * (hi - lo)
+    rng = np.random.default_rng(12)
+    pts = np.vstack([rng.uniform(lo - pad, hi + pad, (500, domain.dim)), domain.center()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for method in (domain.reflect, domain.boundary_normal, domain.exterior_sphere_radius):
+            batch = method(pts)
+            rows = np.array([method(p) for p in pts])
+            assert batch.shape == rows.shape and batch.dtype == rows.dtype
+            assert batch.tobytes() == rows.tobytes(), method.__name__
 
 
 def test_rectangle_corner_normals_averaged():

@@ -372,6 +372,28 @@ class TestSolveGeneralRhs:
             with pytest.raises(Diverged):
                 solve_general_rhs(_problem(grid, 0.0, -1.0, lam=lam), cfg)
 
+    def test_diverged_names_the_stop(self, disk8):
+        # at lam = lam_bar = 0 the iterates grow linearly, far below the
+        # blowup threshold: the step budget is what ran out
+        with pytest.raises(Diverged, match="max_outer"):
+            solve_general_rhs(_problem(disk8, 0.0, -1.0, lam=0.0), SolverConfig(max_outer=60))
+
+    def test_nonpositive_rhs_runs_one_pass(self, disk16s2, splu_sizes):
+        # for g <= 0 the barrier pass returns 0 without a factorization, so
+        # solve_general_rhs is the plain sequence from 0, field and cost alike
+        c = _readme_c(disk16s2)
+        b = VectorField.zero(disk16s2)
+        r2 = np.sum(disk16s2.nodes**2, axis=1)
+        for g in (np.full(disk16s2.n_active, -1.0), -np.exp(-5.0 * r2)):
+            g = ScalarField(disk16s2, g)
+            splu_sizes.clear()
+            u = solve_general_rhs(SteadyProblem(disk16s2, b, c, g, 0.0), SolverConfig())
+            solve_calls = len(splu_sizes)
+            out = monotone_iteration(disk16s2, b, c, 0.0, g, SolverConfig())
+            assert out.converged
+            assert np.array_equal(u.values, out.u.values)
+            assert solve_calls == len(splu_sizes) - solve_calls
+
 
 class TestSolverConfig:
     def test_validation(self):
