@@ -62,6 +62,7 @@ class EigenEstimate:
     eigenfunction: ScalarField
     eigen_residual: float      # sup residual of the midpoint problem at phi
     bisection_steps: int       # resolvent solves (bisection steps for the oracle)
+    factorizations: int = 0    # splu calls of the resolvent (of all probes for the oracle)
     history: list = field(default_factory=list)   # oracles.ProbeRecord, bisection only
     flags: list = field(default_factory=list)
     certificate: str = "collatz-wielandt"         # the argument behind both ends
@@ -73,6 +74,7 @@ class EigenEstimate:
             "lambda_bar": self.lambda_bar,
             "residual": self.eigen_residual,
             "steps": self.bisection_steps,
+            "factorizations": self.factorizations,
             "history": [
                 {"lambda": p.lam, "outcome": p.outcome, "flags": list(p.flags)}
                 for p in self.history
@@ -104,15 +106,16 @@ def estimate_principal_eigenvalue(
     x = np.ones(grid.n_active)
     q = _collatz_wielandt(grid, b, c, x)
     width = float(np.max(q) - np.min(q))
-    solves = 0
+    solves = factorizations = 0
     while width > bisect_tol:
         if solves == cfg.max_outer:
             raise BracketFailure(
                 f"Collatz-Wielandt bracket [{float(np.min(q))!r}, {float(np.max(q))!r}] still "
                 f"wider than {bisect_tol!r} after max_outer = {cfg.max_outer} resolvent solves"
             )
-        y, _ = system.solve(-x, initial=x)  # (sigma - L_h) y = x; arms and factor carry over
+        y, count = system.solve(-x, initial=x)  # (sigma - L_h) y = x; arms and factor carry over
         solves += 1
+        factorizations += count
         if not float(np.min(y)) > 0.0:
             raise BracketFailure(
                 f"resolvent solve {solves} returned a field that is not strictly positive "
@@ -137,6 +140,7 @@ def estimate_principal_eigenvalue(
         eigenfunction=ScalarField(grid, x),
         eigen_residual=float(np.max(np.abs(q - lam_bar) * x)),
         bisection_steps=solves,
+        factorizations=factorizations,
     )
 
 

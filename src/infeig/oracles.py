@@ -266,9 +266,11 @@ def bisection_eigenvalue_reference(
     history: list = []
     flags: list = []
     converged_fields: dict = {}
+    sweeps = []
 
     def probe(lam: float) -> IterationOutcome:
         out = monotone_iteration(grid, b, c, lam, g, cfg)
+        sweeps.append(out.sweeps)
         rec = ProbeRecord(lam, out.converged, list(out.flags))
         history.append(rec)
         if "inconclusive" in out.flags:
@@ -310,6 +312,7 @@ def bisection_eigenvalue_reference(
         eigenfunction=phi,
         eigen_residual=eigen_residual,
         bisection_steps=steps,
+        factorizations=sum(sweeps),
         history=history,
         flags=flags,
         certificate="bisection",

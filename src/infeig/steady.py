@@ -3,14 +3,19 @@
 * ``solve_coercive`` handles the uniformly coercive case max(c + lam) < 0.
   Freezing the ring's max/min arm selection makes the system linear, and
   every frozen matrix is diagonally dominant.  ``_CoerciveSystem.solve``,
-  the one resolvent, runs policy iteration on the arm selection: solve the
-  frozen system exactly (``splu``), then switch the min arms (Howard's
-  algorithm; Bokanowski-Maroso-Zidani 2009) and, while the residual keeps
-  falling, the max arms in the same step.  After the residual first rises,
-  the max arms switch only in a step where no min arm moved, which is
-  Howard's algorithm nested inside Hoffman-Karp and terminates.  An arm
-  switches only where it beats the current one by more than 1e-14, since
-  nearly tied arms cycle otherwise.  The first solve starts from the
+  the one resolvent, runs policy iteration on the arm selection, which is
+  semismooth Newton on F(u) = L_h(u) - rhs (Bokanowski-Maroso-Zidani 2009),
+  globalized by a line search on sup|F| (Qi-Sun 1993).  Each step solves the
+  frozen system exactly (``splu``) for the Newton target u_N and moves to
+  u + t (u_N - u) for the first t = 1, 1/2, 1/4, ... with
+  sup|F| <= (1 - 1e-4 t) times its value at u (Armijo); the first step of a
+  solve is taken in full.  Both players then switch arms at the new iterate;
+  a damped step that moves no arm steps again toward the same u_N.  Once t
+  falls below 1e-3 the solve takes u_N and, for the rest of that solve,
+  switches the max arms only in a step where no min arm moved: Howard's
+  algorithm nested inside Hoffman-Karp, which terminates.  An arm switches
+  only where it beats the current one by more than 1e-14, since nearly tied
+  arms cycle otherwise.  The first solve starts from the
   solution on the grid with twice the spacing, solved the same way down to
   the coarsest grid that builds, or from the arms of a given field.
   Convergence is certified by evaluating the nonlinear residual.
@@ -196,6 +201,8 @@ class _OperatorAssembler:
 
 
 _SWITCH_GAP = 1e-14  # an arm switches only when it beats the current one by more; nearly tied arms cycle
+_ARMIJO = 1e-4      # a step of length t must cut the residual sup by the factor 1 - _ARMIJO * t
+_MIN_STEP = 1e-3    # below this step length the resolvent falls back to nested policy iteration
 
 
 def _switch_arms(w: np.ndarray, sel: np.ndarray, best: np.ndarray, sign: float) -> bool:
@@ -238,8 +245,8 @@ class _CoerciveSystem:
         self._arms = None    # (sel_max, sel_min) of the last solve
         self._factor = None  # splu of the frozen matrix at self._arms; None once an arm moves
 
-    def residual(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return residual_values(self.grid, self.b, self.c0, rhs, 0.0, u)
+    def residual_sup(self, u: np.ndarray, rhs: np.ndarray) -> float:
+        return float(np.max(np.abs(residual_values(self.grid, self.b, self.c0, rhs, 0.0, u))))
 
     def target(self, rhs: np.ndarray) -> float:
         """Residual sup that certifies a solve, a fifth of the caller's certificate."""
@@ -259,14 +266,18 @@ class _CoerciveSystem:
         return np.einsum("nk,nk->n", weights, coarse_u[idx]), count
 
     def solve(self, rhs: np.ndarray, initial: np.ndarray | None = None):
-        """Policy iteration from the carried arm selection; returns (values,
-        factorizations), certified by the nonlinear residual.
+        """Damped Newton (policy iteration) from the carried arm selection;
+        returns (values, factorizations), certified by the nonlinear residual.
 
         The first solve takes its arms from ``initial``, or from the coarse start
-        when it is None.  Each step solves the frozen system and switches the min
-        arms; the max arms switch in the same step while the residual keeps
-        falling, and after its first rise only in a step where no min arm moved:
-        nested policy iteration, which terminates.  ``cfg.max_sweeps`` caps the
+        when it is None.  Each step solves the frozen system for the Newton target
+        and takes the first step toward it, of length 1, 1/2, 1/4, ..., that cuts
+        the residual sup by the factor 1 - _ARMIJO * t (the first step of a solve
+        in full), then switches both players' arms at the new iterate.  A damped
+        step that moves no arm keeps the factor and steps again toward the same
+        target.  Below _MIN_STEP the solve takes the full step and, from then on,
+        switches the max arms only in a step where no min arm moved: nested
+        policy iteration, which terminates.  ``cfg.max_sweeps`` caps the
         factorizations on this grid.
         """
         cfg = self.cfg
@@ -278,14 +289,15 @@ class _CoerciveSystem:
         sel_max, sel_min = self._arms
         target = self.target(rhs)
         fresh = 0
-        last = np.inf
+        u, r = None, np.inf  # the accepted iterate and its residual sup
+        newton = None        # the Newton target, the frozen solution at self._arms
         nested = False
         while True:
             if self._factor is None:
                 if fresh == cfg.max_sweeps:
                     raise NoConvergence(
                         f"coercive solve exceeded max_sweeps={cfg.max_sweeps} factorizations "
-                        f"(residual {last:.3e}, target {target:.3e})"
+                        f"(residual {r:.3e}, target {target:.3e})"
                     )
                 matrix = self.assembler.matrix(np.concatenate(self._arms), self.c0)
                 try:
@@ -293,23 +305,34 @@ class _CoerciveSystem:
                 except RuntimeError as e:
                     raise NoConvergence("splu factorization of the policy-frozen coercive matrix failed") from e
                 fresh += 1
-            u = self._factor.solve(rhs)
-            r = float(np.max(np.abs(self.residual(u, rhs))))
+            if newton is None:
+                newton = self._factor.solve(rhs)
+                r_newton = self.residual_sup(newton, rhs)
+            t, v, rv = 1.0, newton, r_newton
+            if u is not None and not nested:  # Armijo backtracking on the residual sup
+                while rv > (1.0 - _ARMIJO * t) * r:
+                    t *= 0.5
+                    if t < _MIN_STEP:
+                        nested, t, v, rv = True, 1.0, newton, r_newton
+                        break
+                    v = u + t * (newton - u)
+                    rv = self.residual_sup(v, rhs)
+            u, r = v, rv
             if r <= target:
                 return u, count + fresh
-            nested = nested or r >= last
-            last = r
             w = ring_arm_values(self.grid, u)
             moved = _switch_arms(w, sel_min, np.argmin(w, axis=1), -1.0)
             if not (nested and moved):
                 moved = _switch_arms(w, sel_max, np.argmax(w, axis=1), 1.0) or moved
-            if not moved:
+            if moved:
+                self._factor = newton = None
+            elif t == 1.0:
                 floor = float(np.max(np.abs(u))) * np.finfo(float).eps / self.grid.rho**2
                 raise NoConvergence(
                     f"policy iteration stopped with no arm to switch at residual {r:.3e} above target "
                     f"{target:.3e}; the rounding floor |u|_inf * eps / rho^2 is {floor:.3e}"
                 )
-            self._factor = None
+            # a damped step that moved no arm steps on toward the same newton
 
 
 def solve_coercive(problem: SteadyProblem, cfg: SolverConfig, initial: ScalarField | None = None) -> ScalarField:

@@ -106,6 +106,14 @@ class TestSubcommands:
         assert os.path.exists(os.path.join(out, "grid.json"))
         assert os.path.exists(os.path.join(out, "nodes.csv"))
 
+    def test_eigen_counts_factorizations(self, tmp_path):
+        # eigen.json carries the resolvent's splu count; README config, h = 1/16
+        cfg = _write(tmp_path, "eigen.cfg", README_DISK_CFG)
+        out = tmp_path / "out"
+        assert main(["eigen", "--config", cfg, "--out", str(out)]) == 0
+        result = json.loads((out / "eigen.json").read_text())
+        assert result["factorizations"] == 12
+
     def test_solve_zero_everything(self, tmp_path):
         cfg = _write(tmp_path, "solve.cfg", SOLVE_CFG)
         out = str(tmp_path / "out")

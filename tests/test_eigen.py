@@ -128,6 +128,16 @@ class TestEstimate:
         )
         assert est.eigen_residual <= 10.0 * max(1e-4, cfg.tol)
 
+    def test_readme_h32_damped_resolvent(self, cfg):
+        # the damped Newton resolvent needs at most 40 factorizations here (86
+        # with the residual-rise trigger), and the bracket is unchanged
+        run = load_config(parse_config_text(README_DISK.replace("0.0625", "0.03125")))
+        grid = run.build_grid()
+        est = estimate_principal_eigenvalue(grid, VectorField.zero(grid), run.scalar_field(grid, run.c), cfg)
+        assert est.factorizations <= 40
+        assert est.lambda_lo == pytest.approx(0.7320924745463696, abs=1e-12)
+        assert est.lambda_hi == pytest.approx(0.7321334382943563, abs=1e-12)
+
     def test_bad_bisect_tol(self, interval16, cfg):
         with pytest.raises(ValueError):
             estimate_principal_eigenvalue(

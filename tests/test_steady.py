@@ -5,7 +5,7 @@ import pytest
 
 from infeig import steady
 from infeig.config import load_config, parse_config_text
-from infeig.geometry import Disk, Interval, build_grid
+from infeig.geometry import Annulus, Disk, Interval, build_grid
 from infeig.operators import ScalarField, SteadyProblem, VectorField, apply_operator, ring_arm_values
 from infeig.oracles import dense_residual_reference
 from infeig.steady import (
@@ -191,10 +191,11 @@ class TestSolveCoercive:
         assert count == 0 and splu_sizes == []
         assert np.array_equal(first, second)
 
-    def test_nested_fallback_off_centre_disk(self):
-        # switching both players at every step cycles here until max_sweeps;
-        # after the residual first rises the loop falls back to nested policy
-        # iteration, which terminates
+    def test_nested_fallback_off_centre_disk(self, monkeypatch, splu_sizes):
+        # switching both players at every full step cycles here until max_sweeps;
+        # the line search damps the steps that would raise the residual.  With
+        # _MIN_STEP = 1 every rejected full step falls back to nested policy
+        # iteration instead, which also terminates, at more factorizations
         cfg = SolverConfig()
         grid = build_grid(Disk((0.3, -0.1), 0.8), 1.0 / 48.0, 2)
         x = grid.nodes[:, 0]
@@ -203,6 +204,23 @@ class TestSolveCoercive:
         prob = _problem(grid, c, ScalarField(grid, np.sin(5.0 * x) - 0.3))
         u = solve_coercive(prob, cfg)
         assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
+        damped = len(splu_sizes)
+        splu_sizes.clear()
+        monkeypatch.setattr(steady, "_MIN_STEP", 1.0)
+        u = solve_coercive(prob, cfg)
+        assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
+        assert len(splu_sizes) > damped
+
+    def test_damped_newton_annulus_with_drift(self, cfg, splu_sizes):
+        # at most 30 factorizations over all grids (63 with the residual-rise trigger)
+        grid = build_grid(Annulus((0.0, 0.0), 0.25, 1.0), 1.0 / 40.0, 2)
+        x = grid.nodes[:, 0]
+        r = np.linalg.norm(grid.nodes, axis=1)
+        c = ScalarField(grid, -0.5 - (r >= 0.2))
+        prob = _problem(grid, c, ScalarField(grid, np.sin(5.0 * x) - 0.3), b=VectorField.constant(grid, (0.5, 0.2)))
+        u = solve_coercive(prob, cfg)
+        assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
+        assert len(splu_sizes) <= 30
 
 
 class TestMonotoneIteration:
@@ -377,6 +395,15 @@ class TestSolveGeneralRhs:
         # blowup threshold: the step budget is what ran out
         with pytest.raises(Diverged, match="max_outer"):
             solve_general_rhs(_problem(disk8, 0.0, -1.0, lam=0.0), SolverConfig(max_outer=60))
+
+    def test_readme_h32_damped_resolvent(self, cfg, splu_sizes):
+        # the README solve (g = -1) certifies in at most 45 factorizations (90
+        # with the residual-rise trigger)
+        grid = build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 32.0, 2)
+        prob = _problem(grid, _readme_c(grid), -1.0)
+        u = solve_general_rhs(prob, cfg)
+        assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
+        assert len(splu_sizes) <= 45
 
     def test_nonpositive_rhs_runs_one_pass(self, disk16s2, splu_sizes):
         # for g <= 0 the barrier pass returns 0 without a factorization, so
