@@ -172,16 +172,26 @@ class RunConfig:
         return [self.scalar_field(grid, ast) for ast in self.mp_seeds]
 
 
+def _positive(values: dict, key: str) -> float:
+    v = _number(values, key)
+    if not 0.0 < v < np.inf:
+        raise ConfigError(f"config key {key} must be positive and finite: {values[key]!r}")
+    return v
+
+
 def load_config(values: dict) -> RunConfig:
     """Validate a raw key map into a RunConfig; expressions are parsed here
     so syntax errors surface with their byte offsets."""
-    solver = SolverConfig(
-        tol=_number(values, "solver.tol"),
-        rel_tol=_number(values, "solver.rel_tol"),
-        max_sweeps=_integer(values, "solver.max_sweeps"),
-        max_outer=_integer(values, "solver.max_outer"),
-        blowup_threshold=_number(values, "solver.blowup") if values["solver.blowup"] else None,
-    )
+    try:
+        solver = SolverConfig(
+            tol=_number(values, "solver.tol"),
+            rel_tol=_number(values, "solver.rel_tol"),
+            max_sweeps=_integer(values, "solver.max_sweeps"),
+            max_outer=_integer(values, "solver.max_outer"),
+            blowup_threshold=_number(values, "solver.blowup") if values["solver.blowup"] else None,
+        )
+    except ValueError as e:
+        raise ConfigError(f"solver: {e}") from None
     seeds = []
     if values["mpcheck.seeds"]:
         seeds = [expr.parse(s.strip()) for s in values["mpcheck.seeds"].split(";") if s.strip()]
@@ -196,16 +206,16 @@ def load_config(values: dict) -> RunConfig:
         h0=expr.parse(values["coeff.h0"]),
         lam=_number(values, "lambda"),
         solver=solver,
-        bisect_tol=_number(values, "eigen.bisect_tol"),
-        evolve_T=_number(values, "evolve.T"),
+        bisect_tol=_positive(values, "eigen.bisect_tol"),
+        evolve_T=_positive(values, "evolve.T"),
         output_interval=(
             _number(values, "evolve.output_interval") if values["evolve.output_interval"] else None
         ),
         mp_lambda=_number(values, "mpcheck.lambda") if values["mpcheck.lambda"] else None,
         mp_seeds=seeds,
-        mp_t_max=_number(values, "mpcheck.t_max"),
+        mp_t_max=_positive(values, "mpcheck.t_max"),
         mp_blowup=_number(values, "mpcheck.blowup"),
-        mp_decay_threshold=_number(values, "mpcheck.decay_threshold"),
+        mp_decay_threshold=_positive(values, "mpcheck.decay_threshold"),
         out_dir=values["output.dir"],
         raw=dict(values),
     )

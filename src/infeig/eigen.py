@@ -99,7 +99,7 @@ def estimate_principal_eigenvalue(
 ) -> EigenEstimate:
     """Inverse power iteration down to a Collatz-Wielandt bracket of width
     <= bisect_tol; raises BracketFailure rather than return an open one."""
-    if bisect_tol <= 0:
+    if not bisect_tol > 0:  # NaN fails too
         raise ValueError("bisect_tol must be positive")
     sigma = float(np.max(np.abs(c.values))) + 1.0
     system = _CoerciveSystem(grid, b.values, c.values - sigma, cfg)
@@ -186,13 +186,15 @@ def check_maximum_principle(
     t_max: float = 500.0,
     decay_threshold: float = 1e-6,
     blowup_threshold: float | None = None,
-    lambda_bar: float | None = None,
+    *,
+    lambda_bar: float,
 ) -> MaxPrincipleReport:
     """Evolve each seed under h_t = lap(h) + b.Dh + (c + lam) h.
 
     A seed that decays below decay_threshold supports the maximum principle
     at this lam; a seed that grows past the blowup threshold refutes it.
-    Seeds must be nonzero with a positive part.
+    Seeds must be nonzero with a positive part.  ``lambda_bar``, estimated
+    by the caller, is carried into the report for comparison with lam.
     """
     from .evolution import evolve_until  # local import to avoid a cycle
 
@@ -202,8 +204,6 @@ def check_maximum_principle(
         if float(np.max(seed.values)) <= 0.0:
             raise ValueError(f"seed {i} has no positive part")
 
-    if lambda_bar is None:
-        lambda_bar = estimate_principal_eigenvalue(grid, b, c, cfg).lambda_bar
     blowup = blowup_threshold if blowup_threshold is not None else 1e6
 
     problem = SteadyProblem(grid, b, c, ScalarField.constant(grid, 0.0), lam)

@@ -54,12 +54,17 @@ def cfl_bound(problem: SteadyProblem) -> float:
     return 1.0 / rate
 
 
-def step_explicit(state: ScalarField, problem: SteadyProblem, dt: float) -> ScalarField:
-    """One forward Euler step; raises CflViolation for too-large dt."""
-    if dt <= 0:
+def _check_dt(dt: float, bound: float) -> None:
+    if not dt > 0:  # NaN fails too
         raise CflViolation(f"dt must be positive, got {dt}")
-    if dt > cfl_bound(problem) * (1.0 + 1e-12):
-        raise CflViolation(f"dt = {dt} exceeds the CFL bound {cfl_bound(problem)}")
+    if dt > bound * (1.0 + 1e-12):
+        raise CflViolation(f"dt = {dt} exceeds the CFL bound {bound}")
+
+
+def step_explicit(state: ScalarField, problem: SteadyProblem, dt: float) -> ScalarField:
+    """One forward Euler step; raises CflViolation for dt <= 0 or above the
+    CFL bound."""
+    _check_dt(dt, cfl_bound(problem))
     _, u, _ = next(_euler_steps(state.values, problem, dt, dt))
     return ScalarField(problem.grid, u)
 
@@ -119,13 +124,12 @@ def run_evolution(
     ratio max_x h(t, x) e^(rate t) / v(x) is recorded alongside, feeding
     ``check_decay_bound``.
     """
-    if T <= 0:
+    if not T > 0:
         raise ValueError("T must be positive")
     bound = cfl_bound(problem)
     if dt is None:
         dt = 0.9 * bound
-    elif dt > bound * (1.0 + 1e-12):
-        raise CflViolation(f"dt = {dt} exceeds the CFL bound {bound}")
+    _check_dt(dt, bound)
     if output_interval is None:
         output_interval = T / 200.0
     if weight is not None and float(np.min(weight.values)) <= 0.0:

@@ -6,11 +6,17 @@ or ``"piecewise(r, 0.2, 1.0, 0.8, -1.0, -2.0)"``.  The language knows the
 variables ``x``, ``y`` and ``r`` (distance to the domain center), the unary
 functions abs/exp/sin/cos/sqrt, binary min/max, ``^`` for powers and a radial
 piecewise selector.  ASTs are immutable; evaluation is pure.
+
+``evaluate_on_points`` is the one evaluator.  It computes every node on whole
+node arrays, and a domain error (division by zero, sqrt of a negative, an
+invalid power) counts only at points that use the value: a piecewise branch
+is checked only where it is selected, so each point evaluates as it would
+alone.  An overflow in an intermediate value counts only if the result is
+non-finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -239,81 +245,11 @@ def _parse_call(sc: _Scanner, name: str, start: int) -> ExprAst:
     raise UnknownIdentifier(name, start)
 
 
-def evaluate(ast: ExprAst, env: dict) -> float:
-    """Evaluate at a point; env maps variable names to floats.
-
-    Raises EvalError on division by zero, sqrt of a negative, invalid powers,
-    or any non-finite result.
-    """
-    v = _eval(ast, env)
-    if not math.isfinite(v):
-        raise EvalError(f"non-finite result {v!r}")
-    return v
-
-
-def _eval(ast: ExprAst, env: dict) -> float:
-    if isinstance(ast, Const):
-        return ast.value
-    if isinstance(ast, Var):
-        return float(env[ast.name])
-    if isinstance(ast, Unary):
-        a = _eval(ast.arg, env)
-        if ast.op == "neg":
-            return -a
-        if ast.op == "abs":
-            return abs(a)
-        if ast.op == "exp":
-            try:
-                return math.exp(a)
-            except OverflowError:
-                raise EvalError(f"exp overflow at argument {a!r}") from None
-        if ast.op == "sin":
-            return math.sin(a)
-        if ast.op == "cos":
-            return math.cos(a)
-        if ast.op == "sqrt":
-            if a < 0:
-                raise EvalError(f"sqrt of negative value {a!r}")
-            return math.sqrt(a)
-        raise AssertionError(ast.op)
-    if isinstance(ast, Binary):
-        a = _eval(ast.left, env)
-        b = _eval(ast.right, env)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if ast.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        if ast.op == "^":
-            if a == 0.0 and b < 0:
-                raise EvalError("zero raised to a negative power")
-            if a < 0 and b != int(b):
-                raise EvalError("negative base with non-integer exponent")
-            try:
-                return float(a ** b)
-            except OverflowError:
-                raise EvalError("power overflow") from None
-        if ast.op == "min":
-            return min(a, b)
-        if ast.op == "max":
-            return max(a, b)
-        raise AssertionError(ast.op)
-    if isinstance(ast, Piecewise):
-        s = _eval(ast.selector, env)
-        for thr, val in zip(ast.thresholds, ast.values):
-            if s <= _eval(thr, env):
-                return _eval(val, env)
-        return _eval(ast.default, env)
-    raise AssertionError(type(ast))
-
-
 def evaluate_on_points(ast: ExprAst, x, y, r) -> np.ndarray:
-    """Vectorized evaluation over node arrays; same error policy as evaluate."""
+    """Evaluate over node arrays.  Raises EvalError on division by zero, sqrt
+    of a negative, zero to a negative power, a negative base with a
+    non-integer exponent or a non-finite result, each only at points that
+    use the value (a piecewise branch only where it is selected)."""
     x = np.asarray(x, dtype=float)
     env = {"x": x, "y": np.asarray(y, dtype=float), "r": np.asarray(r, dtype=float)}
     with np.errstate(all="ignore"):
@@ -324,13 +260,20 @@ def evaluate_on_points(ast: ExprAst, x, y, r) -> np.ndarray:
     return np.array(out)
 
 
-def _eval_vec(ast: ExprAst, env: dict, shape):
+def _check(bad, where, message: str):
+    if np.any(bad if where is None else bad & where):
+        raise EvalError(message)
+
+
+def _eval_vec(ast: ExprAst, env: dict, shape, where=None):
+    """Values on full arrays; ``where`` marks the points whose value is used
+    (None: every point), the only points where a domain check can fail."""
     if isinstance(ast, Const):
         return np.full(shape, ast.value)
     if isinstance(ast, Var):
         return env[ast.name]
     if isinstance(ast, Unary):
-        a = _eval_vec(ast.arg, env, shape)
+        a = _eval_vec(ast.arg, env, shape, where)
         if ast.op == "neg":
             return -a
         if ast.op == "abs":
@@ -342,12 +285,11 @@ def _eval_vec(ast: ExprAst, env: dict, shape):
         if ast.op == "cos":
             return np.cos(a)
         if ast.op == "sqrt":
-            if np.any(a < 0):
-                raise EvalError("sqrt of negative value")
+            _check(a < 0, where, "sqrt of negative value")
             return np.sqrt(a)
     if isinstance(ast, Binary):
-        a = _eval_vec(ast.left, env, shape)
-        b = _eval_vec(ast.right, env, shape)
+        a = _eval_vec(ast.left, env, shape, where)
+        b = _eval_vec(ast.right, env, shape, where)
         if ast.op == "+":
             return a + b
         if ast.op == "-":
@@ -355,28 +297,28 @@ def _eval_vec(ast: ExprAst, env: dict, shape):
         if ast.op == "*":
             return a * b
         if ast.op == "/":
-            if np.any(b == 0.0):
-                raise EvalError("division by zero")
+            _check(b == 0.0, where, "division by zero")
             return a / b
         if ast.op == "^":
-            if np.any((a == 0.0) & (b < 0)):
-                raise EvalError("zero raised to a negative power")
-            if np.any((a < 0) & (b != np.trunc(b))):
-                raise EvalError("negative base with non-integer exponent")
+            _check((a == 0.0) & (b < 0), where, "zero raised to a negative power")
+            _check((a < 0) & (b != np.trunc(b)), where, "negative base with non-integer exponent")
             return np.power(a, b)
         if ast.op == "min":
             return np.minimum(a, b)
         if ast.op == "max":
             return np.maximum(a, b)
     if isinstance(ast, Piecewise):
-        s = _eval_vec(ast.selector, env, shape)
-        out = np.broadcast_to(_eval_vec(ast.default, env, shape), np.shape(s)).copy()
-        undecided = np.ones(np.shape(s), dtype=bool)
+        # threshold k is used where no earlier pair hit, value k where pair k
+        # hit, the default where none did
+        s = _eval_vec(ast.selector, env, shape, where)
+        undecided = np.ones(shape, dtype=bool) if where is None else where.copy()
+        hits, values = [], []
         for thr, val in zip(ast.thresholds, ast.values):
-            hit = undecided & (s <= _eval_vec(thr, env, shape))
-            out = np.where(hit, _eval_vec(val, env, shape), out)
+            hit = undecided & (s <= _eval_vec(thr, env, shape, undecided))
+            hits.append(hit)
+            values.append(_eval_vec(val, env, shape, hit))
             undecided &= ~hit
-        return out
+        return np.select(hits, values, _eval_vec(ast.default, env, shape, undecided))
     raise AssertionError(type(ast))
 
 

@@ -257,7 +257,7 @@ def bisection_eigenvalue_reference(
     reference for the power iteration, not a certificate.  The eigenfunction
     is the normalized converged probe solution at the lower end.
     """
-    if bisect_tol <= 0:
+    if not bisect_tol > 0:  # NaN fails too
         raise ValueError("bisect_tol must be positive")
     g = ScalarField.constant(grid, -1.0)
     c_sup = float(np.max(np.abs(c.values)))

@@ -96,11 +96,11 @@ class SolverConfig:
     record_fields: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0 or self.rel_tol < 0:
+        if not (self.tol > 0 and self.rel_tol >= 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         if self.max_sweeps < 1 or self.max_outer < 1:
             raise ValueError("iteration limits must be >= 1")
-        if self.blowup_threshold is not None and self.blowup_threshold <= 1:
+        if self.blowup_threshold is not None and not self.blowup_threshold > 1:
             raise ValueError("blowup_threshold must exceed 1")
 
 

@@ -145,6 +145,16 @@ class TestSubcommands:
         assert res["n_active"] == 13085
         assert res["residual_sup"] <= load_config(parse_config_text(text)).solver.tol
 
+    def test_solve_piecewise_unselected_branch(self, tmp_path):
+        # sqrt(r - 0.5) is selected only for r > 0.5, so it is never taken
+        # at a negative argument
+        text = README_DISK_CFG + "coeff.c = piecewise(r, 0.5, -1, sqrt(r - 0.5) - 1)\ncoeff.g = -1\n"
+        cfg = _write(tmp_path, "pw.cfg", text)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        res = json.loads(open(os.path.join(out, "residual.json")).read())
+        assert res["residual_sup"] <= load_config(parse_config_text(text)).solver.tol
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write(tmp_path, "eigen.cfg", EIGEN_CFG)
         out1 = str(tmp_path / "a")
@@ -169,6 +179,19 @@ class TestSubcommands:
             cfg = _write(tmp_path, "dom.cfg", f"domain.type = {kind}\ngrid.h = 0.125\ncoeff.c = -1\n")
             argv = ["eigen", "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]
             assert main(argv) == 2, (kind, setting)
+        # out-of-range values are config errors too, caught before any solve
+        cfg = _write(tmp_path, "range.cfg", README_DISK_CFG + "mpcheck.seeds = 1\n")
+        for sub, setting in (
+            ("eigen", "solver.tol=0"), ("eigen", "solver.tol=nan"), ("eigen", "solver.rel_tol=nan"),
+            ("eigen", "solver.max_outer=0"), ("eigen", "solver.blowup=0.5"),
+            ("eigen", "solver.blowup=nan"),
+            ("eigen", "eigen.bisect_tol=0"), ("eigen", "eigen.bisect_tol=nan"),
+            ("evolve", "evolve.T=0"), ("evolve", "evolve.T=nan"), ("evolve", "evolve.T=inf"),
+            ("mpcheck", "mpcheck.t_max=-1"), ("mpcheck", "mpcheck.t_max=inf"),
+            ("mpcheck", "mpcheck.decay_threshold=-1"), ("mpcheck", "mpcheck.decay_threshold=nan"),
+        ):
+            argv = [sub, "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]
+            assert main(argv) == 2, (sub, setting)
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["eigen", "--out", str(tmp_path)]) == 2

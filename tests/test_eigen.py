@@ -139,11 +139,14 @@ class TestEstimate:
         assert est.lambda_hi == pytest.approx(0.7321334382943563, abs=1e-12)
 
     def test_bad_bisect_tol(self, interval16, cfg):
-        with pytest.raises(ValueError):
-            estimate_principal_eigenvalue(
-                interval16, VectorField.zero(interval16),
-                ScalarField.constant(interval16, 0.0), cfg, bisect_tol=0.0,
-            )
+        # a NaN width target would pass the bracket of x = 1 with no solve
+        for estimate in (estimate_principal_eigenvalue, bisection_eigenvalue_reference):
+            for bisect_tol in (0.0, float("nan")):
+                with pytest.raises(ValueError):
+                    estimate(
+                        interval16, VectorField.zero(interval16),
+                        ScalarField.constant(interval16, 0.0), cfg, bisect_tol=bisect_tol,
+                    )
 
 
 class TestExtractEigenfunction:

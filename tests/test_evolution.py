@@ -51,8 +51,13 @@ class TestStepExplicit:
         prob = _problem(interval16, -1.0)
         with pytest.raises(CflViolation):
             step_explicit(ScalarField.constant(interval16, 1.0), prob, 2.0 * cfl_bound(prob))
+        for dt in (-0.1, 0.0):
+            with pytest.raises(CflViolation):
+                step_explicit(ScalarField.constant(interval16, 1.0), prob, dt)
+            with pytest.raises(CflViolation):
+                run_evolution(ScalarField.constant(interval16, 1.0), prob, 1.0, dt=dt)
         with pytest.raises(CflViolation):
-            step_explicit(ScalarField.constant(interval16, 1.0), prob, -0.1)
+            run_evolution(ScalarField.constant(interval16, 1.0), prob, 1.0, dt=-1e-3)
 
     def test_monotone_under_cfl(self, interval16, rng):
         prob = _problem(interval16, -1.0)

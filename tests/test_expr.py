@@ -9,10 +9,12 @@ from infeig import expr
 from infeig.expr import EvalError, ExprSyntaxError, UnknownIdentifier
 
 
+def at_point(ast, x=0.0, y=0.0, r=0.0):
+    return float(expr.evaluate_on_points(ast, [x], [y], [r])[0])
+
+
 def ev(source, **env):
-    defaults = {"x": 0.0, "y": 0.0, "r": 0.0}
-    defaults.update(env)
-    return expr.evaluate(expr.parse(source), defaults)
+    return at_point(expr.parse(source), **env)
 
 
 def test_linear():
@@ -98,13 +100,34 @@ def test_invalid_power():
         ev("x ^ -1", x=0.0)
 
 
+def test_piecewise_checks_only_the_selected_branch():
+    # a branch is checked only where it is selected (first threshold with
+    # sel <= t wins), as when each point is evaluated alone
+    rs = np.linspace(0.0, 1.0, 41)
+    ast = expr.parse("piecewise(r, 0.5, -1, sqrt(r - 0.5) - 1)")
+    out = expr.evaluate_on_points(ast, rs, np.zeros_like(rs), rs)
+    assert np.array_equal(out, np.where(rs <= 0.5, -1.0, np.sqrt(np.maximum(rs - 0.5, 0.0)) - 1.0))
+    ast = expr.parse("piecewise(r, 0.5, 1, 1/(r - 0.5), 2, 3)")
+    rs = np.array([0.2, 0.5, 0.9])
+    assert np.array_equal(expr.evaluate_on_points(ast, rs, np.zeros(3), rs), [1.0, 1.0, 2.0])
+
+
+def test_piecewise_selected_branch_still_checked():
+    ast = expr.parse("piecewise(r, 0.5, sqrt(r - 0.7), 0)")
+    assert at_point(ast, r=0.6) == 0.0  # the default is selected
+    with pytest.raises(EvalError, match="sqrt"):
+        at_point(ast, r=0.4)
+    with pytest.raises(EvalError, match="sqrt"):
+        expr.evaluate_on_points(ast, [0.4, 0.6], [0.0, 0.0], [0.4, 0.6])
+
+
 def test_vectorized_matches_scalar():
     ast = expr.parse("piecewise(r, 0.3, 1.0, -1.0) + 0.1*sin(3*x)")
     xs = np.linspace(0, 1, 17)
     rs = np.abs(xs - 0.5)
     ys = np.zeros_like(xs)
     vec = expr.evaluate_on_points(ast, xs, ys, rs)
-    scal = [expr.evaluate(ast, {"x": float(x), "y": 0.0, "r": float(r)}) for x, r in zip(xs, rs)]
+    scal = [at_point(ast, x=x, r=r) for x, r in zip(xs, rs)]
     assert np.allclose(vec, scal, rtol=0, atol=0)
 
 
@@ -121,9 +144,8 @@ def test_round_trip_on_thousand_points():
         ast = expr.parse(src)
         back = expr.parse(expr.to_source(ast))
         for x, y, r in pts:
-            env = {"x": x, "y": y, "r": r}
-            a = expr.evaluate(ast, env)
-            b = expr.evaluate(back, env)
+            a = at_point(ast, x, y, r)
+            b = at_point(back, x, y, r)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -141,14 +163,14 @@ def _tree(depth):
     sub = _tree(depth - 1)
     return st.one_of(
         _leaf,
-        st.tuples(st.sampled_from(["neg", "abs", "sin", "cos", "exp"]), sub).map(
+        st.tuples(st.sampled_from(["neg", "abs", "sin", "cos", "exp", "sqrt"]), sub).map(
             lambda t: expr.Unary(t[0], t[1])
         ),
-        st.tuples(st.sampled_from(["+", "-", "*", "min", "max"]), sub, sub).map(
+        st.tuples(st.sampled_from(["+", "-", "*", "/", "min", "max"]), sub, sub).map(
             lambda t: expr.Binary(t[0], t[1], t[2])
         ),
         st.tuples(sub, sub, sub, sub).map(
-            lambda t: expr.Piecewise(t[0], (expr.Const(0.5),), (t[1],), t[2])
+            lambda t: expr.Piecewise(t[0], (t[1],), (t[2],), t[3])
         ),
     )
 
@@ -156,12 +178,44 @@ def _tree(depth):
 @settings(max_examples=60, deadline=None)
 @given(ast=_tree(3), x=st.floats(-2, 2), y=st.floats(-2, 2), r=st.floats(0, 2))
 def test_round_trip(ast, x, y, r):
-    env = {"x": x, "y": y, "r": r}
     text = expr.to_source(ast)
     back = expr.parse(text)
     try:
-        a = expr.evaluate(ast, env)
+        a = at_point(ast, x, y, r)
     except EvalError:
         return
-    b = expr.evaluate(back, env)
+    b = at_point(back, x, y, r)
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+def _raises(fn):
+    try:
+        return False, fn()
+    except EvalError:
+        return True, None
+
+
+_point = st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ast=_tree(3), points=st.lists(_point, min_size=1, max_size=6))
+def test_array_evaluation_is_pointwise(ast, points):
+    # an array evaluation fails exactly when some point fails alone, and
+    # otherwise gives each point the value it gets alone
+    x, y, r = (np.array(col) for col in zip(*points))
+    failed, values = _raises(lambda: expr.evaluate_on_points(ast, x, y, r))
+    alone = [_raises(lambda p=p: at_point(ast, *p)) for p in points]
+    assert failed == any(f for f, _ in alone)
+    if not failed:
+        assert np.array_equal(values, [v for _, v in alone])
+    # a branch selected at no point cannot change the outcome (r <= 2 < 3)
+    poison = expr.parse("sqrt(-1)")
+    for masked in (
+        expr.Piecewise(expr.Var("r"), (expr.Const(3.0),), (ast,), poison),
+        expr.Piecewise(expr.Var("r"), (expr.Const(-1.0),), (poison,), ast),
+    ):
+        f, v = _raises(lambda: expr.evaluate_on_points(masked, x, y, r))
+        assert f == failed
+        if not failed:
+            assert np.array_equal(v, values)

@@ -337,6 +337,20 @@ class TestMonotoneIteration:
         assert fast.outer_steps < plain.outer_steps
         assert np.abs(fast.u.values - plain.u.values).max() <= 1e-6
 
+    def test_relative_certificate(self, disk8):
+        # u = 10 solves the lam-problem; the 1e-15 absolute target is below
+        # the residual's rounding, so both paths certify by rel_tol * sup
+        args = (disk8, VectorField.zero(disk8), ScalarField.constant(disk8, -1.0), 0.9,
+                ScalarField.constant(disk8, -1.0))
+        fast = monotone_iteration(*args, SolverConfig(tol=1e-15))
+        plain = monotone_iteration(*args, SolverConfig(tol=1e-15, extrapolate=False, max_outer=1000))
+        assert fast.flags == ["extrapolated", "rel-certified"]
+        assert plain.flags == ["rel-certified"]
+        for out in (fast, plain):
+            assert out.converged
+            assert 1e-15 < out.residual <= 1e-10 * out.sup_norm
+            assert np.abs(out.u.values - 10.0).max() <= 1e-8
+
     def test_sweeps_count_every_factorization(self, disk16s2, splu_sizes):
         # the README lambda-problem: sweeps counts the candidate's
         # factorizations as well as the resolvent's
@@ -395,6 +409,10 @@ class TestSolveGeneralRhs:
         # blowup threshold: the step budget is what ran out
         with pytest.raises(Diverged, match="max_outer"):
             solve_general_rhs(_problem(disk8, 0.0, -1.0, lam=0.0), SolverConfig(max_outer=60))
+        # at lam - lam_bar = 2 the sup triples each step from 1: ten doublings
+        # running come at sup 8.9e4, well below the 2e6 blowup threshold
+        with pytest.raises(Diverged, match=r"sup doubled ten steps running\) at outer step 11,"):
+            solve_general_rhs(_problem(disk8, 3.0, -1.0, lam=-1.0), SolverConfig())
 
     def test_readme_h32_damped_resolvent(self, cfg, splu_sizes):
         # the README solve (g = -1) certifies in at most 45 factorizations (90
@@ -424,8 +442,9 @@ class TestSolveGeneralRhs:
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol=0.0)
+        for tols in ({"tol": 0.0}, {"tol": float("nan")}, {"rel_tol": float("nan")}):
+            with pytest.raises(ValueError):
+                SolverConfig(**tols)
         with pytest.raises(ValueError):
             SolverConfig(max_outer=0)
         with pytest.raises(ValueError):
