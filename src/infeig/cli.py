@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, parse_config_text
-from .eigen import check_maximum_principle, estimate_principal_eigenvalue
+from .eigen import check_maximum_principle, check_seeds, estimate_principal_eigenvalue
 from .errors import InfeigError
 from .evolution import check_decay_bound, run_evolution
 from .expr import ExprError
@@ -105,10 +105,14 @@ def _cmd_mpcheck(cfg: RunConfig, out_dir: str) -> int:
     seeds = cfg.seed_fields(grid)
     if not seeds:
         raise ConfigError("mpcheck needs at least one seed in mpcheck.seeds")
+    try:
+        check_seeds(seeds, cfg.mp_decay_threshold, cfg.mp_blowup)
+    except ValueError as e:
+        raise ConfigError(f"mpcheck.seeds: {e}") from None
     lam = cfg.mp_lambda if cfg.mp_lambda is not None else cfg.lam
     est = estimate_principal_eigenvalue(grid, b, c, cfg.solver, cfg.bisect_tol)
     report = check_maximum_principle(
-        grid, b, c, lam, seeds, cfg.solver,
+        grid, b, c, lam, seeds,
         t_max=cfg.mp_t_max,
         decay_threshold=cfg.mp_decay_threshold,
         blowup_threshold=cfg.mp_blowup,

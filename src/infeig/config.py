@@ -86,9 +86,12 @@ def parse_config_text(text: str, overrides: list | None = None) -> dict:
 
 def _number(values: dict, key: str) -> float:
     try:
-        return float(values[key])
+        v = float(values[key])
     except ValueError:
-        raise ConfigError(f"config key {key} is not a number: {values[key]!r}") from None
+        v = np.nan
+    if not np.isfinite(v):
+        raise ConfigError(f"config key {key} is not a finite number: {values[key]!r}")
+    return v
 
 
 def _integer(values: dict, key: str) -> int:
@@ -174,8 +177,8 @@ class RunConfig:
 
 def _positive(values: dict, key: str) -> float:
     v = _number(values, key)
-    if not 0.0 < v < np.inf:
-        raise ConfigError(f"config key {key} must be positive and finite: {values[key]!r}")
+    if not v > 0.0:
+        raise ConfigError(f"config key {key} must be positive: {values[key]!r}")
     return v
 
 
@@ -192,6 +195,10 @@ def load_config(values: dict) -> RunConfig:
         )
     except ValueError as e:
         raise ConfigError(f"solver: {e}") from None
+    mp_decay_threshold = _positive(values, "mpcheck.decay_threshold")
+    mp_blowup = _positive(values, "mpcheck.blowup")
+    if not mp_blowup > mp_decay_threshold:
+        raise ConfigError(f"mpcheck.blowup {mp_blowup!r} must exceed mpcheck.decay_threshold")
     seeds = []
     if values["mpcheck.seeds"]:
         seeds = [expr.parse(s.strip()) for s in values["mpcheck.seeds"].split(";") if s.strip()]
@@ -209,13 +216,13 @@ def load_config(values: dict) -> RunConfig:
         bisect_tol=_positive(values, "eigen.bisect_tol"),
         evolve_T=_positive(values, "evolve.T"),
         output_interval=(
-            _number(values, "evolve.output_interval") if values["evolve.output_interval"] else None
+            _positive(values, "evolve.output_interval") if values["evolve.output_interval"] else None
         ),
         mp_lambda=_number(values, "mpcheck.lambda") if values["mpcheck.lambda"] else None,
         mp_seeds=seeds,
         mp_t_max=_positive(values, "mpcheck.t_max"),
-        mp_blowup=_number(values, "mpcheck.blowup"),
-        mp_decay_threshold=_positive(values, "mpcheck.decay_threshold"),
+        mp_blowup=mp_blowup,
+        mp_decay_threshold=mp_decay_threshold,
         out_dir=values["output.dir"],
         raw=dict(values),
     )

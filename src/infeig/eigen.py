@@ -176,13 +176,23 @@ class MaxPrincipleReport:
         }
 
 
+def check_seeds(seeds: list, decay_threshold: float, blowup_threshold: float) -> None:
+    """Raises ValueError naming a seed with no positive part or a sup |h| not inside the thresholds."""
+    for i, seed in enumerate(seeds):
+        sup = float(np.max(np.abs(seed.values)))
+        if not float(np.max(seed.values)) > 0.0:
+            raise ValueError(f"seed {i} has no positive part")
+        if not decay_threshold < sup < blowup_threshold:
+            raise ValueError(f"seed {i} has sup {sup:.3e}, not strictly between the decay threshold "
+                             f"{decay_threshold:.3e} and the blowup threshold {blowup_threshold:.3e}")
+
+
 def check_maximum_principle(
     grid: Grid,
     b: VectorField,
     c: ScalarField,
     lam: float,
     seeds: list,
-    cfg: SolverConfig,
     t_max: float = 500.0,
     decay_threshold: float = 1e-6,
     blowup_threshold: float | None = None,
@@ -192,19 +202,14 @@ def check_maximum_principle(
     """Evolve each seed under h_t = lap(h) + b.Dh + (c + lam) h.
 
     A seed that decays below decay_threshold supports the maximum principle
-    at this lam; a seed that grows past the blowup threshold refutes it.
-    Seeds must be nonzero with a positive part.  ``lambda_bar``, estimated
+    at this lam; a seed that grows past the blowup threshold (1e6 when None)
+    refutes it.  Seeds must pass ``check_seeds``.  ``lambda_bar``, estimated
     by the caller, is carried into the report for comparison with lam.
     """
     from .evolution import evolve_until  # local import to avoid a cycle
 
-    for i, seed in enumerate(seeds):
-        if not np.any(seed.values):
-            raise ValueError(f"seed {i} is identically zero")
-        if float(np.max(seed.values)) <= 0.0:
-            raise ValueError(f"seed {i} has no positive part")
-
     blowup = blowup_threshold if blowup_threshold is not None else 1e6
+    check_seeds(seeds, decay_threshold, blowup)
 
     problem = SteadyProblem(grid, b, c, ScalarField.constant(grid, 0.0), lam)
     verdicts = []

@@ -25,15 +25,13 @@ first-order upwind.  ``apply_operator`` evaluates the full residual
 
 at every active node.  Every evaluation goes through two private kernels:
 ``_ring_laplacian`` (behind ``residual_values``, ``inf_laplacian_values``
-and the single-node ``inf_laplacian``) and ``_add_upwind_drift`` (behind
-``residual_values``, ``drift_values`` and the single-node ``drift_term``).
-``_ring_laplacian`` gathers the K arms as one (K, N) block through the
-C-contiguous transpose of ``ring_index`` and reduces it along the arms;
-``_add_upwind_drift`` works one contiguous axis column at a time.
-``ring_arm_values`` is the (N, K) arm array, kept for the arm selections of
-the policy code in ``steady`` and for the tests; it gives bitwise the same
-arm values.  The policy-frozen matrices in ``steady`` assemble the same
-upwind coefficients as sparse entries.
+and the single-node ``inf_laplacian``) reduces the (K, N) arm block that
+``_ring_arms`` gathers through the C-contiguous ``ring_index.T``, and whose
+transpose is ``ring_arm_values``; ``_add_upwind_drift`` (behind
+``residual_values``, ``drift_values`` and ``drift_term``) works one axis
+column at a time.  ``frozen_matrices`` assembles the same ring and upwind
+coefficients, with the max and min arms frozen, as the sparse matrices that
+every solver factors; the ghost closure enters them as one sparse matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InfeigError
 from .fields import ScalarField, VectorField
@@ -50,7 +49,7 @@ from .geometry import Grid
 __all__ = [
     "OperatorError", "ZeroVector", "ScalarField", "VectorField", "SteadyProblem",
     "gradient_projector", "ring_arm_values", "inf_laplacian_values", "drift_values",
-    "residual_values", "apply_operator", "inf_laplacian", "drift_term",
+    "residual_values", "frozen_matrices", "apply_operator", "inf_laplacian", "drift_term",
 ]
 
 
@@ -98,28 +97,23 @@ class SteadyProblem:
         return float(np.max(np.abs(self.c.values + self.lam)))
 
 
-def ring_arm_values(grid: Grid, values: np.ndarray, ext: np.ndarray | None = None) -> np.ndarray:
-    """(N, K) rescaled arm values w_k = u + (u(x+v_k) - u) * rho/|v_k|."""
-    if ext is None:
-        ext = grid.extended_values(values)
-    # row-major, so the policy code's argmax/argmin along the arms reads rows
-    w = np.subtract(ext[grid.ring_index], values[:, None], order="C")
-    w *= grid.ring_scale
-    w += values[:, None]
-    return w
-
-
-def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Ring-scheme lap(u) at every active node, from u's extended values.
-
-    Gathers the K arms in one call as the (K, N) block ``ext[ring_index.T]``
-    and rescales it in place; each arm value is formed in the same operation
-    order as ``ring_arm_values``, and max/min along axis 0 reduce the rows in
-    arm order, so the result is bitwise that of the (N, K) reduction."""
+def _ring_arms(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """(K, N) rescaled arm values w_k = u + (u(x+v_k) - u) * rho/|v_k|."""
     w = ext[grid.ring_index.T]
     w -= values
     w *= grid.ring_scale[:, None]
     w += values
+    return w
+
+
+def ring_arm_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """(N, K) rescaled arm values, the transpose of the ring kernel's block."""
+    return _ring_arms(grid, values, grid.extended_values(values)).T
+
+
+def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Ring-scheme lap(u) at every active node, from u's extended values."""
+    w = _ring_arms(grid, values, ext)
     return (w.max(axis=0) + w.min(axis=0) - 2.0 * values) / grid.rho**2
 
 
@@ -137,6 +131,38 @@ def _add_upwind_drift(out: np.ndarray, grid: Grid, b_values: np.ndarray, values:
         fwd /= grid.h
         out += fwd
     return out
+
+
+def frozen_matrices(grid: Grid, b_values: np.ndarray):
+    """``matrix(arms, zero_order)`` on one (grid, b): the sparse A with
+    A u = lap(u) + b . Du + zero_order * u when the ring's max and min are
+    taken at arms = (sel_max, sel_min), the Newton Jacobian of the residual.
+    Its rows address the extended vector like ``ring_index``, ``axis_plus``
+    and ``axis_minus``, and the ghost closure maps them onto the nodes."""
+    n = grid.n_active
+    rows = np.arange(n)
+    # the closure, (N + G, N): identity rows, then each ghost's weights
+    kept = grid.ghost_weights > 0.0
+    indptr = np.concatenate([np.arange(n + 1), n + np.cumsum(np.count_nonzero(kept, axis=1))])
+    closure = sp.csr_matrix((np.concatenate([np.ones(n), grid.ghost_weights[kept]]),
+                             np.concatenate([rows, grid.ghost_nodes[kept]]), indptr), shape=(n + grid.n_ghost, n))
+    coef = np.stack([np.maximum(b_values, 0.0), -np.minimum(b_values, 0.0)], axis=2).reshape(n, -1) / grid.h
+    cols = np.stack([grid.axis_plus, grid.axis_minus], axis=2).reshape(n, -1)
+    kept = coef > 0.0  # with b = 0 the drift block stores nothing
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(kept, axis=1))])
+    drift = sp.csr_matrix((coef[kept], cols[kept], indptr), shape=(n, closure.shape[0]))
+    drift_sum = coef.sum(axis=1)
+
+    def matrix(arms: tuple, zero_order: np.ndarray) -> sp.csc_matrix:
+        sel = np.column_stack(arms)
+        arm_coef = grid.ring_scale[sel] * (1.0 / grid.rho**2)
+        diag = zero_order - drift_sum - arm_coef[:, 0] - arm_coef[:, 1]
+        data = np.column_stack([arm_coef, diag]).ravel()
+        index = np.column_stack([np.take_along_axis(grid.ring_index, sel, axis=1), rows]).ravel()
+        ring = sp.csr_matrix((data, index, 3 * np.arange(n + 1)), shape=drift.shape)
+        return ((ring + drift) @ closure).tocsc()  # the sum stores no zeros
+
+    return matrix
 
 
 def inf_laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -6,16 +6,16 @@
   the one resolvent, runs policy iteration on the arm selection, which is
   semismooth Newton on F(u) = L_h(u) - rhs (Bokanowski-Maroso-Zidani 2009),
   globalized by a line search on sup|F| (Qi-Sun 1993).  Each step solves the
-  frozen system exactly (``splu``) for the Newton target u_N and moves to
-  u + t (u_N - u) for the first t = 1, 1/2, 1/4, ... with
-  sup|F| <= (1 - 1e-4 t) times its value at u (Armijo); the first step of a
-  solve is taken in full.  Both players then switch arms at the new iterate;
-  a damped step that moves no arm steps again toward the same u_N.  Once t
-  falls below 1e-3 the solve takes u_N and, for the rest of that solve,
-  switches the max arms only in a step where no min arm moved: Howard's
-  algorithm nested inside Hoffman-Karp, which terminates.  An arm switches
-  only where it beats the current one by more than 1e-14, since nearly tied
-  arms cycle otherwise.  The first solve starts from the
+  frozen system (``operators.frozen_matrices``) exactly (``splu``) for the
+  Newton target u_N and moves to u + t (u_N - u) for the first t = 1, 1/2,
+  1/4, ... with sup|F| <= (1 - 1e-4 t) times its value at u (Armijo); the
+  first step of a solve is taken in full.  Both players then switch arms at
+  the new iterate; a damped step that moves no arm steps again toward the
+  same u_N.  Once t falls below 1e-3 the solve takes u_N and, for the rest
+  of that solve, switches the max arms only in a step where no min arm
+  moved: Howard's algorithm nested inside Hoffman-Karp, which terminates.
+  An arm switches only where it beats the current one by more than 1e-14,
+  since nearly tied arms cycle otherwise.  The first solve starts from the
   solution on the grid with twice the spacing, solved the same way down to
   the coarsest grid that builds, or from the arms of a given field.
   Convergence is certified by evaluating the nonlinear residual.
@@ -36,8 +36,8 @@
   general g, starting from minus the solution for -g^+ (0 when g <= 0); both
   are the one private loop ``_shifted_iteration``.  The recorded sequence is
   the plain one; its only side channel is a frozen-policy solve of the
-  lam-problem at the resolvent's arms after each step, assembled and
-  factored like the resolvent's own matrices, and accepted once its
+  lam-problem at the resolvent's arms after each step, the same
+  ``operators.frozen_matrices`` map at zero order c + lam, accepted once its
   lam-residual passes the certificate and its sup stays below the blowup
   threshold.  Near the eigenvalue the iterates grow like 1/(lam_bar - lam)
   and the float noise floor of the absolute residual grows with them, so the
@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InfeigError
@@ -58,6 +57,7 @@ from .operators import (
     ScalarField,
     SteadyProblem,
     VectorField,
+    frozen_matrices,
     residual_values,
     ring_arm_values,
 )
@@ -96,8 +96,8 @@ class SolverConfig:
     record_fields: bool = False
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.rel_tol >= 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol < np.inf and 0 <= self.rel_tol < np.inf):  # NaN fails too
+            raise ValueError("tol must be positive and rel_tol nonnegative, both finite")
         if self.max_sweeps < 1 or self.max_outer < 1:
             raise ValueError("iteration limits must be >= 1")
         if self.blowup_threshold is not None and not self.blowup_threshold > 1:
@@ -117,87 +117,6 @@ class IterationOutcome:
     sup_history: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     fields_history: list | None = None
-
-
-class _OperatorAssembler:
-    """Shared assembly of policy-frozen sparse matrices for one (grid, b).
-
-    The upwind drift entries and the drift diagonal are policy-independent
-    and built once; ``matrix(policy, zero_order)`` adds the ring arms of
-    ``policy`` (the max arms, then the min arms) and the zero-order diagonal.
-    Ghost arms are expanded through their closure weights, so self-weights
-    land on the diagonal naturally.
-    """
-
-    def __init__(self, grid: Grid, b_values: np.ndarray):
-        self.grid = grid
-        n = grid.n_active
-        self.n = n
-        rows, cols, vals = [], [], []
-        drift_diag = np.zeros(n)
-        bp = np.maximum(b_values, 0.0)
-        bm = np.minimum(b_values, 0.0)
-        for d in range(grid.dim):
-            ap = bp[:, d] / grid.h
-            am = -bm[:, d] / grid.h
-            for coef, ext_idx in ((ap, grid.axis_plus[:, d]), (am, grid.axis_minus[:, d])):
-                active = np.flatnonzero(coef > 0.0)
-                if active.size == 0:
-                    continue
-                r, c, v = self._expand(active, ext_idx[active], coef[active])
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
-            drift_diag -= ap + am
-        self._fixed_rows = rows
-        self._fixed_cols = cols
-        self._fixed_vals = vals
-        self._drift_diag = drift_diag
-
-    def _expand(self, rows, ext_idx, coef):
-        g = self.grid
-        node_mask = ext_idx < self.n
-        r_out = [rows[node_mask]]
-        c_out = [ext_idx[node_mask]]
-        v_out = [coef[node_mask]]
-        gm = ~node_mask
-        if np.any(gm):
-            gi = ext_idx[gm] - self.n
-            for k in range(g.ghost_nodes.shape[1]):
-                w = g.ghost_weights[gi, k]
-                nz = w > 0.0
-                if not np.any(nz):
-                    continue
-                r_out.append(rows[gm][nz])
-                c_out.append(g.ghost_nodes[gi, k][nz])
-                v_out.append(coef[gm][nz] * w[nz])
-        return np.concatenate(r_out), np.concatenate(c_out), np.concatenate(v_out)
-
-    def matrix(self, policy: np.ndarray, zero_order: np.ndarray) -> sp.csc_matrix:
-        g = self.grid
-        n = self.n
-        sel_max, sel_min = policy[:n], policy[n:]
-        rows = list(self._fixed_rows)
-        cols = list(self._fixed_cols)
-        vals = list(self._fixed_vals)
-        diag = self._drift_diag + zero_order
-        all_rows = np.arange(n)
-        inv_rho2 = 1.0 / g.rho**2
-        for sel in (sel_max, sel_min):
-            scale = g.ring_scale[sel]
-            ext_idx = g.ring_index[all_rows, sel]
-            r, c, v = self._expand(all_rows, ext_idx, scale * inv_rho2)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            diag -= scale * inv_rho2
-        rows.append(all_rows)
-        cols.append(all_rows)
-        vals.append(diag)
-        return sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
 
 
 _SWITCH_GAP = 1e-14  # an arm switches only when it beats the current one by more; nearly tied arms cycle
@@ -241,7 +160,7 @@ class _CoerciveSystem:
         self.c0 = c0_values
         self.cfg = cfg
         self.n = grid.n_active
-        self.assembler = _OperatorAssembler(grid, b_values)
+        self.matrix = frozen_matrices(grid, b_values)
         self._arms = None    # (sel_max, sel_min) of the last solve
         self._factor = None  # splu of the frozen matrix at self._arms; None once an arm moves
 
@@ -299,9 +218,8 @@ class _CoerciveSystem:
                         f"coercive solve exceeded max_sweeps={cfg.max_sweeps} factorizations "
                         f"(residual {r:.3e}, target {target:.3e})"
                     )
-                matrix = self.assembler.matrix(np.concatenate(self._arms), self.c0)
                 try:
-                    self._factor = spla.splu(matrix)
+                    self._factor = spla.splu(self.matrix(self._arms, self.c0))
                 except RuntimeError as e:
                     raise NoConvergence("splu factorization of the policy-frozen coercive matrix failed") from e
                 fresh += 1
@@ -425,7 +343,7 @@ def _shifted_iteration(
             tried_arms = arms
             sweeps += 1
             try:
-                d = spla.splu(system.assembler.matrix(arms, lam_diag)).solve(g.values)
+                d = spla.splu(system.matrix(system._arms, lam_diag)).solve(g.values)
             except RuntimeError:  # a singular lam-matrix: no candidate at these arms
                 d = None
             sc = float(np.max(np.abs(d))) if d is not None else np.inf

@@ -123,7 +123,7 @@ def test_criterion_3_sign_changing_reproduction(sign_changing_setup, bump_params
     assert elapsed < 300.0
 
 
-def test_criterion_4_maximum_principle_threshold(cfg, sign_changing_setup):
+def test_criterion_4_maximum_principle_threshold(sign_changing_setup):
     start = time.perf_counter()
     grid = sign_changing_setup["grid"]
     c = sign_changing_setup["c"]
@@ -135,11 +135,11 @@ def test_criterion_4_maximum_principle_threshold(cfg, sign_changing_setup):
     bump = ScalarField(grid, np.exp(-50.0 * r2))  # concentrated where c > 0
 
     below = check_maximum_principle(
-        grid, b, c, lam_bar - 0.1, [bump, ScalarField.constant(grid, 1.0), phi], cfg,
+        grid, b, c, lam_bar - 0.1, [bump, ScalarField.constant(grid, 1.0), phi],
         t_max=500.0, decay_threshold=1e-6, lambda_bar=lam_bar,
     )
     above = check_maximum_principle(
-        grid, b, c, lam_bar + 0.1, [phi], cfg,
+        grid, b, c, lam_bar + 0.1, [phi],
         t_max=500.0, decay_threshold=1e-9, blowup_threshold=1e3, lambda_bar=lam_bar,
     )
     elapsed = time.perf_counter() - start

@@ -189,6 +189,18 @@ class TestSubcommands:
             ("evolve", "evolve.T=0"), ("evolve", "evolve.T=nan"), ("evolve", "evolve.T=inf"),
             ("mpcheck", "mpcheck.t_max=-1"), ("mpcheck", "mpcheck.t_max=inf"),
             ("mpcheck", "mpcheck.decay_threshold=-1"), ("mpcheck", "mpcheck.decay_threshold=nan"),
+            # non-finite settings: an infinite tolerance would certify anything
+            ("solve", "solver.tol=inf"), ("solve", "solver.rel_tol=inf"),
+            ("evolve", "evolve.output_interval=nan"), ("evolve", "evolve.output_interval=inf"),
+            ("evolve", "evolve.output_interval=-1"),
+            ("mpcheck", "mpcheck.lambda=nan"), ("mpcheck", "mpcheck.lambda=inf"),
+            ("solve", "lambda=nan"), ("solve", "lambda=inf"),
+            ("mpcheck", "mpcheck.blowup=nan"), ("mpcheck", "mpcheck.blowup=inf"),
+            ("mpcheck", "mpcheck.blowup=1e-7"),
+            # seeds that cannot decide: zero, nowhere positive, or already past a threshold
+            ("mpcheck", "mpcheck.seeds=0"), ("mpcheck", "mpcheck.seeds=-1"), ("mpcheck", "mpcheck.seeds=1 ; -x^2"),
+            ("mpcheck", "mpcheck.seeds=2e6"), ("mpcheck", "mpcheck.blowup=0.5"),
+            ("mpcheck", "mpcheck.seeds=1e-7"),
         ):
             argv = [sub, "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]
             assert main(argv) == 2, (sub, setting)

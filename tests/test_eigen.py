@@ -185,49 +185,52 @@ class TestExtractEigenfunction:
 
 
 class TestMaximumPrinciple:
-    def test_decay_below_threshold(self, interval16, cfg):
+    def test_decay_below_threshold(self, interval16):
         x = interval16.nodes[:, 0]
         bump = ScalarField(interval16, np.exp(-20.0 * (x - 0.5) ** 2))
         report = check_maximum_principle(
             interval16, VectorField.zero(interval16), ScalarField.constant(interval16, 0.0),
-            -0.5, [bump], cfg, t_max=100.0, lambda_bar=0.0,
+            -0.5, [bump], t_max=100.0, lambda_bar=0.0,
         )
         assert report.holds
         assert report.verdicts[0].holds
 
-    def test_growth_above_threshold(self, interval16, cfg):
+    def test_growth_above_threshold(self, interval16):
         ones = ScalarField.constant(interval16, 1.0)
         report = check_maximum_principle(
             interval16, VectorField.zero(interval16), ScalarField.constant(interval16, 0.0),
-            0.5, [ones], cfg, t_max=200.0, blowup_threshold=1e3, lambda_bar=0.0,
+            0.5, [ones], t_max=200.0, blowup_threshold=1e3, lambda_bar=0.0,
         )
         assert not report.holds
         # explicit solution e^{0.5 t}: hits 1e3 near t = 13.8
         assert report.verdicts[0].t_reached == pytest.approx(np.log(1e3) / 0.5, rel=0.05)
 
-    def test_inconclusive_raises(self, interval16, cfg):
+    def test_inconclusive_raises(self, interval16):
         ones = ScalarField.constant(interval16, 1.0)
         with pytest.raises(MaxPrincipleInconclusive):
             check_maximum_principle(
                 interval16, VectorField.zero(interval16), ScalarField.constant(interval16, 0.0),
-                0.001, [ones], cfg, t_max=1.0, lambda_bar=0.0,
+                0.001, [ones], t_max=1.0, lambda_bar=0.0,
             )
 
-    def test_seed_validation(self, interval16, cfg):
-        zeros = ScalarField.constant(interval16, 0.0)
-        with pytest.raises(ValueError):
-            check_maximum_principle(
-                interval16, VectorField.zero(interval16), ScalarField.constant(interval16, 0.0),
-                -0.5, [zeros], cfg, lambda_bar=0.0,
-            )
-        negative = ScalarField.constant(interval16, -1.0)
-        with pytest.raises(ValueError):
-            check_maximum_principle(
-                interval16, VectorField.zero(interval16), ScalarField.constant(interval16, 0.0),
-                -0.5, [negative], cfg, lambda_bar=0.0,
-            )
+    def test_seed_validation(self, interval16):
+        # a seed with no positive part, or whose sup already lies at or past a
+        # threshold, is refused before any step; the error names the seed
+        fine = ScalarField.constant(interval16, 0.1)
+        for seed, kwargs, why in (
+            (0.0, {}, "no positive part"),
+            (-1.0, {}, "no positive part"),
+            (2e6, {}, "not strictly between"),          # above the default blowup 1e6
+            (1.0, {"blowup_threshold": 0.5}, "not strictly between"),
+            (1e-7, {}, "not strictly between"),         # below the default decay 1e-6
+        ):
+            with pytest.raises(ValueError, match=f"seed 1 .*{why}"):
+                check_maximum_principle(
+                    interval16, VectorField.zero(interval16), ScalarField.constant(interval16, 0.0),
+                    -0.5, [fine, ScalarField.constant(interval16, seed)], lambda_bar=0.0, **kwargs,
+                )
 
-    def test_sign_changing_case_holds_at_zero(self, cfg, sign_changing_setup):
+    def test_sign_changing_case_holds_at_zero(self, sign_changing_setup):
         # the zero-order term changes sign yet lam_bar > 0, so the maximum
         # principle holds for the unshifted operator
         grid = sign_changing_setup["grid"]
@@ -235,17 +238,17 @@ class TestMaximumPrinciple:
         est = sign_changing_setup["estimate"]
         bump = ScalarField(grid, np.exp(-50.0 * np.sum(grid.nodes**2, axis=1)))
         report = check_maximum_principle(
-            grid, VectorField.zero(grid), c, 0.0, [bump], cfg,
+            grid, VectorField.zero(grid), c, 0.0, [bump],
             t_max=200.0, lambda_bar=est.lambda_bar,
         )
         assert report.holds
         assert report.lambda_bar > 0.0
 
-    def test_report_dict(self, interval16, cfg):
+    def test_report_dict(self, interval16):
         ones = ScalarField.constant(interval16, 1.0)
         report = check_maximum_principle(
             interval16, VectorField.zero(interval16), ScalarField.constant(interval16, -1.0),
-            0.0, [ones], cfg, t_max=100.0, lambda_bar=1.0,
+            0.0, [ones], t_max=100.0, lambda_bar=1.0,
         )
         d = report.to_dict()
         assert d["holds"] is True

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infeig.geometry import Annulus, Disk, Interval, build_grid
+from infeig.geometry import Annulus, Disk, Interval, Rectangle, build_grid
 from infeig.operators import (
     ScalarField,
     SteadyProblem,
@@ -12,12 +12,14 @@ from infeig.operators import (
     apply_operator,
     drift_term,
     drift_values,
+    frozen_matrices,
     gradient_projector,
     inf_laplacian,
     inf_laplacian_values,
     residual_values,
     ring_arm_values,
 )
+from infeig.steady import _start_arms
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,21 @@ def disk16s3():
 @pytest.fixture(scope="module")
 def annulus20s2():
     return build_grid(Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2)
+
+
+@pytest.fixture(scope="module")
+def offdisk16s3():
+    return build_grid(Disk((0.3, -0.1), 0.8), 1.0 / 16.0, 3)
+
+
+@pytest.fixture(scope="module")
+def square16s3():
+    return build_grid(Rectangle((0.0, 0.0), (1.0, 1.0)), 1.0 / 16.0, 3)
+
+
+@pytest.fixture(scope="module")
+def interval2048():
+    return build_grid(Interval(0.0, 1.0), 1.0 / 2048.0, 1)
 
 
 class TestGradientProjector:
@@ -281,6 +298,32 @@ class TestResidualKernel:
                 got = residual_values(grid, b, c, g, 0.3, u)
                 want = _residual_from_arm_array(grid, b, c, g, 0.3, u)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestFrozenMatrices:
+    """The frozen-arm matrix is the linear map the residual evaluates at its own arms."""
+
+    @pytest.mark.parametrize("name, drift", [
+        ("disk16s2", True),
+        ("offdisk16s3", False),
+        ("annulus20s2", True),
+        ("square16s3", False),
+        ("interval2048", False),
+    ])
+    def test_matrix_linearizes_residual(self, name, drift, request, rng):
+        grid = request.getfixturevalue(name)
+        n = grid.n_active
+        b = rng.normal(size=(n, grid.dim)) if drift else np.zeros((n, grid.dim))
+        c0 = -1.0 - rng.random(n)
+        rhs = rng.normal(size=n)
+        matrix = frozen_matrices(grid, b)
+        for _ in range(3):
+            u = rng.normal(size=n)
+            A = matrix(_start_arms(grid, u), c0)
+            want = residual_values(grid, b, c0, rhs, 0.0, u)
+            assert np.abs(A @ u - rhs - want).max() <= 1e-12 * np.abs(want).max()
+            # no stored zeros: with b = 0 they would widen the factorized pattern
+            assert A.nnz == np.count_nonzero(A.data)
 
 
 class TestFieldValidation:

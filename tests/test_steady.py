@@ -442,7 +442,8 @@ class TestSolveGeneralRhs:
 
 class TestSolverConfig:
     def test_validation(self):
-        for tols in ({"tol": 0.0}, {"tol": float("nan")}, {"rel_tol": float("nan")}):
+        for tols in ({"tol": 0.0}, {"tol": float("nan")}, {"rel_tol": float("nan")},
+                     {"tol": float("inf")}, {"rel_tol": float("inf")}):
             with pytest.raises(ValueError):
                 SolverConfig(**tols)
         with pytest.raises(ValueError):
