@@ -4,15 +4,13 @@ steady solvers, the principal-eigenvalue estimator, and the evolution stepper
 with its decay check."""
 
 from .errors import InfeigError
-from .geometry import Annulus, Disk, Grid, Interval, Rectangle, build_grid, distance_field, outward_normal
+from .geometry import Annulus, Disk, Grid, Interval, Rectangle, build_grid, distance_field
 from .operators import (
     ScalarField,
     SteadyProblem,
     VectorField,
     apply_operator,
-    drift_term,
     gradient_projector,
-    inf_laplacian,
 )
 from .steady import (
     IterationOutcome,
@@ -40,9 +38,9 @@ from .oracles import (
 __all__ = [
     "InfeigError",
     "Interval", "Disk", "Annulus", "Rectangle", "Grid",
-    "build_grid", "distance_field", "outward_normal",
+    "build_grid", "distance_field",
     "ScalarField", "VectorField", "SteadyProblem",
-    "gradient_projector", "inf_laplacian", "drift_term", "apply_operator",
+    "gradient_projector", "apply_operator",
     "SolverConfig", "IterationOutcome",
     "solve_coercive", "monotone_iteration", "solve_general_rhs",
     "EigenEstimate", "estimate_principal_eigenvalue", "check_maximum_principle",

@@ -21,16 +21,17 @@ from .eigen import check_maximum_principle, check_seeds, estimate_principal_eige
 from .errors import InfeigError
 from .evolution import check_decay_bound, run_evolution
 from .expr import ExprError
-from .geometry import GeometryError, grid_metadata, node_rows
+from .geometry import CLASS_NAMES, GeometryError, grid_metadata
 from .operators import ScalarField, SteadyProblem, apply_operator
-from .output import field_rows, write_csv, write_json, write_run_meta
+from .output import node_rows, write_csv, write_json, write_run_meta
 from .steady import solve_general_rhs
 from .verify import run_verification
 
 
 def _emit_grid(out_dir: str, grid) -> None:
     write_json(os.path.join(out_dir, "grid.json"), grid_metadata(grid))
-    write_csv(os.path.join(out_dir, "nodes.csv"), ("index", "x", "y", "class"), node_rows(grid))
+    write_csv(os.path.join(out_dir, "nodes.csv"), ("index", "x", "y", "class"),
+              node_rows(grid, CLASS_NAMES[grid.node_class]))
 
 
 def _cmd_solve(cfg: RunConfig, out_dir: str) -> int:
@@ -42,7 +43,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     residual = apply_operator(problem, u)
     _emit_grid(out_dir, grid)
     write_csv(os.path.join(out_dir, "solution.csv"), ("index", "x", "y", "u"),
-              field_rows(grid, u.values, "u"))
+              node_rows(grid, u.values))
     write_json(os.path.join(out_dir, "residual.json"), {
         "residual_sup": float(np.max(np.abs(residual.values))),
         "lambda": cfg.lam,
@@ -60,7 +61,7 @@ def _cmd_eigen(cfg: RunConfig, out_dir: str) -> int:
     _emit_grid(out_dir, grid)
     write_json(os.path.join(out_dir, "eigen.json"), est.to_dict())
     write_csv(os.path.join(out_dir, "eigenfunction.csv"), ("index", "x", "y", "phi"),
-              field_rows(grid, est.eigenfunction.values, "phi"))
+              node_rows(grid, est.eigenfunction.values))
     return 0
 
 

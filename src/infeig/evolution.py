@@ -87,6 +87,8 @@ class EvolutionTrace:
     times: np.ndarray
     sup_norm: np.ndarray
     weighted_ratio: np.ndarray | None  # None when no weight was supplied
+    rate: float | None                 # the rate and weight the ratio was recorded with
+    weight: ScalarField | None = field(repr=False)
     fitted_rate: float
     dt: float
     T: float
@@ -157,6 +159,8 @@ def run_evolution(
         times=times,
         sup_norm=sups,
         weighted_ratio=None if ratios is None else np.array(ratios),
+        rate=rate,
+        weight=weight,
         fitted_rate=_fit_trailing_rate(times, sups),
         dt=dt,
         T=T,
@@ -202,12 +206,17 @@ def check_decay_bound(
 ) -> DecayCheckResult:
     """Verify the weighted decay estimate on a recorded trace.
 
-    The trace must have been recorded with weight v and rate lambda_bar.
+    The trace must have been recorded with weight v and rate lambda_bar;
+    a ValueError says so when it was not.
     """
     if float(np.min(v.values)) <= 0.0:
         raise NonpositiveWeight("weight field must be strictly positive")
     if trace.weighted_ratio is None:
         raise ValueError("trace carries no weighted ratio; rerun with weight and rate")
+    if lambda_bar != trace.rate:
+        raise ValueError(f"trace was recorded at rate {trace.rate!r}, not {lambda_bar!r}")
+    if not np.array_equal(v.values, trace.weight.values):
+        raise ValueError("trace was recorded with a different weight")
     bound = float(np.max(np.maximum(h0.values, 0.0) / v.values))
     worst = float(np.max(trace.weighted_ratio))
     slack = max(0.0, worst - bound)

@@ -1,17 +1,18 @@
 """Computational domains and uniform lattice grids.
 
-Domains are restricted to shapes with closed-form signed distance and outward
-normals (interval, disk, annulus, axis-aligned rectangle).  ``build_grid``
-classifies lattice nodes into interior / boundary / exterior, assembles the
-ring stencil used by the wide-stencil operator, and closes every exterior arm
-with a reflection-based ghost rule that imposes the homogeneous Neumann
-condition to first order.
+Domains are restricted to shapes with a closed-form signed distance and
+reflection across the boundary (interval, disk, annulus, axis-aligned
+rectangle); that, with the bounding box, is all ``build_grid`` reads of a
+domain.  It classifies lattice nodes into interior / boundary / exterior by
+the signed distance, assembles the ring stencil used by the wide-stencil
+operator, and closes every exterior arm with a reflection-based ghost rule,
+which is how the homogeneous Neumann condition enters the scheme (to first
+order); no boundary normal is ever formed.
 
-Every domain method that takes points (``signed_distance``, ``reflect``,
-``boundary_normal``, ``exterior_sphere_radius``) takes a (..., dim) array and
-returns one result per point, each bit for bit what a single (dim,) point
-gives, so ``build_grid`` calls each method once for all its points.  Where a
-point needs no reflection, ``reflect`` returns the point itself.
+Both point methods, ``signed_distance`` and ``reflect``, take a (..., dim)
+array and return one result per point, each bit for bit what a single (dim,)
+point gives, so ``build_grid`` calls each method once for all its points.
+Where a point needs no reflection, ``reflect`` returns the point itself.
 
 Lattice nodes sit at integer multiples of the spacing ``h`` so that grids at
 ``h`` and ``h/2`` are nested.
@@ -30,7 +31,12 @@ from .errors import InfeigError
 INTERIOR = 0
 BOUNDARY = 1
 
-_CLASS_NAMES = {INTERIOR: "interior", BOUNDARY: "boundary"}
+CLASS_NAMES = np.array(["interior", "boundary"])  # indexed by node class
+
+# Largest lattice box (the padded bounding box) ``build_grid`` enumerates.
+# A build peaks at about 230 bytes per box point (a unit disk at h = 1/512,
+# 1.07e6 box points, peaks at 242 MB), so the cap holds it near 0.5 GB.
+MAX_BOX_POINTS = 2**21
 
 
 class GeometryError(InfeigError):
@@ -42,10 +48,6 @@ class InvalidParams(GeometryError):
 
 
 class DomainTooCoarse(GeometryError):
-    pass
-
-
-class NotBoundaryNode(GeometryError):
     pass
 
 
@@ -94,15 +96,8 @@ class Interval:
         x = np.asarray(pts, dtype=float)[..., 0]
         return np.maximum(self.a - x, x - self.b)
 
-    def boundary_normal(self, pts):
-        x = np.asarray(pts, dtype=float)
-        return np.where(x < 0.5 * (self.a + self.b), -1.0, 1.0)
-
     def reflect(self, pts):
         return _box_reflect(*self.bounding_box(), pts)
-
-    def exterior_sphere_radius(self, pts):
-        return np.full(np.shape(pts)[:-1], math.inf)
 
     def center(self):
         return np.array([0.5 * (self.a + self.b)])
@@ -136,9 +131,6 @@ class Disk:
         rho = np.linalg.norm(p - np.asarray(self.center_point), axis=-1)
         return rho - self.radius
 
-    def boundary_normal(self, pts):
-        return _radial(self.center_point, pts)[2]
-
     def reflect(self, pts):
         p = np.asarray(pts, dtype=float)
         c = np.asarray(self.center_point)
@@ -146,9 +138,6 @@ class Disk:
         outside = (rho > self.radius)[..., None]
         mirrored = c + (2.0 * self.radius - rho)[..., None] * v / np.where(outside, rho[..., None], 1.0)
         return np.where(outside, mirrored, p)
-
-    def exterior_sphere_radius(self, pts):
-        return np.full(np.shape(pts)[:-1], self.radius)
 
     def center(self):
         return np.asarray(self.center_point, dtype=float)
@@ -184,11 +173,6 @@ class Annulus:
         rho = np.linalg.norm(p - np.asarray(self.center_point), axis=-1)
         return np.maximum(self.inner_radius - rho, rho - self.outer_radius)
 
-    def boundary_normal(self, pts):
-        _, rho, u = _radial(self.center_point, pts)
-        inner = rho - self.inner_radius < self.outer_radius - rho
-        return np.where(inner[..., None], -u, u)  # inner wall: outward points into the hole
-
     def reflect(self, pts):
         p = np.asarray(pts, dtype=float)
         c = np.asarray(self.center_point)
@@ -197,11 +181,6 @@ class Annulus:
         wall = np.where(inside, self.inner_radius, self.outer_radius)
         mirrored = c + (2.0 * wall - rho)[..., None] * u
         return np.where((inside | (rho > self.outer_radius))[..., None], mirrored, p)
-
-    def exterior_sphere_radius(self, pts):
-        rho = _radial(self.center_point, pts)[1]
-        inner = rho - self.inner_radius < self.outer_radius - rho
-        return np.where(inner, self.inner_radius, self.outer_radius)
 
     def center(self):
         return np.asarray(self.center_point, dtype=float)
@@ -230,8 +209,8 @@ class Rectangle:
     """Axis-aligned 2D rectangle.
 
     Corners break the smooth-boundary hypothesis the rest of the package
-    leans on; corner nodes get the averaged normal and grids built on a
-    rectangle carry a metadata flag.
+    leans on, so grids built on a rectangle carry a metadata flag.  A ghost
+    point beyond a corner is mirrored across both walls.
     """
 
     lo: tuple
@@ -256,22 +235,8 @@ class Rectangle:
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
         return np.where(inside <= 0.0, inside, outside)
 
-    def boundary_normal(self, pts):
-        p = np.asarray(pts, dtype=float)
-        below = p - np.asarray(self.lo)
-        above = np.asarray(self.hi) - p
-        gap = np.minimum(below, above)  # distance to each pair of walls
-        # every wall within 1e-12 of the nearest one contributes; at a corner
-        # this averages the two face normals
-        near = gap <= gap.min(axis=-1, keepdims=True) + 1e-12
-        n = np.where(near, np.where(below <= above, -1.0, 1.0), 0.0)
-        return n / _length(n)[..., None]
-
     def reflect(self, pts):
         return _box_reflect(*self.bounding_box(), pts)
-
-    def exterior_sphere_radius(self, pts):
-        return np.full(np.shape(pts)[:-1], math.inf)
 
     def center(self):
         return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
@@ -329,7 +294,6 @@ class Grid:
     s: int
     nodes: np.ndarray          # (N, dim)
     node_class: np.ndarray     # (N,) INTERIOR/BOUNDARY
-    normals: np.ndarray        # (N, dim), zero rows off the boundary
     ring_offsets: np.ndarray   # (K, dim) physical offsets
     ring_pairs: np.ndarray     # (K//2, 2) indices into ring_offsets
     ring_index: np.ndarray     # (N, K) extended indices
@@ -397,8 +361,17 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     dim = domain.dim
     lo, hi = domain.bounding_box()
     pad = s + 2
-    imin = np.floor(lo / h).astype(int) - pad
-    imax = np.ceil(hi / h).astype(int) + pad
+    with np.errstate(over="ignore"):  # a subnormal h overflows to inf, caught below
+        imin = np.floor(lo / h) - pad
+        imax = np.ceil(hi / h) + pad
+    box_points = math.prod((imax - imin + 1).tolist())  # Python floats: no overflow warning
+    if not box_points <= MAX_BOX_POINTS:
+        raise InvalidParams(
+            f"spacing h = {h!r} needs a lattice box of {box_points:.3g} points; "
+            f"at most {MAX_BOX_POINTS} are allowed"
+        )
+    imin = imin.astype(int)
+    imax = imax.astype(int)
 
     lattice = _box(imin, imax)
     coords = lattice * h
@@ -422,10 +395,6 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         raise DomainTooCoarse(
             f"grid has {n_interior} interior nodes; need at least {min_interior}"
         )
-
-    normals = np.zeros_like(nodes, dtype=float)
-    on_boundary = act_class == BOUNDARY
-    normals[on_boundary] = domain.boundary_normal(nodes[on_boundary])
 
     offsets = _ring_offsets(dim, s)
     pairs = _pair_table(offsets)
@@ -470,7 +439,6 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         s=int(s),
         nodes=nodes,
         node_class=act_class,
-        normals=normals,
         ring_offsets=offsets * h,
         ring_pairs=pairs,
         ring_index=ring_index,
@@ -560,13 +528,6 @@ def distance_field(grid: Grid):
     return ScalarField(grid, np.maximum(0.0, -sdf))
 
 
-def outward_normal(grid: Grid, node: int) -> np.ndarray:
-    """Unit outward normal of a boundary node."""
-    if grid.node_class[node] != BOUNDARY:
-        raise NotBoundaryNode(f"node {node} is not a boundary node")
-    return grid.normals[node].copy()
-
-
 def grid_metadata(grid: Grid) -> dict:
     """JSON-ready description: domain, spacing, per-class node counts."""
     flags = []
@@ -583,11 +544,3 @@ def grid_metadata(grid: Grid) -> dict:
         },
         "flags": flags,
     }
-
-
-def node_rows(grid: Grid):
-    """CSV rows (index, x, y, class); y is 0 for 1D grids."""
-    for i in range(grid.n_active):
-        x = grid.nodes[i, 0]
-        y = grid.nodes[i, 1] if grid.dim == 2 else 0.0
-        yield i, x, y, _CLASS_NAMES[int(grid.node_class[i])]

@@ -24,14 +24,13 @@ first-order upwind.  ``apply_operator`` evaluates the full residual
     lap(u) + b . Du + (c + lam) u - g
 
 at every active node.  Every evaluation goes through two private kernels:
-``_ring_laplacian`` (behind ``residual_values``, ``inf_laplacian_values``
-and the single-node ``inf_laplacian``) reduces the (K, N) arm block that
-``_ring_arms`` gathers through the C-contiguous ``ring_index.T``, and whose
-transpose is ``ring_arm_values``; ``_add_upwind_drift`` (behind
-``residual_values``, ``drift_values`` and ``drift_term``) works one axis
-column at a time.  ``frozen_matrices`` assembles the same ring and upwind
-coefficients, with the max and min arms frozen, as the sparse matrices that
-every solver factors; the ghost closure enters them as one sparse matrix.
+``_ring_laplacian`` (behind ``residual_values`` and ``inf_laplacian_values``)
+reduces the (K, N) arm block that ``_ring_arms`` gathers through the
+C-contiguous ``ring_index.T``, and whose transpose is ``ring_arm_values``;
+``_add_upwind_drift`` (behind ``residual_values`` and ``drift_values``) works
+one axis column at a time.  ``frozen_matrices`` assembles the same ring and
+upwind coefficients, with the max and min arms frozen, as the sparse matrices
+that every solver factors; the ghost closure enters them as one sparse matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .geometry import Grid
 __all__ = [
     "OperatorError", "ZeroVector", "ScalarField", "VectorField", "SteadyProblem",
     "gradient_projector", "ring_arm_values", "inf_laplacian_values", "drift_values",
-    "residual_values", "frozen_matrices", "apply_operator", "inf_laplacian", "drift_term",
+    "residual_values", "frozen_matrices", "apply_operator",
 ]
 
 
@@ -204,13 +203,3 @@ def apply_operator(problem: SteadyProblem, u: ScalarField) -> ScalarField:
         u.values,
     )
     return ScalarField(problem.grid, res)
-
-
-def inf_laplacian(grid: Grid, u: ScalarField, node: int) -> float:
-    """Ring-scheme value at a single node."""
-    return float(inf_laplacian_values(grid, u.values)[node])
-
-
-def drift_term(grid: Grid, u: ScalarField, b: VectorField, node: int) -> float:
-    """Upwind drift value at a single node."""
-    return float(drift_values(grid, b.values, u.values)[node])

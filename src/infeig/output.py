@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from itertools import repeat
 
 
 def fmt(x) -> str:
@@ -67,9 +68,9 @@ def write_run_meta(out_dir: str, subcommand: str, raw_config: dict) -> None:
     write_json(os.path.join(out_dir, "run_meta.json"), meta)
 
 
-def field_rows(grid, values, column: str):
-    """CSV rows (index, x, y, <column>) for a nodal field; y = 0 in 1D."""
-    for i in range(grid.n_active):
-        x = float(grid.nodes[i, 0])
-        y = float(grid.nodes[i, 1]) if grid.dim == 2 else 0.0
-        yield i, x, y, float(values[i])
+def node_rows(grid, column):
+    """CSV rows (index, x, y, column[index]) over the active nodes of a grid,
+    with y = 0 in 1D; ``column`` holds one value per node (a field's values,
+    or the node class names)."""
+    y = grid.nodes[:, 1] if grid.dim == 2 else repeat(0.0)
+    return zip(range(grid.n_active), grid.nodes[:, 0], y, column)

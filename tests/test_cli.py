@@ -205,6 +205,14 @@ class TestSubcommands:
             argv = [sub, "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]
             assert main(argv) == 2, (sub, setting)
 
+    def test_oversized_grid_exit_2(self, tmp_path, capsys):
+        # the lattice box is sized before it is built: no hang, no MemoryError
+        cfg = _write(tmp_path, "rect.cfg", "domain.type = rectangle\ndomain.lo = -1,-1\ncoeff.c = -1\n")
+        for sub, h in (("solve", "1e-300"), ("eigen", "1e-6")):
+            argv = [sub, "--config", cfg, "--out", str(tmp_path / "o"), "--set", f"grid.h={h}"]
+            assert main(argv) == 2, h
+            assert "points; at most" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["eigen", "--out", str(tmp_path)]) == 2
         assert main(["eigen", "--config", str(tmp_path / "nope.cfg")]) == 2

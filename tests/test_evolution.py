@@ -175,6 +175,21 @@ class TestDecayBound:
             check_decay_bound(trace, ones, 1.0, ScalarField.constant(interval16, 1.0))
 
 
+    def test_rate_and_weight_must_match_the_trace(self, interval16):
+        prob = _problem(interval16, -1.0)
+        ones = ScalarField.constant(interval16, 1.0)
+        h0 = ScalarField.constant(interval16, 2.0)
+        trace = run_evolution(h0, prob, 1.0, weight=ones, rate=1.0)
+        assert trace.rate == 1.0 and trace.weight is ones
+        # a smaller rate would pass the ratio bound unnoticed
+        with pytest.raises(ValueError, match="rate"):
+            check_decay_bound(trace, ones, 0.5, h0, tol=1e-8)
+        with pytest.raises(ValueError, match="weight"):
+            check_decay_bound(trace, ScalarField.constant(interval16, 2.0), 1.0, h0, tol=1e-8)
+        same = ScalarField.constant(interval16, 1.0)  # equal values, another object
+        assert check_decay_bound(trace, same, 1.0, h0, tol=1e-8).passed
+
+
 class TestRateMatchesEigenvalue:
     def test_neutral_at_the_eigenvalue(self, sign_changing_setup):
         # evolving at lam = lam_bar_h neither grows nor decays: the fitted

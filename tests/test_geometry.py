@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,23 +7,22 @@ import pytest
 
 from infeig.geometry import (
     BOUNDARY,
+    CLASS_NAMES,
     INTERIOR,
     Annulus,
     Disk,
     DomainTooCoarse,
     Interval,
     InvalidParams,
-    NotBoundaryNode,
     Rectangle,
     build_grid,
     distance_field,
     grid_metadata,
     injection_index,
     interpolation_weights,
-    node_rows,
-    outward_normal,
 )
 from infeig.geometry import _bilinear, _lookup
+from infeig.output import node_rows
 
 
 def _lattice_map(grid):
@@ -36,8 +36,6 @@ def test_interval_example():
     assert np.allclose(grid.nodes.ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert grid.node_class[0] == BOUNDARY and grid.node_class[-1] == BOUNDARY
     assert np.all(grid.node_class[1:-1] == INTERIOR)
-    assert outward_normal(grid, 0)[0] == -1.0
-    assert outward_normal(grid, 4)[0] == 1.0
 
 
 def test_disk_example_interior_set():
@@ -100,30 +98,6 @@ def test_distance_field_contracts():
         assert np.all(gap <= grid.ring_lengths[k] + 1e-12)
 
 
-def test_outward_normals():
-    gd = build_grid(Disk((0.0, 0.0), 1.0), 0.25, 1)
-    for i in np.flatnonzero(gd.node_class == BOUNDARY):
-        n = outward_normal(gd, i)
-        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
-        radial = gd.nodes[i] / np.linalg.norm(gd.nodes[i])
-        assert np.dot(n, radial) == pytest.approx(1.0, abs=1e-12)
-
-    ga = build_grid(Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 1)
-    radii = np.linalg.norm(ga.nodes, axis=1)
-    inner = np.flatnonzero((ga.node_class == BOUNDARY) & (radii < 0.5))
-    assert inner.size > 0
-    for i in inner:
-        n = outward_normal(ga, i)
-        radial = ga.nodes[i] / radii[i]
-        assert np.dot(n, radial) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_outward_normal_rejects_interior():
-    grid = build_grid(Interval(0.0, 1.0), 0.25, 1)
-    with pytest.raises(NotBoundaryNode):
-        outward_normal(grid, 2)
-
-
 def test_classification_stable_under_refinement():
     for domain in (Disk((0.0, 0.0), 1.0), Annulus((0.0, 0.0), 0.25, 1.0)):
         coarse = build_grid(domain, 0.125, 1)
@@ -132,20 +106,6 @@ def test_classification_stable_under_refinement():
         for key, i in _lattice_map(coarse).items():
             if coarse.node_class[i] == INTERIOR:
                 assert tuple(2 * k for k in key) in fine_lookup
-
-
-def test_exterior_sphere_proxy():
-    for domain in (Disk((0.0, 0.0), 1.0), Annulus((0.0, 0.0), 0.25, 1.0)):
-        grid = build_grid(domain, 0.0625, 1)
-        boundary = np.flatnonzero(grid.node_class == BOUNDARY)
-        for i in boundary[::3]:
-            x = grid.nodes[i]
-            n = grid.normals[i]
-            r = domain.exterior_sphere_radius(x)
-            gaps = grid.nodes - x
-            lhs = gaps @ n
-            rhs = np.sum(gaps**2, axis=1) / (2.0 * r) + grid.h
-            assert np.all(lhs <= rhs + 1e-12)
 
 
 def test_stencil_symmetry_and_pair_lengths():
@@ -217,6 +177,32 @@ def test_build_errors():
             bad()
 
 
+@pytest.mark.parametrize("domain, h", [
+    (Rectangle((-1.0, -1.0), (1.0, 1.0)), 1e-300),
+    (Disk((0.0, 0.0), 1.0), 1e-6),
+    (Annulus((0.0, 0.0), 0.25, 1.0), 1e-310),  # subnormal: lo / h overflows
+])
+def test_lattice_box_size_guard(domain, h):
+    # the box size is predicted in floating point, before any array is built
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match="points; at most"):
+                build_grid(domain, h, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_lattice_box_size_guard_admits_fine_grids():
+    # the finest documented grids build: a unit disk at h = 1/128 and an
+    # interval at h = 1/4096
+    assert build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 128.0, 3).n_active > 50_000
+    assert build_grid(Interval(-1.0, 1.0), 1.0 / 4096.0, 1).n_active == 8193
+
+
 @pytest.mark.parametrize("domain", [
     Interval(-0.5, 1.0),
     Disk((0.3, -0.1), 0.8),
@@ -232,20 +218,17 @@ def test_domain_methods_take_point_arrays(domain):
     pts = np.vstack([rng.uniform(lo - pad, hi + pad, (500, domain.dim)), domain.center()])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for method in (domain.reflect, domain.boundary_normal, domain.exterior_sphere_radius):
+        for method in (domain.signed_distance, domain.reflect):
             batch = method(pts)
             rows = np.array([method(p) for p in pts])
             assert batch.shape == rows.shape and batch.dtype == rows.dtype
             assert batch.tobytes() == rows.tobytes(), method.__name__
 
 
-def test_rectangle_corner_normals_averaged():
+def test_rectangle_grid_flags_corners():
     grid = build_grid(Rectangle((0.0, 0.0), (1.0, 1.0)), 0.125, 1)
-    corner = int(np.argmin(np.linalg.norm(grid.nodes - np.array([0.0, 0.0]), axis=1)))
-    n = grid.normals[corner]
-    assert np.allclose(n, [-math.sqrt(0.5), -math.sqrt(0.5)])
-    meta = grid_metadata(grid)
-    assert meta["flags"]  # corner smoothness flag present
+    assert grid_metadata(grid)["flags"] == ["rectangle-corners-violate-smoothness"]
+    assert grid_metadata(build_grid(Disk((0.0, 0.0), 1.0), 0.125, 1))["flags"] == []
 
 
 def test_metadata_and_rows():
@@ -255,9 +238,12 @@ def test_metadata_and_rows():
     assert meta["h"] == 0.25
     counts = meta["counts"]
     assert counts["interior"] + counts["boundary"] == grid.n_active
-    rows = list(node_rows(grid))
+    rows = list(node_rows(grid, CLASS_NAMES[grid.node_class]))
     assert len(rows) == grid.n_active
     assert rows[0][3] in ("interior", "boundary")
+    assert [r[0] for r in rows] == list(range(grid.n_active))
+    line = list(node_rows(build_grid(Interval(0.0, 1.0), 0.25, 1), [5.0, 6.0, 7.0, 8.0, 9.0]))
+    assert line[1] == (1, 0.25, 0.0, 6.0)
 
 
 def test_deterministic_build():
