@@ -138,6 +138,16 @@ class TestEstimate:
         assert est.lambda_lo == pytest.approx(0.7320924745463696, abs=1e-12)
         assert est.lambda_hi == pytest.approx(0.7321334382943563, abs=1e-12)
 
+    def test_readme_h64_rms_merit(self, cfg):
+        # the RMS merit and lean SuperLU settings take 55 factorizations here
+        # (73 with the sup merit); the bracket moves only by rounding
+        run = load_config(parse_config_text(README_DISK.replace("0.0625", "0.015625")))
+        grid = run.build_grid()
+        est = estimate_principal_eigenvalue(grid, VectorField.zero(grid), run.scalar_field(grid, run.c), cfg)
+        assert est.factorizations <= 65
+        assert est.lambda_lo == pytest.approx(0.7407093746392586, abs=1e-10)
+        assert est.lambda_hi == pytest.approx(0.7407385072581616, abs=1e-10)
+
     def test_bad_bisect_tol(self, interval16, cfg):
         # a NaN width target would pass the bracket of x = 1 with no solve
         for estimate in (estimate_principal_eigenvalue, bisection_eigenvalue_reference):

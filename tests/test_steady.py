@@ -423,6 +423,21 @@ class TestSolveGeneralRhs:
         assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
         assert len(splu_sizes) <= 45
 
+    def test_readme_h32_count_survives_factor_rounding(self, cfg, splu_sizes, monkeypatch):
+        # SciPy's default SuperLU settings change the factor only in its last
+        # bits; under the RMS merit the count moves by at most 4 (32 against
+        # 30), where under the sup merit it moved from 36 to 47
+        grid = build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 32.0, 2)
+        prob = _problem(grid, _readme_c(grid), -1.0)
+        counts = []
+        for superlu in (steady._SUPERLU, {}):
+            monkeypatch.setattr(steady, "_SUPERLU", superlu)
+            splu_sizes.clear()
+            u = solve_general_rhs(prob, cfg)
+            assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
+            counts.append(len(splu_sizes))
+        assert abs(counts[0] - counts[1]) <= 4
+
     def test_nonpositive_rhs_runs_one_pass(self, disk16s2, splu_sizes):
         # for g <= 0 the barrier pass returns 0 without a factorization, so
         # solve_general_rhs is the plain sequence from 0, field and cost alike
