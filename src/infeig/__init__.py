@@ -4,7 +4,7 @@ steady solvers, the principal-eigenvalue estimator, and the evolution stepper
 with its decay check."""
 
 from .errors import InfeigError
-from .geometry import Annulus, Disk, Grid, Interval, Rectangle, build_grid, distance_field
+from .geometry import Annulus, Disk, Grid, Interval, Rectangle, build_grid
 from .operators import (
     ScalarField,
     SteadyProblem,
@@ -28,26 +28,23 @@ from .evolution import EvolutionTrace, check_decay_bound, cfl_bound, run_evoluti
 from .oracles import (
     SignChangingParams,
     dense_residual_reference,
-    extract_eigenfunction,
     lipschitz_constant,
     positive_bump_bound,
-    radial_second_difference,
     sign_changing_coefficient,
 )
 
 __all__ = [
     "InfeigError",
     "Interval", "Disk", "Annulus", "Rectangle", "Grid",
-    "build_grid", "distance_field",
+    "build_grid",
     "ScalarField", "VectorField", "SteadyProblem",
     "gradient_projector", "apply_operator",
     "SolverConfig", "IterationOutcome",
     "solve_coercive", "monotone_iteration", "solve_general_rhs",
     "EigenEstimate", "estimate_principal_eigenvalue", "check_maximum_principle",
     "EvolutionTrace", "step_explicit", "run_evolution", "check_decay_bound", "cfl_bound",
-    "radial_second_difference", "positive_bump_bound", "SignChangingParams",
+    "positive_bump_bound", "SignChangingParams",
     "sign_changing_coefficient", "lipschitz_constant", "dense_residual_reference",
-    "extract_eigenfunction",
 ]
 
 __version__ = "0.1.0"

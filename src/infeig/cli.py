@@ -79,7 +79,7 @@ def _cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
         h0, problem, cfg.evolve_T, output_interval=cfg.output_interval,
         weight=est.eigenfunction, rate=rate,
     )
-    decay = check_decay_bound(trace, est.eigenfunction, rate, h0, tol=1e-2)
+    decay = check_decay_bound(trace, tol=1e-2)
     _emit_grid(out_dir, grid)
     write_csv(
         os.path.join(out_dir, "trace.csv"),

@@ -195,27 +195,26 @@ def check_maximum_principle(
     seeds: list,
     t_max: float = 500.0,
     decay_threshold: float = 1e-6,
-    blowup_threshold: float | None = None,
+    blowup_threshold: float = 1e6,
     *,
     lambda_bar: float,
 ) -> MaxPrincipleReport:
     """Evolve each seed under h_t = lap(h) + b.Dh + (c + lam) h.
 
     A seed that decays below decay_threshold supports the maximum principle
-    at this lam; a seed that grows past the blowup threshold (1e6 when None)
-    refutes it.  Seeds must pass ``check_seeds``.  ``lambda_bar``, estimated
-    by the caller, is carried into the report for comparison with lam.
+    at this lam; a seed that grows past blowup_threshold refutes it.  Seeds
+    must pass ``check_seeds``.  ``lambda_bar``, estimated by the caller, is
+    carried into the report for comparison with lam.
     """
     from .evolution import evolve_until  # local import to avoid a cycle
 
-    blowup = blowup_threshold if blowup_threshold is not None else 1e6
-    check_seeds(seeds, decay_threshold, blowup)
+    check_seeds(seeds, decay_threshold, blowup_threshold)
 
     problem = SteadyProblem(grid, b, c, ScalarField.constant(grid, 0.0), lam)
     verdicts = []
     for i, seed in enumerate(seeds):
         t, sup, outcome = evolve_until(
-            seed, problem, t_max, stop_below=decay_threshold, stop_above=blowup
+            seed, problem, t_max, stop_below=decay_threshold, stop_above=blowup_threshold
         )
         if outcome == "decayed":
             verdicts.append(SeedVerdict(i, True, t, sup))

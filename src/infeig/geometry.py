@@ -520,14 +520,6 @@ def interpolation_weights(coarse: Grid, fine: Grid) -> tuple:
     return _bilinear(_lattice_points(coarse), 0.5 * _lattice_points(fine))
 
 
-def distance_field(grid: Grid):
-    """Distance to the boundary as a ScalarField, zero on the boundary band."""
-    from .fields import ScalarField
-
-    sdf = grid.domain.signed_distance(grid.nodes)
-    return ScalarField(grid, np.maximum(0.0, -sdf))
-
-
 def grid_metadata(grid: Grid) -> dict:
     """JSON-ready description: domain, spacing, per-class node counts."""
     flags = []

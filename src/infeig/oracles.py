@@ -1,9 +1,6 @@
-"""Independent reference computations used to cross-check the solvers.
+"""Independent reference computations used to cross-check the solvers.  The
+last two are the oracles that the fast paths are tested against.
 
-* ``radial_second_difference``: for radial profiles the normalized
-  infinity-Laplacian reduces to the plain second derivative of the profile,
-  so centered second differences of 1D samples serve as the reference for 2D
-  radial fields.
 * ``positive_bump_bound`` and ``sign_changing_coefficient``: the radial
   piecewise coefficient that is negative in an outer shell yet positive on an
   inner ball small enough that the principal eigenvalue stays positive.  The
@@ -15,8 +12,6 @@
 * ``bisection_eigenvalue_reference``: the principal eigenvalue by bisection
   on the monotone iteration's convergence/blowup dichotomy, an argument
   independent of the power iteration in ``eigen``.
-* ``extract_eigenfunction``: the normalized g = -1 solution at a probe just
-  below lam_bar_h, the eigenfunction of the bisection argument.
 """
 
 from __future__ import annotations
@@ -26,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import BracketFailure, EigenError, EigenEstimate
+from .eigen import BracketFailure, EigenEstimate
 from .errors import InfeigError
 from .geometry import Disk, Grid
 from .operators import ScalarField, SteadyProblem, VectorField, residual_values
-from .steady import IterationOutcome, SolverConfig, monotone_iteration
+from .steady import SolverConfig, monotone_iteration
 
 
 class OracleError(InfeigError):
@@ -39,23 +34,6 @@ class OracleError(InfeigError):
 
 class InvalidParams(OracleError):
     pass
-
-
-class ProbeDiverged(EigenError):
-    pass
-
-
-def radial_second_difference(phi_samples: np.ndarray, spacing: float) -> np.ndarray:
-    """Centered second differences of uniformly spaced radial profile samples.
-
-    Returns values at the interior samples (length n - 2).
-    """
-    phi = np.asarray(phi_samples, dtype=float)
-    if phi.ndim != 1 or phi.size < 3:
-        raise InvalidParams("need a 1D profile with at least 3 samples")
-    if spacing <= 0:
-        raise InvalidParams("spacing must be positive")
-    return (phi[2:] + phi[:-2] - 2.0 * phi[1:-1]) / spacing**2
 
 
 @dataclass(frozen=True)
@@ -265,35 +243,34 @@ def bisection_eigenvalue_reference(
 
     history: list = []
     flags: list = []
-    converged_fields: dict = {}
-    sweeps = []
+    factorizations = 0
+    u_lo = None  # field of the latest converged probe, always the lower end's
 
-    def probe(lam: float) -> IterationOutcome:
+    def probe(lam: float) -> bool:
+        nonlocal factorizations, u_lo
         out = monotone_iteration(grid, b, c, lam, g, cfg)
-        sweeps.append(out.sweeps)
-        rec = ProbeRecord(lam, out.converged, list(out.flags))
-        history.append(rec)
+        factorizations += out.sweeps
+        history.append(ProbeRecord(lam, out.converged, list(out.flags)))
         if "inconclusive" in out.flags:
             flags.append(f"inconclusive-probe at {lam!r}")
         if out.converged:
-            converged_fields[lam] = out.u
-        return out
+            u_lo = out.u
+        return out.converged
 
-    if not probe(lo).converged:
+    if not probe(lo):
         raise BracketFailure(f"lower bracket endpoint {lo} did not converge")
-    if probe(hi).converged:
+    if probe(hi):
         raise BracketFailure(f"upper bracket endpoint {hi} converged")
 
     steps = 0
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
-        if probe(mid).converged:
+        if probe(mid):
             lo = mid
         else:
             hi = mid
         steps += 1
 
-    u_lo = converged_fields[lo]
     phi_values = u_lo.values / float(np.max(np.abs(u_lo.values)))
     phi = ScalarField(grid, phi_values)
     if float(np.min(phi_values)) <= 0.0:
@@ -312,25 +289,8 @@ def bisection_eigenvalue_reference(
         eigenfunction=phi,
         eigen_residual=eigen_residual,
         bisection_steps=steps,
-        factorizations=sum(sweeps),
+        factorizations=factorizations,
         history=history,
         flags=flags,
         certificate="bisection",
     )
-
-
-def extract_eigenfunction(
-    grid: Grid,
-    b: VectorField,
-    c: ScalarField,
-    lam_probe: float,
-    cfg: SolverConfig,
-) -> ScalarField:
-    """Normalized solution of the g = -1 problem at lam_probe < lam_bar_h."""
-    out = monotone_iteration(grid, b, c, lam_probe, ScalarField.constant(grid, -1.0), cfg)
-    if not out.converged:
-        raise ProbeDiverged(
-            f"monotone iteration diverged at lam = {lam_probe}; probe below lam_bar_h"
-        )
-    values = out.u.values
-    return ScalarField(grid, values / float(np.max(np.abs(values))))

@@ -282,7 +282,7 @@ def _evolution_decay():
         ScalarField.constant(grid, 2.0), prob, 5.0, dt=1e-4, weight=ones, rate=1.0
     )
     rel = abs(trace.sup_norm[-1] - 2.0 * np.exp(-5.0)) / (2.0 * np.exp(-5.0))
-    decay = check_decay_bound(trace, ones, 1.0, ScalarField.constant(grid, 2.0), tol=1e-8)
+    decay = check_decay_bound(trace, tol=1e-8)
     return max(rel - 1e-3, decay.slack - 1e-8)
 
 

@@ -293,7 +293,7 @@ def test_criterion_7_evolution_decay(cfg, sign_changing_setup):
     trace = run_evolution(h0, prob, 5.0, output_interval=0.05, weight=ones, rate=1.0)
     exact = 2.0 * np.exp(-5.0)
     rel = abs(trace.sup_norm[-1] - exact) / exact
-    const_decay = check_decay_bound(trace, ones, 1.0, h0, tol=1e-8)
+    const_decay = check_decay_bound(trace, tol=1e-8)
     rate_ok = abs(trace.fitted_rate + 1.0) <= 0.02
 
     dgrid = sign_changing_setup["grid"]
@@ -307,7 +307,7 @@ def test_criterion_7_evolution_decay(cfg, sign_changing_setup):
     )
     T = 20.0 / lam_bar
     dtrace = run_evolution(bump, dprob, T, output_interval=T / 400.0, weight=phi, rate=lam_bar)
-    ddecay = check_decay_bound(dtrace, phi, lam_bar, bump, tol=1e-2)
+    ddecay = check_decay_bound(dtrace, tol=1e-2)
     fitted_ok = dtrace.fitted_rate <= -0.9 * lam_bar
 
     elapsed = time.perf_counter() - start

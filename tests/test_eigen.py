@@ -13,12 +13,7 @@ from infeig.eigen import (
 )
 from infeig.geometry import Disk, Interval, build_grid
 from infeig.operators import ScalarField, VectorField
-from infeig.oracles import (
-    ProbeDiverged,
-    bisection_eigenvalue_reference,
-    extract_eigenfunction,
-    sign_changing_coefficient,
-)
+from infeig.oracles import bisection_eigenvalue_reference, sign_changing_coefficient
 from infeig.steady import monotone_iteration
 
 README_DISK = """\
@@ -160,33 +155,6 @@ class TestEstimate:
 
 
 class TestExtractEigenfunction:
-    def test_constant_case(self, interval16, cfg):
-        phi = extract_eigenfunction(
-            interval16, VectorField.zero(interval16), ScalarField.constant(interval16, -1.0),
-            1.0 - 1e-3, cfg,
-        )
-        assert np.abs(phi.values - 1.0).max() <= 1e-6
-        assert phi.sup_norm == 1.0
-
-    def test_shift_invariance_of_eigenfunction(self, interval16, cfg):
-        x = interval16.nodes[:, 0]
-        c = ScalarField(interval16, -1.0 + 0.3 * np.sin(2.0 * x))
-        b = VectorField.zero(interval16)
-        est = estimate_principal_eigenvalue(interval16, b, c, cfg)
-        probe = est.lambda_bar - 1e-3
-        phi1 = extract_eigenfunction(interval16, b, c, probe, cfg)
-        phi2 = extract_eigenfunction(
-            interval16, b, ScalarField(interval16, c.values - 5.0), probe + 5.0, cfg
-        )
-        assert np.abs(phi1.values - phi2.values).max() <= 2.0 * max(cfg.tol, 1e-7)
-
-    def test_diverged_probe_raises(self, interval16, cfg):
-        with pytest.raises(ProbeDiverged):
-            extract_eigenfunction(
-                interval16, VectorField.zero(interval16),
-                ScalarField.constant(interval16, 0.0), 0.5, cfg,
-            )
-
     def test_sign_changing_case(self, sign_changing_setup):
         est = sign_changing_setup["estimate"]
         phi = est.eigenfunction

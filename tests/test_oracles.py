@@ -11,38 +11,9 @@ from infeig.oracles import (
     dense_residual_reference,
     lipschitz_constant,
     positive_bump_bound,
-    radial_second_difference,
     sign_changing_coefficient,
 )
 from infeig.steady import SolverConfig, solve_coercive
-
-
-class TestRadialReference:
-    def test_quadratic(self):
-        r = np.linspace(0.0, 1.0, 21)
-        out = radial_second_difference(r**2, r[1] - r[0])
-        assert np.allclose(out, 2.0, atol=1e-10)
-
-    def test_linear(self):
-        r = np.linspace(0.0, 1.0, 21)
-        out = radial_second_difference(r, r[1] - r[0])
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_exponential_taylor_bound(self):
-        k = 3.0
-        dr = 0.01
-        r = np.arange(0.0, 1.0 + dr / 2, dr)
-        out = radial_second_difference(np.exp(-k * r), dr)
-        exact = k**2 * np.exp(-k * r[1:-1])
-        # centered second difference error <= (dr^2/12) max |phi''''|
-        bound = dr**2 / 12.0 * k**4
-        assert np.abs(out - exact).max() <= bound
-
-    def test_validation(self):
-        with pytest.raises(InvalidParams):
-            radial_second_difference(np.array([1.0, 2.0]), 0.1)
-        with pytest.raises(InvalidParams):
-            radial_second_difference(np.ones(5), -1.0)
 
 
 class TestBumpBound:

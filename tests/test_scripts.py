@@ -22,3 +22,24 @@ def test_script_help(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+
+# each script end to end at its smallest size; the refinement study needs
+# h = 1/16 at s = 2, since the annulus gap 0.75 is below 4 s h at h = 1/8
+SMALLEST_RUNS = {
+    "refinement_study.py": ["--resolutions", "16", "--s", "2"],
+    "sign_changing_eigen_study.py": ["--resolutions", "8:1,16:2"],
+    "decay_rate_study.py": ["--n", "8", "--s", "1", "--horizon", "1", "--shifts", "0.0"],
+}
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(script), *SMALLEST_RUNS[script.name]],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
