@@ -144,12 +144,12 @@ class RunConfig:
     evolve_T: float
     output_interval: float | None
     mp_lambda: float | None
-    mp_seeds: list = field(default_factory=list)
-    mp_t_max: float = 500.0
-    mp_blowup: float = 1e6
-    mp_decay_threshold: float = 1e-6
-    out_dir: str = "."
-    raw: dict = field(default_factory=dict, repr=False)
+    mp_seeds: list
+    mp_t_max: float
+    mp_blowup: float
+    mp_decay_threshold: float
+    out_dir: str
+    raw: dict = field(repr=False)
 
     def build_grid(self) -> Grid:
         return build_grid(self.domain, self.h, self.s)

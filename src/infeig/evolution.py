@@ -56,6 +56,13 @@ def cfl_bound(problem: SteadyProblem) -> float:
     return 1.0 / rate
 
 
+def _check_horizon(name: str, value: float) -> None:
+    """A time horizon or output interval must be finite and positive; step
+    counts are taken with int()."""
+    if not (0 < value < np.inf):  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _check_dt(dt: float, bound: float) -> None:
     if not dt > 0:  # NaN fails too
         raise CflViolation(f"dt must be positive, got {dt}")
@@ -126,8 +133,9 @@ def run_evolution(
     ratio max_x h(t, x) e^(rate t) / v(x) is recorded alongside, feeding
     ``check_decay_bound``.  Giving only one of them is a ValueError.
     """
-    if not T > 0:
-        raise ValueError("T must be positive")
+    _check_horizon("T", T)
+    if output_interval is not None:
+        _check_horizon("output_interval", output_interval)
     bound = cfl_bound(problem)
     if dt is None:
         dt = 0.9 * bound
@@ -179,6 +187,7 @@ def evolve_until(
     """March until sup |h| crosses a threshold; returns (t, sup, outcome)
     with outcome in {"decayed", "blew-up", "timeout"}.  The last step is
     clipped, so a timeout returns t == t_max."""
+    _check_horizon("t_max", t_max)
     t, u = 0.0, h0.values.copy()
     for k, (t, u, last) in enumerate(_euler_steps(u, problem, 0.9 * cfl_bound(problem), t_max), 1):
         if k % 16 == 0 or last:

@@ -9,7 +9,7 @@ import numpy as np
 
 @dataclass
 class ScalarField:
-    grid: "Grid"  # noqa: F821 - geometry imports this module, not the reverse
+    grid: "Grid"  # noqa: F821 - Grid is not imported; only operators imports this module
     values: np.ndarray
 
     def __post_init__(self):

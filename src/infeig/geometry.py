@@ -262,17 +262,10 @@ def _box(lo, hi) -> np.ndarray:
 
 def _ring_offsets(dim: int, s: int) -> np.ndarray:
     """Integer lattice offsets whose length is within half a cell of s, in
-    lexicographic order."""
+    lexicographic order.  The set is symmetric, so offset K-1-k is -offset k."""
     cand = _box([-s - 1] * dim, [s + 1] * dim)
     lengths = np.linalg.norm(cand, axis=1)
     return cand[np.abs(lengths - s) <= 0.5 + 1e-12]
-
-
-def _pair_table(offsets: np.ndarray) -> np.ndarray:
-    """Antipodal (forward, backward) pairs of ring offsets.  The offsets are
-    symmetric and in lexicographic order, so offset K-1-k is -offset k."""
-    k = np.arange(len(offsets) // 2)
-    return np.column_stack([k, len(offsets) - 1 - k])
 
 
 @dataclass
@@ -294,8 +287,7 @@ class Grid:
     s: int
     nodes: np.ndarray          # (N, dim)
     node_class: np.ndarray     # (N,) INTERIOR/BOUNDARY
-    ring_offsets: np.ndarray   # (K, dim) physical offsets
-    ring_pairs: np.ndarray     # (K//2, 2) indices into ring_offsets
+    ring_offsets: np.ndarray   # (K, dim) physical offsets; offset K-1-k is -offset k
     ring_index: np.ndarray     # (N, K) extended indices
     axis_plus: np.ndarray      # (N, dim) extended indices
     axis_minus: np.ndarray     # (N, dim) extended indices
@@ -397,7 +389,6 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         )
 
     offsets = _ring_offsets(dim, s)
-    pairs = _pair_table(offsets)
 
     # Stencil steps in column order: ring arms, then axis plus/minus.  The
     # lattice box is padded by s + 2, so every target of an active node lies
@@ -440,7 +431,6 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         nodes=nodes,
         node_class=act_class,
         ring_offsets=offsets * h,
-        ring_pairs=pairs,
         ring_index=ring_index,
         axis_plus=axis_plus,
         axis_minus=axis_minus,

@@ -40,8 +40,8 @@ class InvalidParams(OracleError):
 class SignChangingParams:
     """Radial piecewise coefficient on a disk of radius ``outer_radius``:
     ``+bump_height`` on the inner ball of radius ``bump_radius``,
-    ``-well_depth`` beyond it (the outer band of width ``band_width`` only
-    needs a negative value; it defaults to the same well depth).
+    ``-well_depth`` beyond it.  ``band_width`` is the ball's least clearance
+    from the boundary: bump_radius < outer_radius - band_width.
     ``rate`` is the exponential rate of the supersolution construction behind
     ``positive_bump_bound``."""
 
@@ -51,7 +51,6 @@ class SignChangingParams:
     well_depth: float
     bump_height: float
     rate: float
-    outer_value: float | None = None  # defaults to -well_depth
 
     def __post_init__(self):
         if not (
@@ -62,8 +61,6 @@ class SignChangingParams:
             raise InvalidParams("need 0 < bump_radius < outer_radius - band_width")
         if self.well_depth <= 0 or self.bump_height <= 0 or self.rate <= 0:
             raise InvalidParams("well_depth, bump_height and rate must be positive")
-        if self.outer_value is not None and self.outer_value >= 0:
-            raise InvalidParams("outer band value must be negative")
 
 
 def positive_bump_bound(
@@ -94,12 +91,7 @@ def sign_changing_coefficient(params: SignChangingParams, grid: Grid) -> ScalarF
         raise InvalidParams("grid disk radius does not match params.outer_radius")
     center = grid.domain.center()
     r = np.linalg.norm(grid.nodes - center, axis=1)
-    outer_value = -params.well_depth if params.outer_value is None else params.outer_value
-    values = np.where(
-        r <= params.bump_radius,
-        params.bump_height,
-        np.where(r <= params.outer_radius - params.band_width, -params.well_depth, outer_value),
-    )
+    values = np.where(r <= params.bump_radius, params.bump_height, -params.well_depth)
     return ScalarField(grid, values)
 
 

@@ -40,9 +40,9 @@
   whose boundedness/blowup dichotomy separates lam < lam_bar from
   lam >= lam_bar.  ``solve_general_rhs`` runs the same sequence for a
   general g, starting from minus the solution for -g^+ (0 when g <= 0); both
-  are the one private loop ``_shifted_iteration``.  The recorded sequence is
-  the plain one; its only side channel is a frozen-policy solve of the
-  lam-problem at the resolvent's arms after each step, the same
+  are the one private loop ``_shifted_iteration``.  The sequence is the plain
+  one; its only side channel is a frozen-policy solve of the lam-problem at
+  the resolvent's arms after each step, the same
   ``operators.frozen_matrices`` map at zero order c + lam, accepted once its
   lam-residual passes the certificate and its sup stays below the blowup
   threshold.  Near the eigenvalue the iterates grow like 1/(lam_bar - lam)
@@ -52,7 +52,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -98,8 +98,6 @@ class SolverConfig:
     max_sweeps: int = 400
     max_outer: int = 120
     blowup_threshold: float | None = None  # None: 1e6 * (1 + |g|_inf)
-    extrapolate: bool = True  # try the frozen-policy candidate each outer step
-    record_fields: bool = False
 
     def __post_init__(self):
         if not (0 < self.tol < np.inf and 0 <= self.rel_tol < np.inf):  # NaN fails too
@@ -120,9 +118,7 @@ class IterationOutcome:
     sweeps: int  # factorizations of the pass: the resolvent's and the candidate's
     residual: float | None
     sup_norm: float
-    sup_history: list = field(default_factory=list)
-    flags: list = field(default_factory=list)
-    fields_history: list | None = None
+    flags: list
 
 
 _SWITCH_GAP = 1e-14  # an arm switches only when it beats the current one by more; nearly tied arms cycle
@@ -151,10 +147,8 @@ def _start_arms(grid: Grid, u: np.ndarray) -> tuple:
     w = ring_arm_values(grid, u)
     sel_max = np.argmax(w, axis=1)
     sel_min = np.argmin(w, axis=1)
-    antipode = np.empty(grid.ring_pairs.size, dtype=np.int64)
-    antipode[grid.ring_pairs] = grid.ring_pairs[:, ::-1]
     tied = sel_max == sel_min
-    sel_min[tied] = antipode[sel_max[tied]]
+    sel_min[tied] = w.shape[1] - 1 - sel_max[tied]  # offset K-1-k is -offset k
     return sel_max, sel_min
 
 
@@ -332,8 +326,7 @@ def _shifted_iteration(
         )
 
     u = start
-    sup_history = [float(np.max(np.abs(u)))]
-    fields = [ScalarField(grid, u.copy())] if cfg.record_fields else None
+    last_sup = float(np.max(np.abs(u)))
     sweeps = 0
     flags: list = []
     doubling_streak = 0
@@ -343,21 +336,16 @@ def _shifted_iteration(
         u_next, factorizations = system.solve(rhs, initial=u)
         sweeps += factorizations
         sup = float(np.max(np.abs(u_next)))
-        sup_history.append(sup)
-        if fields is not None:
-            fields.append(ScalarField(grid, u_next.copy()))
 
         r = lam_residual(u_next)
         cert = _certificate(r, sup, cfg)
         if cert is not None:
             if cert == "rel":
                 flags.append("rel-certified")
-            return IterationOutcome(
-                True, ScalarField(grid, u_next), n, sweeps, r, sup, sup_history, flags, fields
-            )
+            return IterationOutcome(True, ScalarField(grid, u_next), n, sweeps, r, sup, flags)
 
         arms = np.concatenate(system._arms)
-        if cfg.extrapolate and (tried_arms is None or not np.array_equal(arms, tried_arms)):
+        if tried_arms is None or not np.array_equal(arms, tried_arms):
             tried_arms = arms
             sweeps += 1
             try:
@@ -373,25 +361,21 @@ def _shifted_iteration(
                     flags.append("extrapolated")
                     if cert == "rel":
                         flags.append("rel-certified")
-                    return IterationOutcome(
-                        True, ScalarField(grid, d), n, sweeps, rc, sc, sup_history, flags, fields
-                    )
+                    return IterationOutcome(True, ScalarField(grid, d), n, sweeps, rc, sc, flags)
 
         if sup >= blowup:
-            return IterationOutcome(False, None, n, sweeps, None, sup, sup_history, flags, fields)
-        if sup >= 2.0 * sup_history[-2] and sup_history[-2] > 0:
+            return IterationOutcome(False, None, n, sweeps, None, sup, flags)
+        if sup >= 2.0 * last_sup and last_sup > 0:
             doubling_streak += 1
             if doubling_streak >= 10:
                 flags.append("doubling")
-                return IterationOutcome(False, None, n, sweeps, None, sup, sup_history, flags, fields)
+                return IterationOutcome(False, None, n, sweeps, None, sup, flags)
         else:
             doubling_streak = 0
-        u = u_next
+        u, last_sup = u_next, sup
 
     flags.append("inconclusive")
-    return IterationOutcome(
-        False, None, cfg.max_outer, sweeps, None, float(np.max(np.abs(u))), sup_history, flags, fields
-    )
+    return IterationOutcome(False, None, cfg.max_outer, sweeps, None, last_sup, flags)
 
 
 def monotone_iteration(
@@ -415,8 +399,7 @@ def monotone_iteration(
     u = np.zeros(grid.n_active)
     r0 = float(np.max(np.abs(residual_values(grid, b.values, c.values, g.values, lam, u))))
     if _certificate(r0, 0.0, cfg) is not None:  # g identically zero
-        fields = [ScalarField(grid, u.copy())] if cfg.record_fields else None
-        return IterationOutcome(True, ScalarField(grid, u), 0, 0, r0, 0.0, [0.0], [], fields)
+        return IterationOutcome(True, ScalarField(grid, u), 0, 0, r0, 0.0, [])
     return _shifted_iteration(grid, b, c, lam, g, cfg, u)
 
 

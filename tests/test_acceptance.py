@@ -26,7 +26,7 @@ from infeig.oracles import (
     positive_bump_bound,
     sign_changing_coefficient,
 )
-from infeig.steady import SolverConfig, monotone_iteration, solve_coercive
+from infeig.steady import monotone_iteration, solve_coercive
 
 BISECT_TOL = 1e-4
 
@@ -222,7 +222,7 @@ def test_criterion_5_operator_correctness(rng):
         assert flag, f"{name}: {d}"
 
 
-def test_criterion_6_solver_properties(cfg, rng):
+def test_criterion_6_solver_properties(cfg, rng, inductive_sequence):
     start = time.perf_counter()
     checks = []
 
@@ -237,16 +237,13 @@ def test_criterion_6_solver_properties(cfg, rng):
     gap = float(np.abs(ua.values - ub.values).max())
     checks.append(("uniqueness across initial guesses", gap <= 2.0 * cfg.tol, f"{gap:.1e}"))
 
-    mono_cfg = SolverConfig(record_fields=True, extrapolate=False, max_outer=60)
     g = ScalarField(grid, -np.exp(-4.0 * r**2))
-    out = monotone_iteration(
-        grid, VectorField.zero(grid), ScalarField.constant(grid, 0.0), -0.8, g, mono_cfg
-    )
-    seq_ok = out.converged and all(
-        np.all(b.values >= a.values - 1e-10)
-        for a, b in zip(out.fields_history, out.fields_history[1:])
-    )
-    checks.append(("monotone sequence nondecreasing", seq_ok, f"{out.outer_steps} steps"))
+    args = (grid, VectorField.zero(grid), ScalarField.constant(grid, 0.0), -0.8, g)
+    seq = inductive_sequence(*args, 60)
+    out = monotone_iteration(*args, cfg)
+    gap = float(np.abs(seq[-1] - out.u.values).max()) if out.converged else np.inf
+    seq_ok = gap <= 1e-6 and all(np.all(b >= a - 1e-10) for a, b in zip(seq, seq[1:]))
+    checks.append(("monotone sequence nondecreasing", seq_ok, f"60 steps, gap to solution {gap:.1e}"))
 
     g2 = ScalarField(grid, np.where(r < 0.3, -1.0, 0.0))
     out2 = monotone_iteration(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 from infeig import steady
 from infeig.cli import main
 from infeig.config import ConfigError, load_config, parse_config_text
+from infeig.steady import SolverConfig
 
 EIGEN_CFG = """
 # constant-coefficient eigenvalue
@@ -86,6 +88,18 @@ class TestConfigParsing:
         with pytest.raises(Exception) as err:
             load_config(parse_config_text("coeff.c = 2*(x+\n"))
         assert "byte" in str(err.value)
+
+    def test_every_solver_field_has_a_key(self):
+        # every solver.* key set away from its default changes every SolverConfig
+        # field, so the solver carries no switch that a run cannot set
+        overrides = ["solver.tol=1e-7", "solver.rel_tol=1e-9", "solver.max_sweeps=50",
+                     "solver.max_outer=30", "solver.blowup=1e5"]
+        keys = {k for k in parse_config_text("") if k.startswith("solver.")}
+        assert keys == {item.split("=")[0] for item in overrides}
+        default = load_config(parse_config_text("")).solver
+        solver = load_config(parse_config_text("", overrides=overrides)).solver
+        for f in dataclasses.fields(SolverConfig):
+            assert getattr(solver, f.name) != getattr(default, f.name), f.name
 
     def test_seed_list(self):
         cfg = load_config(parse_config_text("mpcheck.seeds = exp(-5*r^2) ; 1\n"))

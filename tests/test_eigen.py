@@ -153,8 +153,6 @@ class TestEstimate:
                         ScalarField.constant(interval16, 0.0), cfg, bisect_tol=bisect_tol,
                     )
 
-
-class TestExtractEigenfunction:
     def test_sign_changing_case(self, sign_changing_setup):
         est = sign_changing_setup["estimate"]
         phi = est.eigenfunction

@@ -252,3 +252,16 @@ class TestSharedStepper:
         for _ in range(12):
             u = step_explicit(u, prob, dt)
         assert np.array_equal(trace.final_state.values, u.values)
+
+    def test_horizons_finite_and_positive(self, interval16):
+        # int(T / dt) overflows at inf and fails at NaN, and a negative t_max
+        # would time out at t = 0 without a step
+        prob = _problem(interval16, -1.0)
+        h0 = ScalarField.constant(interval16, 1.0)
+        for bad in (np.inf, np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="T must be finite and positive"):
+                run_evolution(h0, prob, bad)
+            with pytest.raises(ValueError, match="t_max must be finite and positive"):
+                evolve_until(h0, prob, bad, stop_below=1e-6, stop_above=1e6)
+            with pytest.raises(ValueError, match="output_interval must be finite and positive"):
+                run_evolution(h0, prob, 1.0, output_interval=bad)

@@ -48,7 +48,9 @@ def test_disk_example_interior_set():
             assert abs(d) < 0.25
     origin = int(np.argmin(np.linalg.norm(grid.nodes, axis=1)))
     assert grid.node_class[origin] == INTERIOR
-    assert grid.ring_pairs.shape[0] >= 2
+    # at least two antipodal arm pairs: offset K-1-k is -offset k
+    assert len(grid.ring_offsets) >= 4
+    assert np.array_equal(grid.ring_offsets[::-1], -grid.ring_offsets)
 
 
 def test_annulus_ring_against_brute_force():
@@ -62,7 +64,9 @@ def test_annulus_ring_against_brute_force():
                 brute.add((i, j))
     got = {tuple(int(round(v / grid.h)) for v in off) for off in grid.ring_offsets}
     assert got == brute
-    assert grid.ring_pairs.shape[0] >= 4  # every node sees the same >= 4 pairs
+    # every node sees the same >= 4 antipodal pairs: offset K-1-k is -offset k
+    assert len(grid.ring_offsets) >= 8
+    assert np.array_equal(grid.ring_offsets[::-1], -grid.ring_offsets)
 
 
 def _distance(grid):
@@ -113,14 +117,16 @@ def test_classification_stable_under_refinement():
 
 
 def test_stencil_symmetry_and_pair_lengths():
-    grid = build_grid(Disk((0.0, 0.0), 1.0), 0.125, 2)
-    offs = {tuple(np.round(v / grid.h).astype(int)) for v in grid.ring_offsets}
-    assert offs == {tuple(-np.array(v)) for v in offs}
-    for a, b in grid.ring_pairs:
-        la = np.linalg.norm(grid.ring_offsets[a])
-        lb = np.linalg.norm(grid.ring_offsets[b])
-        assert abs(la - lb) <= 1e-12 * la
-        assert np.allclose(grid.ring_offsets[a], -grid.ring_offsets[b])
+    # steady._start_arms takes arm K-1-k as the antipode of arm k
+    cases = [(Interval(0.0, 1.0), 1.0 / 16.0, s) for s in (1, 2)]
+    cases += [(Disk((0.0, 0.0), 1.0), 0.125, s) for s in (1, 2, 3, 4)]
+    for domain, h, s in cases:
+        grid = build_grid(domain, h, s)
+        offs = grid.ring_offsets
+        assert len(offs) % 2 == 0 and len(offs) >= 2 * grid.dim
+        assert np.array_equal(offs[::-1], -offs)
+        lengths = np.linalg.norm(offs, axis=1)
+        assert np.all(np.abs(lengths - lengths[::-1]) <= 1e-12 * lengths)
 
 
 def test_ghost_weights_are_convex():

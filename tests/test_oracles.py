@@ -65,6 +65,9 @@ class TestSignChangingCoefficient:
         mid_r = 0.5 * (bump_params.bump_radius + 0.95)
         j = int(np.argmin(np.abs(np.linalg.norm(disk16s2.nodes, axis=1) - mid_r)))
         assert c.values[j] == -bump_params.well_depth
+        # the band within band_width of the boundary holds the same well depth
+        band = np.linalg.norm(disk16s2.nodes, axis=1) > 1.0 - bump_params.band_width
+        assert np.any(band) and np.all(c.values[band] == -bump_params.well_depth)
 
     def test_positive_fraction_matches_area(self, bump_params):
         grid = build_grid(Disk((0.0, 0.0), 1.0), 0.05, 1)
@@ -73,20 +76,9 @@ class TestSignChangingCoefficient:
         target = bump_params.bump_radius**2  # area ratio of the bump ball
         assert abs(frac / target - 1.0) <= 3.0 * grid.h / 1.0
 
-    def test_custom_outer_value(self, disk16s2, bump_params):
-        params = SignChangingParams(
-            outer_radius=1.0, bump_radius=0.2, band_width=0.05,
-            well_depth=1.0, bump_height=0.3, rate=5.0, outer_value=-0.25,
-        )
-        c = sign_changing_coefficient(params, disk16s2)
-        r = np.linalg.norm(disk16s2.nodes, axis=1)
-        assert np.all(c.values[r > 0.95] == -0.25)
-
     def test_validation(self, disk16s2, interval16):
         with pytest.raises(InvalidParams):
             SignChangingParams(1.0, 0.97, 0.05, 1.0, 0.3, 5.0)
-        with pytest.raises(InvalidParams):
-            SignChangingParams(1.0, 0.2, 0.05, 1.0, 0.3, 5.0, outer_value=0.5)
         params = SignChangingParams(1.0, 0.2, 0.05, 1.0, 0.3, 5.0)
         with pytest.raises(InvalidParams):
             sign_changing_coefficient(params, interval16)
