@@ -154,21 +154,13 @@ class RunConfig:
     def build_grid(self) -> Grid:
         return build_grid(self.domain, self.h, self.s)
 
-    def _node_env(self, grid: Grid):
-        x = grid.nodes[:, 0]
-        y = grid.nodes[:, 1] if grid.dim == 2 else np.zeros_like(x)
-        r = np.linalg.norm(grid.nodes - grid.domain.center(), axis=1)
-        return x, y, r
-
     def scalar_field(self, grid: Grid, ast: expr.ExprAst) -> ScalarField:
-        x, y, r = self._node_env(grid)
-        return ScalarField(grid, expr.evaluate_on_points(ast, x, y, r))
+        return ScalarField(grid, expr.evaluate_on_points(ast, *grid.node_variables))
 
     def drift_field(self, grid: Grid) -> VectorField:
-        x, y, r = self._node_env(grid)
-        cols = [expr.evaluate_on_points(self.bx, x, y, r)]
+        cols = [expr.evaluate_on_points(self.bx, *grid.node_variables)]
         if grid.dim == 2:
-            cols.append(expr.evaluate_on_points(self.by, x, y, r))
+            cols.append(expr.evaluate_on_points(self.by, *grid.node_variables))
         return VectorField(grid, np.column_stack(cols))
 
     def seed_fields(self, grid: Grid) -> list:

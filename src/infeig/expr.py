@@ -8,11 +8,11 @@ functions abs/exp/sin/cos/sqrt, binary min/max, ``^`` for powers and a radial
 piecewise selector.  ASTs are immutable; evaluation is pure.
 
 ``evaluate_on_points`` is the one evaluator.  It computes every node on whole
-node arrays, and a domain error (division by zero, sqrt of a negative, an
-invalid power) counts only at points that use the value: a piecewise branch
-is checked only where it is selected, so each point evaluates as it would
-alone.  An overflow in an intermediate value counts only if the result is
-non-finite.
+node arrays (a constant stays a scalar, except as a power's exponent), and a
+domain error (division by zero, sqrt of a negative, an invalid power) counts
+only at points that use the value: a piecewise branch is checked only where
+it is selected, so each point evaluates as it would alone.  An overflow in
+an intermediate value counts only if the result is non-finite.
 """
 
 from __future__ import annotations
@@ -254,10 +254,10 @@ def evaluate_on_points(ast: ExprAst, x, y, r) -> np.ndarray:
     env = {"x": x, "y": np.asarray(y, dtype=float), "r": np.asarray(r, dtype=float)}
     with np.errstate(all="ignore"):
         out = _eval_vec(ast, env, x.shape)
-    out = np.broadcast_to(out, x.shape).astype(float)
+    out = np.array(np.broadcast_to(out, x.shape), dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvalError("non-finite value in field evaluation")
-    return np.array(out)
+    return out
 
 
 def _check(bad, where, message: str):
@@ -266,10 +266,11 @@ def _check(bad, where, message: str):
 
 
 def _eval_vec(ast: ExprAst, env: dict, shape, where=None):
-    """Values on full arrays; ``where`` marks the points whose value is used
-    (None: every point), the only points where a domain check can fail."""
+    """Values on full arrays, or a scalar for a constant; ``where`` marks the
+    points whose value is used (None: every point), the only points where a
+    domain check can fail."""
     if isinstance(ast, Const):
-        return np.full(shape, ast.value)
+        return np.float64(ast.value)
     if isinstance(ast, Var):
         return env[ast.name]
     if isinstance(ast, Unary):
@@ -302,7 +303,9 @@ def _eval_vec(ast: ExprAst, env: dict, shape, where=None):
         if ast.op == "^":
             _check((a == 0.0) & (b < 0), where, "zero raised to a negative power")
             _check((a < 0) & (b != np.trunc(b)), where, "negative base with non-integer exponent")
-            return np.power(a, b)
+            # numpy takes other paths, with other bits, for a scalar or
+            # stride-0 exponent (x^2 by squaring), so the exponent is full
+            return np.power(a, np.full(shape, b) if np.ndim(b) == 0 else b)
         if ast.op == "min":
             return np.minimum(a, b)
         if ast.op == "max":

@@ -15,7 +15,12 @@ point gives, so ``build_grid`` calls each method once for all its points.
 Where a point needs no reflection, ``reflect`` returns the point itself.
 
 Lattice nodes sit at integer multiples of the spacing ``h`` so that grids at
-``h`` and ``h/2`` are nested.
+``h`` and ``h/2`` are nested.  One lattice map, ``LatticeMap``, takes integer
+lattice points to node indices: the dense table over the padded lattice box
+that ``build_grid`` fills and keeps as ``Grid.lattice``.  It serves the
+stencil steps, the ghost closure's bilinear corners and both coarse-fine
+transfers, and a point with no weighted corner among the nodes takes its
+nearest node from a search over windows of the table.
 """
 
 from __future__ import annotations
@@ -268,6 +273,59 @@ def _ring_offsets(dim: int, s: int) -> np.ndarray:
     return cand[np.abs(lengths - s) <= 0.5 + 1e-12]
 
 
+class LatticeMap:
+    """Dense lookup from integer lattice points to node rows.
+
+    ``held`` marks the nodes among the points of a lattice box whose least
+    corner is ``lo``.  The nodes are numbered in the box's lexicographic
+    order: ``points`` holds them, and ``table`` holds, for every point of
+    the box, its row in ``points`` or -1.  ``find`` reads the table at
+    integer points; ``nearest`` searches windows of it for the node nearest
+    to real points.
+    """
+
+    def __init__(self, lo, held: np.ndarray):
+        self.lo = np.asarray(lo, dtype=np.int64)
+        self.table = np.full(held.shape, -1, dtype=np.int64)
+        self.table[held] = np.arange(np.count_nonzero(held))
+        self.strides = np.array(self.table.strides) // self.table.itemsize
+        self.points = np.stack(np.nonzero(held), axis=1) + self.lo
+
+    def find(self, points: np.ndarray) -> np.ndarray:
+        """Row of each integer point of a (..., dim) array, -1 where it is none."""
+        rel = points - self.lo
+        inside = True
+        for d, size in enumerate(self.table.shape):
+            inside = inside & (rel[..., d] >= 0) & (rel[..., d] < size)
+        return np.where(inside, np.take(self.table, rel @ self.strides, mode="clip"), -1)
+
+    def nearest(self, x: np.ndarray) -> np.ndarray:
+        """Row of the node nearest to each point of a (P, dim) array of real
+        points, the first row among equidistant ones.
+
+        A window of the table around the point doubles until it holds a node;
+        then the window widens to hold every point within the least distance
+        d found, the box of half-width d around the point and a cell more.
+        """
+        rows = np.empty(len(x), dtype=np.int64)
+        for p, xp in enumerate(x):
+            rel = (xp - self.lo).tolist()
+            centre = [min(max(round(v), 0), size - 1) for v, size in zip(rel, self.table.shape)]
+            width = 1
+            while not (found := self._window([c - width for c in centre], [c + width for c in centre])).size:
+                width *= 2
+            d = np.linalg.norm(self.points[found] - xp, axis=1).min()
+            found = self._window([math.floor(v - d) - 1 for v in rel], [math.ceil(v + d) + 1 for v in rel])
+            rows[p] = found[np.argmin(np.linalg.norm(self.points[found] - xp, axis=1))]
+        return rows
+
+    def _window(self, lo: list, hi: list) -> np.ndarray:
+        """Rows of the nodes in the table box [lo, hi] (clipped to the
+        table), increasing: rows follow the box's lexicographic order."""
+        block = self.table[tuple(slice(max(a, 0), b + 1) for a, b in zip(lo, hi))]
+        return block[block >= 0]
+
+
 @dataclass
 class Grid:
     """Immutable lattice discretization of a domain.
@@ -294,6 +352,7 @@ class Grid:
     ghost_points: np.ndarray   # (G, dim)
     ghost_nodes: np.ndarray    # (G, 2**dim) node indices (padded)
     ghost_weights: np.ndarray  # (G, 2**dim) nonnegative, rows sum to 1
+    lattice: LatticeMap        # integer points of the nodes; lookup over the padded box
 
     @property
     def dim(self) -> int:
@@ -320,6 +379,18 @@ class Grid:
         (max over admissible arm selections of (scale_1 + scale_2) / rho^2).
         Equals 2/rho^2 when every arm has length >= rho (true for s = 1, 2)."""
         return float(2.0 * self.ring_scale.max() / self.rho**2)
+
+    @cached_property
+    def node_variables(self) -> tuple:
+        """Node arrays (x, y, r) of coefficient expressions: the coordinates,
+        y = 0 in 1D, and the distance to the domain's centre.  Every caller
+        shares them, so they are read-only."""
+        x = self.nodes[:, 0]
+        y = self.nodes[:, 1] if self.dim == 2 else np.zeros_like(x)
+        variables = (x, y, np.linalg.norm(self.nodes - self.domain.center(), axis=1))
+        for v in variables:
+            v.flags.writeable = False
+        return variables
 
     @property
     def n_active(self) -> int:
@@ -365,20 +436,16 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     imin = imin.astype(int)
     imax = imax.astype(int)
 
-    lattice = _box(imin, imax)
-    coords = lattice * h
+    coords = _box(imin, imax) * h
     sdf = domain.signed_distance(coords)
     is_boundary = np.abs(sdf) < 0.5 * h
     is_interior = (sdf <= -0.5 * h) & ~is_boundary
     active = is_boundary | is_interior
 
-    act_lattice = lattice[active]
+    # nodes in the box's lexicographic order
+    lattice_map = LatticeMap(imin, active.reshape(tuple(imax - imin + 1)))
+    act_lattice = lattice_map.points
     act_class = np.where(is_boundary[active], BOUNDARY, INTERIOR).astype(np.uint8)
-
-    # deterministic lexicographic node order
-    order = np.lexsort(tuple(act_lattice[:, d] for d in range(dim - 1, -1, -1)))
-    act_lattice = act_lattice[order]
-    act_class = act_class[order]
     nodes = act_lattice * h
 
     n_interior = int(np.sum(act_class == INTERIOR))
@@ -397,18 +464,17 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     K = offsets.shape[0]
     eye = np.eye(dim, dtype=np.int64)
     steps = np.concatenate([offsets, np.stack([eye, -eye], axis=1).reshape(2 * dim, dim)])
-    dense = np.full(tuple(imax - imin + 1), -1, dtype=np.int64)  # box point -> active node
-    box_strides = np.array(dense.strides) // dense.itemsize
-    dense = dense.reshape(-1)
-    base = (act_lattice - imin) @ box_strides
-    dense[base] = np.arange(n)
-    step_offsets = steps @ box_strides
+    table = lattice_map.table.reshape(-1)
+    base = np.flatnonzero(active)  # _box enumerates the box in the table's raveled order
+    step_offsets = steps @ lattice_map.strides
     index = np.empty((n, steps.shape[0]), dtype=np.int64, order="F")
     for col, v in enumerate(step_offsets):
-        index[:, col] = dense[base + v]
-    # np.nonzero runs node by node, then column: ghosts are numbered in
-    # order of first appearance
-    rows, cols = np.nonzero(index < 0)
+        np.take(table, base + v, out=index[:, col], mode="clip")
+    # np.nonzero runs node by node, then column, over the nodes with a ghost
+    # target: ghosts are numbered in order of first appearance
+    near = np.flatnonzero(index.min(axis=1) < 0)
+    near_rows, cols = np.nonzero(index[near] < 0)
+    rows = near[near_rows]
     _, first, label = np.unique(base[rows] + step_offsets[cols], return_index=True, return_inverse=True)
     order = np.argsort(first)
     ghost_number = np.empty_like(order)
@@ -421,7 +487,7 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     # ghost closure: reflect each exterior point across the boundary and
     # interpolate bilinearly at the reflection
     ghost_points = (act_lattice[rows[first[order]]] + steps[cols[first[order]]]) * h
-    ghost_nodes, ghost_weights = _bilinear(act_lattice, domain.reflect(ghost_points) / h)
+    ghost_nodes, ghost_weights = _bilinear(lattice_map, domain.reflect(ghost_points) / h)
     ghost_weights = _sum_to_one(ghost_weights)
 
     return Grid(
@@ -437,6 +503,7 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         ghost_points=ghost_points,
         ghost_nodes=ghost_nodes,
         ghost_weights=ghost_weights,
+        lattice=lattice_map,
     )
 
 
@@ -451,63 +518,49 @@ def _sum_to_one(weights: np.ndarray) -> np.ndarray:
     return q / _UNITS
 
 
-def _lookup(lattice: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Row of each integer point in ``lattice`` (distinct integer points in
-    lexicographic order, like the active nodes of a grid), -1 where it is none."""
-    lo = lattice.min(axis=0)
-    shape = tuple(lattice.max(axis=0) - lo + 1)
-    keys = np.ravel_multi_index(tuple((lattice - lo).T), shape)
-    # a point outside the lattice's box clips onto some key; the row check rejects it
-    pos = np.searchsorted(keys, np.ravel_multi_index(tuple((points - lo).T), shape, mode="clip"))
-    pos = np.minimum(pos, len(lattice) - 1)
-    return np.where(np.all(lattice[pos] == points, axis=1), pos, -1)
+def _bilinear(lattice: LatticeMap, x: np.ndarray) -> tuple:
+    """Bilinear interpolation at points ``x`` (in lattice units) from the
+    points of ``lattice``: (P, 2**dim) rows and nonnegative weights summing to 1.
 
-
-def _bilinear(lattice: np.ndarray, x: np.ndarray) -> tuple:
-    """Bilinear interpolation at points ``x`` (in lattice units) from the nodes
-    of ``lattice``: (P, 2**dim) row indices and nonnegative weights summing to 1.
-
-    Weights on corners that are not in ``lattice`` are dropped and the rest
-    renormalized, kept corners first in the order (0, 0), (1, 0), (0, 1),
-    (1, 1), the rest padded with index 0 and weight 0.  A point none of whose
-    weighted corners is in ``lattice`` takes its nearest node with weight 1.
+    Weights on corners that ``lattice.find`` does not hold are dropped and the
+    rest renormalized, kept corners first in the order (0, 0), (1, 0),
+    (0, 1), (1, 1), the rest padded with index 0 and weight 0.  A point none
+    of whose weighted corners is held takes its nearest point with weight 1,
+    by ``lattice.nearest``'s windowed search (the first row among
+    equidistant ones).
     """
-    dim = lattice.shape[1]
+    dim = x.shape[1]
     corners = (np.arange(2**dim)[:, None] >> np.arange(dim)) & 1
     base = np.floor(x)
     frac = (x - base)[:, None, :]
     weights = np.prod(np.where(corners, frac, 1.0 - frac), axis=2)
-    points = base.astype(np.int64)[:, None, :] + corners
-    idx = _lookup(lattice, points.reshape(-1, dim)).reshape(weights.shape)
+    idx = lattice.find(base.astype(np.int64)[:, None, :] + corners)
     kept = (weights > 0.0) & (idx >= 0)
     front = np.argsort(~kept, axis=1, kind="stable")
     idx = np.take_along_axis(np.where(kept, idx, 0), front, axis=1)
     weights = np.take_along_axis(np.where(kept, weights, 0.0), front, axis=1)
     total = weights.cumsum(axis=1)[:, -1]  # a sequential sum over the kept corners in order
-    for p in np.flatnonzero(total == 0.0):
-        idx[p, 0] = np.argmin(np.linalg.norm(lattice - x[p], axis=1))
-        weights[p, 0] = total[p] = 1.0
+    lost = np.flatnonzero(total == 0.0)
+    idx[lost, 0] = lattice.nearest(x[lost])
+    weights[lost, 0] = total[lost] = 1.0
     return idx, weights / total[:, None]
-
-
-def _lattice_points(grid: Grid) -> np.ndarray:
-    """(N, dim) integer lattice coordinates of the active nodes."""
-    return np.rint(grid.nodes / grid.h).astype(np.int64)
 
 
 def injection_index(coarse: Grid, fine: Grid) -> np.ndarray:
     """(N_coarse,) fine node under each node of ``coarse``, the grid with twice
-    ``fine``'s spacing: the same lattice point, or, for a coarse boundary node
-    just outside the fine active set, the nearest fine node in lattice units by
-    ``_bilinear``'s rule (the first in node order among equidistant ones)."""
-    return _bilinear(_lattice_points(fine), 2 * _lattice_points(coarse))[0][:, 0]
+    ``fine``'s spacing: the same lattice point, found in ``fine.lattice``, or,
+    for a coarse boundary node just outside the fine active set, the nearest
+    fine node in lattice units by ``_bilinear``'s windowed search (the first
+    in node order among equidistant ones)."""
+    return _bilinear(fine.lattice, 2 * coarse.lattice.points)[0][:, 0]
 
 
 def interpolation_weights(coarse: Grid, fine: Grid) -> tuple:
     """Bilinear interpolation from ``coarse``, the grid with twice ``fine``'s
     spacing, onto ``fine``'s nodes: (N_fine, 2**dim) coarse node indices and
-    nonnegative weights summing to 1 per row, by the ghost closure's rule."""
-    return _bilinear(_lattice_points(coarse), 0.5 * _lattice_points(fine))
+    nonnegative weights summing to 1 per row, by the ghost closure's rule,
+    with corners found in ``coarse.lattice``."""
+    return _bilinear(coarse.lattice, 0.5 * fine.lattice.points)
 
 
 def grid_metadata(grid: Grid) -> dict:

@@ -51,11 +51,30 @@ def write_json(path: str, obj) -> None:
         f.write("\n")
 
 
+def _row_format(types: tuple) -> tuple:
+    """%-format of a CSV line whose values have these types, and whether it
+    holds a bool (passed in as ``fmt``'s text, since %s spells it True)."""
+    specs = ["%.17g" if issubclass(t, float) else "%s" for t in types]
+    return ",".join(specs) + "\n", any(issubclass(t, bool) for t in types)
+
+
 def write_csv(path: str, header, rows) -> None:
+    """Header and rows of values as ``fmt`` writes each, one %-format per row,
+    cached per tuple of value types."""
+    formats = {}
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        try:
+            form, has_bool = formats[types]
+        except KeyError:
+            form, has_bool = formats[types] = _row_format(types)
+        if has_bool:
+            row = tuple(fmt(v) if isinstance(v, bool) else v for v in row)
+        lines.append(form % row)
     with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(fmt(v) for v in row) + "\n")
+        f.writelines(lines)
 
 
 def write_run_meta(out_dir: str, subcommand: str, raw_config: dict) -> None:

@@ -316,6 +316,27 @@ class TestOutputFormatting:
         assert json_text({"a": 0.1, "b": [1, None]}) == '{"a": 0.10000000000000001, "b": [1, null]}'
         assert json_text(float("nan")) == "null"
 
+    def test_csv_rows_as_the_per_value_writer(self, tmp_path):
+        from infeig.output import fmt, write_csv
+
+        def reference(path, header, rows):
+            with open(path, "w") as f:
+                f.write(",".join(header) + "\n")
+                for row in rows:
+                    f.write(",".join(fmt(v) for v in row) + "\n")
+
+        rows = [
+            (0, 1.0 / 3.0, np.float64(-0.0), True, np.str_("interior")),
+            (1, float("inf"), np.float64(2.5e-300), False, np.str_("boundary")),
+            (2, -0.0, np.float64("-inf"), np.True_, "100%"),
+            [np.int64(3), 0.1, np.float64(1e300), float("nan"), np.float32(0.1)],
+            (4, 1.0 / 3.0, np.float64(-0.0), True, np.str_("interior")),
+        ]
+        header = ("index", "a", "b", "c", "d")
+        write_csv(str(tmp_path / "new.csv"), header, rows)
+        reference(str(tmp_path / "old.csv"), header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
 
 class TestVerify:
     def test_battery_passes(self, tmp_path, capsys):

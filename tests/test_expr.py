@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from infeig import expr
 from infeig.expr import EvalError, ExprSyntaxError, UnknownIdentifier
+from infeig.geometry import Disk, build_grid
 
 
 def at_point(ast, x=0.0, y=0.0, r=0.0):
@@ -219,3 +220,13 @@ def test_array_evaluation_is_pointwise(ast, points):
         assert f == failed
         if not failed:
             assert np.array_equal(v, values)
+
+
+def test_power_bits_as_with_a_full_exponent():
+    # numpy squares for a scalar exponent 2, with other bits than its general
+    # power; a constant exponent is evaluated as a full array
+    grid = build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 64.0, 2)
+    x, y, r = grid.node_variables
+    a = x - 0.0123
+    got = expr.evaluate_on_points(expr.parse("(x - 0.0123)^2"), x, y, r)
+    assert got.tobytes() == np.power(a, np.full(a.shape, 2.0)).tobytes()

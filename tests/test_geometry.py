@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -20,8 +21,18 @@ from infeig.geometry import (
     injection_index,
     interpolation_weights,
 )
-from infeig.geometry import _bilinear, _lookup
+from infeig.geometry import LatticeMap, _bilinear
 from infeig.output import node_rows
+
+
+def _map(points, pad=(0, 0)):
+    """LatticeMap of distinct integer points in lexicographic order, over their
+    bounding box widened by pad[0] below and pad[1] above."""
+    points = np.asarray(points)
+    lo = points.min(axis=0) - pad[0]
+    held = np.zeros(tuple(points.max(axis=0) + pad[1] - lo + 1), dtype=bool)
+    held[tuple((points - lo).T)] = True
+    return LatticeMap(lo, held)
 
 
 def _lattice_map(grid):
@@ -317,6 +328,7 @@ def test_stencil_indices_address_targets(domain, h, s):
     (Disk((0.0, 0.0), 1.0), 0.0625, 2),
     (Annulus((0.0, 0.0), 0.25, 1.0), 0.025, 2),
     (Disk((0.3, -0.1), 0.8), 1.0 / 48.0, 2),  # some coarse nodes have equidistant fine nodes
+    (Disk((0.0, 0.0), 1.0), 1.0 / 64.0, 2),  # 32 coarse nodes take the nearest fine node
 ])
 def test_transfers_between_nested_grids(domain, h, s):
     fine = build_grid(domain, h, s)
@@ -344,13 +356,29 @@ def test_transfers_between_nested_grids(domain, h, s):
 def test_lookup_misses_return_minus_one():
     lattice = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [2, 1]])
     points = np.array([[1, 1], [2, 1], [0, 0], [2, 0], [5, 5], [-1, 0], [0, 2], [3, -4]])
-    assert _lookup(lattice, points).tolist() == [3, 4, 0, -1, -1, -1, -1, -1]
+    assert _map(lattice).find(points).tolist() == [3, 4, 0, -1, -1, -1, -1, -1]
     line = np.array([[-3], [-2], [0]])
-    assert _lookup(line, np.array([[-1], [0], [-3], [4], [-9]])).tolist() == [-1, 2, 0, -1, -1]
+    assert _map(line).find(np.array([[-1], [0], [-3], [4], [-9]])).tolist() == [-1, 2, 0, -1, -1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lattice_map_find_agrees_with_a_dict(dim):
+    rng = np.random.default_rng(dim)
+    points = np.unique(rng.integers(-20, 20, size=(300, dim)), axis=0)  # distinct, lexicographic
+    rows = {tuple(q): i for i, q in enumerate(points.tolist())}
+    queries = rng.integers(-30, 30, size=(3000, dim))
+    expected = [rows.get(tuple(q), -1) for q in queries.tolist()]
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    outside = np.any((queries < lo) | (queries > hi), axis=1)
+    assert outside.any() and (~outside).any() and max(expected) >= 0
+    assert _map(points).find(queries).tolist() == expected
+    assert np.array_equal(_map(points).points, points)
+    # a box padded beyond the points, as build_grid's, answers the same
+    assert _map(points, pad=(3, 5)).find(queries).tolist() == expected
 
 
 def test_bilinear_drops_inactive_corners():
-    lattice = np.array([[0, 1], [1, 0], [1, 1]])  # the cell's corner (0, 0) is inactive
+    lattice = _map([[0, 1], [1, 0], [1, 1]])  # the cell's corner (0, 0) is inactive
     idx, w = _bilinear(lattice, np.array([[0.25, 0.5]]))
     # corners (1, 0), (0, 1), (1, 1) keep 0.125, 0.375, 0.125 of 0.625, packed to the front
     assert idx.tolist() == [[1, 0, 2, 0]]
@@ -361,15 +389,52 @@ def test_bilinear_drops_inactive_corners():
 
 
 def test_bilinear_falls_back_to_nearest_node():
-    lattice = np.array([[0, 0], [3, 3]])
+    lattice = _map([[0, 0], [3, 3]])
     idx, w = _bilinear(lattice, np.array([[1.5, 1.75], [1.25, 0.5]]))
     assert idx.tolist() == [[1, 0, 0, 0], [0, 0, 0, 0]]
     assert w.tolist() == [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
-    idx, w = _bilinear(np.array([[0], [4]]), np.array([[2.75]]))
+    idx, w = _bilinear(_map([[0], [4]]), np.array([[2.75]]))
     assert idx.tolist() == [[1, 0]] and w.tolist() == [[1.0, 0.0]]
+    # equidistant nodes: the first in node order
+    square = _map([[0, 0], [0, 10], [10, 0], [10, 10]])
+    assert square.nearest(np.array([[5.0, 5.0], [5.0, 10.0], [10.0, 5.0], [7.0, 5.0]])).tolist() == [0, 1, 2, 2]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nearest_agrees_with_a_full_scan(dim):
+    # about one box point in 100 is a node, so the window doubles several
+    # times; midpoints of successive nodes and integer and half-integer
+    # queries give exact ties
+    rng = np.random.default_rng(10 + dim)
+    side = 2000 if dim == 1 else 60
+    points = np.unique(rng.integers(0, side, size=(side**dim // 100, dim)), axis=0)
+    lattice = _map(points)
+    queries = np.concatenate([
+        rng.uniform(-0.2 * side, 1.2 * side, size=(300, dim)),
+        rng.integers(0, side, size=(300, dim)).astype(float),
+        rng.integers(0, 2 * side, size=(300, dim)) / 2.0,
+        (points[:-1] + points[1:]) / 2.0,
+    ])
+    dist = [np.linalg.norm(points - q, axis=1) for q in queries]
+    assert sum(np.count_nonzero(d == d.min()) > 1 for d in dist) >= 10
+    assert max(d.min() for d in dist) > 8
+    nearest = np.array([np.argmin(d) for d in dist])
+    assert lattice.nearest(queries).tolist() == nearest.tolist()
+    # _bilinear takes the same node where none of the weighted corners is a node
+    base = np.floor(queries).astype(np.int64)
+    held = np.zeros(len(queries), dtype=bool)
+    for corner in itertools.product((0, 1), repeat=dim):
+        weighted = np.all((np.array(corner) == 0) | (queries > base), axis=1)
+        held |= weighted & (lattice.find(base + corner) >= 0)
+    assert np.count_nonzero(~held) > 100
+    idx, w = _bilinear(lattice, queries)
+    assert np.array_equal(idx[~held, 0], nearest[~held]) and np.all(w[~held, 0] == 1.0)
 
 
 def test_node_order_lexicographic():
     grid = build_grid(Disk((0.0, 0.0), 1.0), 0.25, 1)
     keys = [tuple(q) for q in (grid.nodes / grid.h).round().astype(int)]
     assert keys == sorted(keys)
+    # the grid's lattice map holds the nodes' lattice points in node order
+    assert np.array_equal(grid.lattice.points, np.array(keys))
+    assert np.array_equal(grid.lattice.find(grid.lattice.points), np.arange(grid.n_active))

@@ -31,6 +31,7 @@ SMALLEST_RUNS = {
     "refinement_study.py": ["--resolutions", "16", "--s", "2"],
     "sign_changing_eigen_study.py": ["--resolutions", "8:1,16:2"],
     "decay_rate_study.py": ["--n", "8", "--s", "1", "--horizon", "1", "--shifts", "0.0"],
+    "artifact_digest.py": ["--h", "0.125"],
 }
 
 
