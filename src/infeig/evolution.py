@@ -24,7 +24,10 @@ holds arms shorter than rho (s >= 3).
 
 ``step_explicit``, ``run_evolution`` and ``evolve_until`` all march with the
 one private generator ``_euler_steps``: ceil(T/dt) steps of dt, the last
-clipped to end exactly at T.
+clipped to end exactly at T.  Each step calls ``residual_values`` once and
+updates in place on the fresh array it returns (``res *= step; res += u``,
+the bits of ``u + step * res``), so a step allocates no N-vector of its own
+and never writes to a state it has yielded.
 """
 
 from __future__ import annotations
@@ -86,7 +89,10 @@ def _euler_steps(u: np.ndarray, problem: SteadyProblem, dt: float, T: float):
     t = 0.0
     for k in range(1, n_steps + 1):
         step = min(dt, T - t)
-        u = u + step * residual_values(*coefficients, u)
+        res = residual_values(*coefficients, u)
+        res *= step
+        res += u
+        u = res
         t += step
         yield t, u, k == n_steps
 

@@ -25,6 +25,7 @@ nearest node from a search over windows of the table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +61,16 @@ def _length(v: np.ndarray) -> np.ndarray:
     """Euclidean length of each row of a (..., dim) array: the square root of
     the row's dot product, bit for bit the norm of that row taken alone."""
     return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of a (..., dim) array: the square root of
+    the squared columns added in order, bit for bit ``np.linalg.norm(v,
+    axis=-1)``, whose reduction over an axis this short also adds in order."""
+    sq = v[..., 0] * v[..., 0]
+    for d in range(1, v.shape[-1]):
+        sq += v[..., d] * v[..., d]
+    return np.sqrt(sq)
 
 
 def _radial(center: tuple, pts) -> tuple:
@@ -133,7 +144,7 @@ class Disk:
 
     def signed_distance(self, pts):
         p = np.asarray(pts, dtype=float)
-        rho = np.linalg.norm(p - np.asarray(self.center_point), axis=-1)
+        rho = _norm(p - np.asarray(self.center_point))
         return rho - self.radius
 
     def reflect(self, pts):
@@ -175,7 +186,7 @@ class Annulus:
 
     def signed_distance(self, pts):
         p = np.asarray(pts, dtype=float)
-        rho = np.linalg.norm(p - np.asarray(self.center_point), axis=-1)
+        rho = _norm(p - np.asarray(self.center_point))
         return np.maximum(self.inner_radius - rho, rho - self.outer_radius)
 
     def reflect(self, pts):
@@ -237,7 +248,7 @@ class Rectangle:
         hi = np.asarray(self.hi)
         q = np.maximum(lo - p, p - hi)  # per-axis signed excess
         inside = np.max(q, axis=-1)
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+        outside = _norm(np.maximum(q, 0.0))
         return np.where(inside <= 0.0, inside, outside)
 
     def reflect(self, pts):
@@ -338,6 +349,12 @@ class Grid:
     arrays are column-major: the transposed ``ring_index`` is the
     C-contiguous (K, N) block the ring kernel gathers in one call, and the
     drift kernel reads one contiguous axis column at a time.
+
+    ``ring_scale_runs`` is that block's run table: the maximal runs of
+    consecutive arms with one scale rho/|v_k| other than 1, as (start, stop,
+    scale), which the ring kernel multiplies one scalar per run.  Arms of
+    length rho are in no run: with s = 1 in 2D the runs are the four
+    diagonal arms, each alone, and in 1D there are none.
     """
 
     domain: Domain
@@ -374,6 +391,18 @@ class Grid:
         return self.rho / self.ring_lengths
 
     @cached_property
+    def ring_scale_runs(self) -> tuple:
+        """The run table: (start, stop, scale) for each maximal run of
+        consecutive arms that share one scale other than 1."""
+        runs, start = [], 0
+        for scale, arms in itertools.groupby(self.ring_scale.tolist()):
+            stop = start + len(list(arms))
+            if scale != 1.0:
+                runs.append((start, stop, scale))
+            start = stop
+        return tuple(runs)
+
+    @cached_property
     def lap_row_sum_bound(self) -> float:
         """Upper bound on the ring scheme's total neighbor coefficient
         (max over admissible arm selections of (scale_1 + scale_2) / rho^2).
@@ -387,7 +416,7 @@ class Grid:
         shares them, so they are read-only."""
         x = self.nodes[:, 0]
         y = self.nodes[:, 1] if self.dim == 2 else np.zeros_like(x)
-        variables = (x, y, np.linalg.norm(self.nodes - self.domain.center(), axis=1))
+        variables = (x, y, _norm(self.nodes - self.domain.center()))
         for v in variables:
             v.flags.writeable = False
         return variables

@@ -23,10 +23,15 @@ first-order upwind.  ``apply_operator`` evaluates the full residual
 
     lap(u) + b . Du + (c + lam) u - g
 
-at every active node.  Every evaluation goes through two private kernels:
+at every active node.  Every evaluation goes through two private kernels.
 ``_ring_laplacian`` (behind ``residual_values`` and ``inf_laplacian_values``)
-reduces the (K, N) arm block that ``_ring_arms`` gathers through the
-C-contiguous ``ring_index.T``, and whose transpose is ``ring_arm_values``;
+gathers the C-contiguous (K, N) block ``ext[ring_index.T]``, subtracts u,
+multiplies only the runs of arms whose scale is not 1 (``Grid.ring_scale_runs``,
+one scalar per run), reduces the increments to their max and min over the
+arms, and adds u to those two N-vectors alone.  That is bit for bit the max
+and min of the arm values w_k, since x -> fl(x + u) is nondecreasing and
+fl(x * 1.0) = x.  ``ring_arm_values`` adds u back on the whole block of the
+same increments and returns its (N, K) transpose.
 ``_add_upwind_drift`` (behind ``residual_values`` and ``drift_values``) works
 one axis column at a time.  ``frozen_matrices`` assembles the same ring and
 upwind coefficients, with the max and min arms frozen, as the sparse matrices
@@ -96,24 +101,34 @@ class SteadyProblem:
         return float(np.max(np.abs(self.c.values + self.lam)))
 
 
-def _ring_arms(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """(K, N) rescaled arm values w_k = u + (u(x+v_k) - u) * rho/|v_k|."""
+def _arm_increments(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """(K, N) rescaled arm increments (u(x+v_k) - u) * rho/|v_k|; only the
+    runs of ``ring_scale_runs`` are multiplied, one scalar per run."""
     w = ext[grid.ring_index.T]
     w -= values
-    w *= grid.ring_scale[:, None]
-    w += values
+    for start, stop, scale in grid.ring_scale_runs:
+        w[start:stop] *= scale
     return w
 
 
 def ring_arm_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """(N, K) rescaled arm values, the transpose of the ring kernel's block."""
-    return _ring_arms(grid, values, grid.extended_values(values)).T
+    """(N, K) rescaled arm values w_k = u + (u(x+v_k) - u) * rho/|v_k|."""
+    w = _arm_increments(grid, values, grid.extended_values(values))
+    w += values
+    return w.T
 
 
 def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """Ring-scheme lap(u) at every active node, from u's extended values."""
-    w = _ring_arms(grid, values, ext)
-    return (w.max(axis=0) + w.min(axis=0) - 2.0 * values) / grid.rho**2
+    w = _arm_increments(grid, values, ext)
+    top = w.max(axis=0)
+    top += values
+    bot = w.min(axis=0)
+    bot += values
+    top += bot
+    top -= 2.0 * values
+    top /= grid.rho**2
+    return top
 
 
 def _add_upwind_drift(out: np.ndarray, grid: Grid, b_values: np.ndarray, values: np.ndarray,
@@ -184,7 +199,7 @@ def residual_values(
     """lap(u) + b . Du + (c + lam) u - g on raw arrays (hot path)."""
     ext = grid.extended_values(values)
     res = _ring_laplacian(grid, values, ext)
-    if np.any(b_values):
+    if b_values.any():
         _add_upwind_drift(res, grid, b_values, values, ext)
     res += (c_values + lam) * values - g_values
     return res

@@ -253,6 +253,32 @@ class TestSharedStepper:
             u = step_explicit(u, prob, dt)
         assert np.array_equal(trace.final_state.values, u.values)
 
+    def test_bytes_as_an_out_of_place_march(self, disk16s2):
+        # the reference march updates out of place: u = u + step * residual
+        x = disk16s2.nodes
+        c = ScalarField(disk16s2, -0.5 - x[:, 0] ** 2)
+        prob = _problem(disk16s2, c, b=VectorField.constant(disk16s2, (0.7, -0.3)))
+        h0 = np.exp(-50.0 * np.sum(x**2, axis=1))
+        weight = 1.0 + 0.5 * x[:, 1] ** 2
+        dt = 0.9 * cfl_bound(prob)
+        T = 49.5 * dt  # 50 steps, the last one clipped
+        trace = run_evolution(ScalarField(disk16s2, h0), prob, T, output_interval=5 * dt,
+                              weight=ScalarField(disk16s2, weight), rate=0.8)
+        u, t = h0, 0.0
+        sups, ratios = [np.max(np.abs(u))], [np.max(u / weight)]
+        for k in range(1, 51):
+            step = min(dt, T - t)
+            res = residual_values(disk16s2, prob.b.values, prob.c.values, prob.g.values, 0.0, u)
+            u = u + step * res
+            t += step
+            if k % 5 == 0 or k == 50:
+                sups.append(np.max(np.abs(u)))
+                ratios.append(np.max(u * np.exp(0.8 * t) / weight))
+        assert len(trace.times) == 11 and trace.times[-1] == t
+        assert trace.final_state.values.tobytes() == u.tobytes()
+        assert trace.sup_norm.tobytes() == np.array(sups).tobytes()
+        assert trace.weighted_ratio.tobytes() == np.array(ratios).tobytes()
+
     def test_horizons_finite_and_positive(self, interval16):
         # int(T / dt) overflows at inf and fails at NaN, and a negative t_max
         # would time out at t = 0 without a step

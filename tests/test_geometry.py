@@ -21,7 +21,7 @@ from infeig.geometry import (
     injection_index,
     interpolation_weights,
 )
-from infeig.geometry import LatticeMap, _bilinear
+from infeig.geometry import LatticeMap, _bilinear, _box, _norm
 from infeig.output import node_rows
 
 
@@ -244,6 +244,37 @@ def test_domain_methods_take_point_arrays(domain):
             rows = np.array([method(p) for p in pts])
             assert batch.shape == rows.shape and batch.dtype == rows.dtype
             assert batch.tobytes() == rows.tobytes(), method.__name__
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.1)])
+def test_disk_lengths_as_linalg_norm(n, center):
+    # the disk's signed distance and the grid's r on the points build_grid
+    # classifies: the box of the unit disk at h = 1/n, padded for s = 2
+    h = 1.0 / n
+    disk = Disk(center, 1.0)
+    lo, hi = disk.bounding_box()
+    pts = _box(np.floor(lo / h).astype(int) - 4, np.ceil(hi / h).astype(int) + 4) * h
+    want = np.linalg.norm(pts - np.asarray(center), axis=-1)
+    assert _norm(pts - np.asarray(center)).tobytes() == want.tobytes()
+    assert disk.signed_distance(pts).tobytes() == (want - 1.0).tobytes()
+    annulus = Annulus(center, 0.25, 1.0)
+    assert annulus.signed_distance(pts).tobytes() == np.maximum(0.25 - want, want - 1.0).tobytes()
+    grid = build_grid(disk, h, 2)
+    r = np.linalg.norm(grid.nodes - disk.center(), axis=1)
+    assert grid.node_variables[2].tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lengths_as_linalg_norm_over_16_decades(dim):
+    rng = np.random.default_rng(61)
+    v = rng.choice([-1.0, 1.0], (20000, dim)) * 10.0 ** rng.uniform(-8.0, 8.0, (20000, dim))
+    v[:100] = 0.0
+    v[100:200, 0] = -0.0
+    assert _norm(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+    # a (..., dim) array of points, as the domain methods take
+    v = v.reshape(100, 200, dim)
+    assert _norm(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
 
 
 def test_rectangle_grid_flags_corners():

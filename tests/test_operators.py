@@ -260,9 +260,20 @@ class TestApplyOperator:
         assert np.abs(rt - t * r1).max() <= 1e-12 * max(1.0, np.abs(t * r1).max())
 
 
+def _full_block_arms(grid, u, ext):
+    """The (K, N) arm block with every arm rescaled and u added back on the
+    whole block: the reference the kernel matches bit for bit."""
+    w = ext[grid.ring_index.T]
+    w -= u
+    w *= grid.ring_scale[:, None]
+    w += u
+    return w
+
+
 def _residual_from_arm_array(grid, b, c, g, lam, u):
-    """The residual from the (N, K) arm array, reduced along the arms."""
-    w = ring_arm_values(grid, u)
+    """The residual from the full-block (N, K) arm array, reduced along the
+    arms, plus the upwind drift."""
+    w = _full_block_arms(grid, u, grid.extended_values(u)).T
     res = (w.max(axis=1) + w.min(axis=1) - 2.0 * u) / grid.rho**2
     if np.any(b):
         ext = grid.extended_values(u)
@@ -293,6 +304,72 @@ class TestResidualKernel:
                 got = residual_values(grid, b, c, g, 0.3, u)
                 want = _residual_from_arm_array(grid, b, c, g, 0.3, u)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+KERNEL_GRIDS = {
+    "interval-s1": (Interval(0.0, 1.0), 1.0 / 64.0, 1),
+    "interval-s3": (Interval(0.0, 1.0), 1.0 / 64.0, 3),
+    **{f"disk{n}-s{s}": (Disk((0.0, 0.0), 1.0), 1.0 / n, s) for n in (16, 32, 64) for s in (1, 2, 3, 4)},
+    "annulus": (Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2),
+    "rectangle": (Rectangle((0.0, 0.0), (1.0, 1.0)), 1.0 / 16.0, 3),
+}
+
+
+def _kernel_inputs(grid, rng):
+    """Nodal fields that stress the reordered reduction: ties between arms,
+    signed zeros, constants, and the README's initial state."""
+    n = grid.n_active
+    x, _, r = grid.node_variables
+    signed_zeros = rng.normal(size=n)
+    signed_zeros[rng.random(n) < 0.4] = -0.0
+    signed_zeros[rng.random(n) < 0.2] = 0.0
+    return {
+        "h0": np.exp(-50.0 * r**2),
+        "normal": rng.normal(size=n),
+        "one": np.ones(n),
+        "zero": np.zeros(n),
+        "minus-one": np.full(n, -1.0),
+        "signed-zeros": signed_zeros,
+        "linear-in-x": 0.75 * x - 0.2,  # antipodal arms tie
+    }
+
+
+class TestKernelBytes:
+    """The kernel that rescales only the off-radius arms and adds u after the
+    reduction gives the bytes of the one that rescaled the whole block."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+    def test_bytes_as_the_full_block_kernel(self, name, rng):
+        grid = build_grid(*KERNEL_GRIDS[name])
+        n = grid.n_active
+        c = rng.normal(size=n)
+        g = rng.normal(size=n)
+        drifts = {"b=0": np.zeros((n, grid.dim)),
+                  "b=(0.7,-0.3)": np.tile([0.7, -0.3][:grid.dim], (n, 1))}
+        for label, u in _kernel_inputs(grid, rng).items():
+            arms = _full_block_arms(grid, u, grid.extended_values(u))
+            got = ring_arm_values(grid, u)
+            assert got.shape == (n, arms.shape[0])
+            assert got.tobytes() == arms.T.tobytes(), label
+            lap = (arms.max(axis=0) + arms.min(axis=0) - 2.0 * u) / grid.rho**2
+            assert inf_laplacian_values(grid, u).tobytes() == lap.tobytes(), label
+            for drift, b in drifts.items():
+                want = _residual_from_arm_array(grid, b, c, g, 0.3, u)
+                assert residual_values(grid, b, c, g, 0.3, u).tobytes() == want.tobytes(), (label, drift)
+
+    @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+    def test_runs_cover_the_off_radius_arms(self, name):
+        grid = build_grid(*KERNEL_GRIDS[name])
+        scale = np.ones_like(grid.ring_scale)
+        stop = 0
+        for start, end, value in grid.ring_scale_runs:
+            assert stop <= start < end and value != 1.0
+            scale[start:end] = value
+            stop = end
+        assert scale.tobytes() == grid.ring_scale.tobytes()
+        # maximal: neighbouring runs of one scale would be one run
+        runs = grid.ring_scale_runs
+        assert all(a[1] < b[0] or a[2] != b[2] for a, b in zip(runs, runs[1:]))
 
 
 class TestFrozenMatrices:

@@ -32,6 +32,7 @@ SMALLEST_RUNS = {
     "sign_changing_eigen_study.py": ["--resolutions", "8:1,16:2"],
     "decay_rate_study.py": ["--n", "8", "--s", "1", "--horizon", "1", "--shifts", "0.0"],
     "artifact_digest.py": ["--h", "0.125"],
+    "step_cost.py": ["--h", "0.125", "--drift", "0.7", "-0.3", "--steps", "5", "--repeats", "2"],
 }
 
 
