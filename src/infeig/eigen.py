@@ -61,9 +61,9 @@ class EigenEstimate:
     lambda_bar: float          # bracket midpoint
     eigenfunction: ScalarField
     eigen_residual: float      # sup residual of the midpoint problem at phi
-    bisection_steps: int       # resolvent solves (bisection steps for the oracle)
+    steps: int                 # resolvent solves (bisection steps for the oracle)
     factorizations: int = 0    # splu calls of the resolvent (of all probes for the oracle)
-    history: list = field(default_factory=list)   # oracles.ProbeRecord, bisection only
+    history: list = field(default_factory=list)   # oracles.ProbeRecord, bisection only; not in to_dict
     flags: list = field(default_factory=list)
     certificate: str = "collatz-wielandt"         # the argument behind both ends
 
@@ -73,12 +73,8 @@ class EigenEstimate:
             "lambda_hi": self.lambda_hi,
             "lambda_bar": self.lambda_bar,
             "residual": self.eigen_residual,
-            "steps": self.bisection_steps,
+            "steps": self.steps,
             "factorizations": self.factorizations,
-            "history": [
-                {"lambda": p.lam, "outcome": p.outcome, "flags": list(p.flags)}
-                for p in self.history
-            ],
             "flags": list(self.flags),
             "certificate": self.certificate,
         }
@@ -106,16 +102,15 @@ def estimate_principal_eigenvalue(
     x = np.ones(grid.n_active)
     q = _collatz_wielandt(grid, b, c, x)
     width = float(np.max(q) - np.min(q))
-    solves = factorizations = 0
+    solves = 0
     while width > bisect_tol:
         if solves == cfg.max_outer:
             raise BracketFailure(
                 f"Collatz-Wielandt bracket [{float(np.min(q))!r}, {float(np.max(q))!r}] still "
                 f"wider than {bisect_tol!r} after max_outer = {cfg.max_outer} resolvent solves"
             )
-        y, count = system.solve(-x, initial=x)  # (sigma - L_h) y = x; arms and factor carry over
+        y = system.solve(-x, initial=x)  # (sigma - L_h) y = x; arms and factor carry over
         solves += 1
-        factorizations += count
         if not float(np.min(y)) > 0.0:
             raise BracketFailure(
                 f"resolvent solve {solves} returned a field that is not strictly positive "
@@ -139,8 +134,8 @@ def estimate_principal_eigenvalue(
         lambda_bar=lam_bar,
         eigenfunction=ScalarField(grid, x),
         eigen_residual=float(np.max(np.abs(q - lam_bar) * x)),
-        bisection_steps=solves,
-        factorizations=factorizations,
+        steps=solves,
+        factorizations=system.factorizations,
     )
 
 
@@ -206,7 +201,7 @@ def check_maximum_principle(
     must pass ``check_seeds``.  ``lambda_bar``, estimated by the caller, is
     carried into the report for comparison with lam.
     """
-    from .evolution import evolve_until  # local import to avoid a cycle
+    from .evolution import evolve_until  # looked up at call time: span tracers patch it in evolution only
 
     check_seeds(seeds, decay_threshold, blowup_threshold)
 

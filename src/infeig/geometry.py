@@ -403,13 +403,6 @@ class Grid:
         return tuple(runs)
 
     @cached_property
-    def lap_row_sum_bound(self) -> float:
-        """Upper bound on the ring scheme's total neighbor coefficient
-        (max over admissible arm selections of (scale_1 + scale_2) / rho^2).
-        Equals 2/rho^2 when every arm has length >= rho (true for s = 1, 2)."""
-        return float(2.0 * self.ring_scale.max() / self.rho**2)
-
-    @cached_property
     def node_variables(self) -> tuple:
         """Node arrays (x, y, r) of coefficient expressions: the coordinates,
         y = 0 in 1D, and the distance to the domain's centre.  Every caller

@@ -41,7 +41,6 @@ that every solver factors; the ghost closure enters them as one sparse matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,16 +88,6 @@ class SteadyProblem:
         for f in (self.b, self.c, self.g):
             if f.grid is not self.grid:
                 raise ValueError("all problem fields must share the problem grid")
-
-    @cached_property
-    def b_sup(self) -> np.ndarray:
-        """Componentwise sup |b_i| over the grid."""
-        return np.max(np.abs(self.b.values), axis=0)
-
-    @cached_property
-    def zero_order_sup(self) -> float:
-        """sup |c + lam|, the zero-order contribution to the CFL bound."""
-        return float(np.max(np.abs(self.c.values + self.lam)))
 
 
 def _arm_increments(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:

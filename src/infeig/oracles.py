@@ -200,13 +200,6 @@ class ProbeRecord:
     converged: bool
     flags: list = field(default_factory=list)
 
-    @property
-    def outcome(self) -> str:
-        tag = "converged" if self.converged else "diverged"
-        if "inconclusive" in self.flags:
-            tag += "*"
-        return tag
-
 
 def bisection_eigenvalue_reference(
     grid: Grid,
@@ -280,7 +273,7 @@ def bisection_eigenvalue_reference(
         lambda_bar=lam_bar,
         eigenfunction=phi,
         eigen_residual=eigen_residual,
-        bisection_steps=steps,
+        steps=steps,
         factorizations=factorizations,
         history=history,
         flags=flags,

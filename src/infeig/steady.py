@@ -39,10 +39,13 @@
 
   whose boundedness/blowup dichotomy separates lam < lam_bar from
   lam >= lam_bar.  ``solve_general_rhs`` runs the same sequence for a
-  general g, starting from minus the solution for -g^+ (0 when g <= 0); both
-  are the one private loop ``_shifted_iteration``.  The sequence is the plain
-  one; its only side channel is a frozen-policy solve of the lam-problem at
-  the resolvent's arms after each step, the same
+  general g, starting from minus the solution w for -g^+; both are the one
+  private loop ``_shifted_iteration``, which first returns its start if that
+  passes the certificate.  So w = 0 costs no solve when g <= 0, and for
+  g >= 0, where L(-w) = g exactly (the scheme is odd), -w is the answer with
+  no further step.  The sequence is the plain one; its only side channel is
+  a frozen-policy solve of the lam-problem at the resolvent's arms after
+  each step, the same
   ``operators.frozen_matrices`` map at zero order c + lam, accepted once its
   lam-residual passes the certificate and its sup stays below the blowup
   threshold.  Near the eigenvalue the iterates grow like 1/(lam_bar - lam)
@@ -170,6 +173,7 @@ class _CoerciveSystem:
         self.matrix = frozen_matrices(grid, b_values)
         self._arms = None    # (sel_max, sel_min) of the last solve
         self._factor = None  # splu of the frozen matrix at self._arms; None once an arm moves
+        self.factorizations = 0  # splu calls of every solve, coarse grids included
 
     def residual_norms(self, u: np.ndarray, rhs: np.ndarray) -> tuple:
         """(sup, root mean square) of the residual at u: the certificate and the merit."""
@@ -180,22 +184,24 @@ class _CoerciveSystem:
         """Residual sup that certifies a solve, a fifth of the caller's certificate."""
         return max(0.2 * self.cfg.tol, 0.2 * self.cfg.rel_tol * max(1.0, float(np.max(np.abs(rhs)))))
 
-    def _coarse_start(self, rhs: np.ndarray) -> tuple:
-        """The solution on the grid with twice the spacing, interpolated, and the
-        factorizations it took; zeros on the coarsest grid that builds."""
+    def _coarse_start(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution on the grid with twice the spacing, interpolated, its
+        factorizations added to this system's; zeros on the coarsest grid that builds."""
         grid = self.grid
         try:
             coarse = build_grid(grid.domain, 2.0 * grid.h, grid.s)
         except GeometryError:
-            return np.zeros(self.n), 0
+            return np.zeros(self.n)
         down = injection_index(coarse, grid)
-        coarse_u, count = _CoerciveSystem(coarse, self.b[down], self.c0[down], self.cfg).solve(rhs[down])
+        system = _CoerciveSystem(coarse, self.b[down], self.c0[down], self.cfg)
+        coarse_u = system.solve(rhs[down])
+        self.factorizations += system.factorizations
         idx, weights = interpolation_weights(coarse, grid)
-        return np.einsum("nk,nk->n", weights, coarse_u[idx]), count
+        return np.einsum("nk,nk->n", weights, coarse_u[idx])
 
-    def solve(self, rhs: np.ndarray, initial: np.ndarray | None = None):
+    def solve(self, rhs: np.ndarray, initial: np.ndarray | None = None) -> np.ndarray:
         """Damped Newton (policy iteration) from the carried arm selection;
-        returns (values, factorizations), certified by the residual sup <= target.
+        returns the values, certified by the residual sup <= target.
 
         The first solve takes its arms from ``initial``, or from the coarse start
         when it is None.  Each step factors the frozen system (``_splu``, lean
@@ -209,13 +215,13 @@ class _CoerciveSystem:
         _MIN_STEP the solve takes the full step and, from then on, switches the
         max arms only in a step where no min arm moved: nested policy
         iteration, which terminates.  ``cfg.max_sweeps`` caps the
-        factorizations on this grid.
+        factorizations of one solve on this grid; ``self.factorizations``
+        counts every one.
         """
         cfg = self.cfg
-        count = 0
         if self._arms is None:
             if initial is None:
-                initial, count = self._coarse_start(rhs)
+                initial = self._coarse_start(rhs)
             self._arms = _start_arms(self.grid, initial)
         sel_max, sel_min = self._arms
         target = self.target(rhs)
@@ -235,6 +241,7 @@ class _CoerciveSystem:
                 except RuntimeError as e:
                     raise NoConvergence("splu factorization of the policy-frozen coercive matrix failed") from e
                 fresh += 1
+                self.factorizations += 1
             if newton is None:
                 newton = self._factor.solve(rhs)
                 r_newton, m_newton = self.residual_norms(newton, rhs)
@@ -249,7 +256,7 @@ class _CoerciveSystem:
                     rv, mv = self.residual_norms(v, rhs)
             u, r, m = v, rv, mv
             if r <= target:
-                return u, count + fresh
+                return u
             w = ring_arm_values(self.grid, u)
             moved = _switch_arms(w, sel_min, np.argmin(w, axis=1), -1.0)
             if not (nested and moved):
@@ -279,7 +286,7 @@ def solve_coercive(problem: SteadyProblem, cfg: SolverConfig, initial: ScalarFie
     error (NoConvergence), not a fallback.
     """
     system = _CoerciveSystem(problem.grid, problem.b.values, problem.c.values + problem.lam, cfg)
-    values, _ = system.solve(problem.g.values, None if initial is None else initial.values)
+    values = system.solve(problem.g.values, None if initial is None else initial.values)
     return ScalarField(problem.grid, values)
 
 
@@ -302,13 +309,13 @@ def _shifted_iteration(
 ) -> IterationOutcome:
     """The shifted-coefficient inductive sequence from u_1 = start, a
     subsolution of the lam-problem; the sequence rises from it, so a
-    candidate that dips well below it is wild and skipped."""
+    candidate that dips well below it is wild and skipped.  A start that
+    already passes the certificate is returned at outer step 0."""
     g_sup = float(np.max(np.abs(g.values)))
     blowup = cfg.blowup_threshold if cfg.blowup_threshold is not None else 1e6 * (1.0 + g_sup)
     c_sup = float(np.max(np.abs(c.values)))
     gamma = lam + c_sup + 1.0
-    c_shift = c.values - c_sup - 1.0
-    system = _CoerciveSystem(grid, b.values, c_shift, cfg)
+    system = _CoerciveSystem(grid, b.values, c.values - c_sup - 1.0, cfg)
     # Side-channel candidate: the lam-problem solved directly at the arms of
     # the resolvent's last solve.  Its residual is the policy mismatch alone,
     # so once the arms have settled it certifies in one shot.  g is fixed, so
@@ -320,62 +327,55 @@ def _shifted_iteration(
     lam_diag = c.values + lam
     tried_arms = None
 
-    def lam_residual(u):
-        return float(
-            np.max(np.abs(residual_values(grid, b.values, c.values, g.values, lam, u)))
-        )
+    def certified(u, n, *tags):
+        """The converged outcome at u if its lam-residual passes the certificate, else None."""
+        sup = float(np.max(np.abs(u)))
+        r = float(np.max(np.abs(residual_values(grid, b.values, c.values, g.values, lam, u))))
+        cert = _certificate(r, sup, cfg)
+        if cert is None:
+            return None
+        flags = [*tags, "rel-certified"] if cert == "rel" else list(tags)
+        return IterationOutcome(True, ScalarField(grid, u), n, system.factorizations, r, sup, flags)
 
+    out = certified(start, 0)
+    if out is not None:
+        return out
     u = start
     last_sup = float(np.max(np.abs(u)))
-    sweeps = 0
-    flags: list = []
     doubling_streak = 0
-
     for n in range(1, cfg.max_outer + 1):
-        rhs = g.values - gamma * u
-        u_next, factorizations = system.solve(rhs, initial=u)
-        sweeps += factorizations
-        sup = float(np.max(np.abs(u_next)))
-
-        r = lam_residual(u_next)
-        cert = _certificate(r, sup, cfg)
-        if cert is not None:
-            if cert == "rel":
-                flags.append("rel-certified")
-            return IterationOutcome(True, ScalarField(grid, u_next), n, sweeps, r, sup, flags)
+        u_next = system.solve(g.values - gamma * u, initial=u)
+        out = certified(u_next, n)
+        if out is not None:
+            return out
 
         arms = np.concatenate(system._arms)
         if tried_arms is None or not np.array_equal(arms, tried_arms):
             tried_arms = arms
-            sweeps += 1
+            system.factorizations += 1
             try:
                 d = _splu(system.matrix(system._arms, lam_diag)).solve(g.values)
             except RuntimeError:  # a singular lam-matrix: no candidate at these arms
                 d = None
-            sc = float(np.max(np.abs(d))) if d is not None else np.inf
-            # sc < blowup is False for a non-finite candidate too
-            if sc < blowup and float(np.min(d - start)) >= -10.0 * cfg.tol:
-                rc = lam_residual(d)
-                cert = _certificate(rc, sc, cfg)
-                if cert is not None:
-                    flags.append("extrapolated")
-                    if cert == "rel":
-                        flags.append("rel-certified")
-                    return IterationOutcome(True, ScalarField(grid, d), n, sweeps, rc, sc, flags)
+            # max|d| < blowup is False for a non-finite candidate too
+            if (d is not None and float(np.max(np.abs(d))) < blowup
+                    and float(np.min(d - start)) >= -10.0 * cfg.tol):
+                out = certified(d, n, "extrapolated")
+                if out is not None:
+                    return out
 
+        sup = float(np.max(np.abs(u_next)))
         if sup >= blowup:
-            return IterationOutcome(False, None, n, sweeps, None, sup, flags)
-        if sup >= 2.0 * last_sup and last_sup > 0:
-            doubling_streak += 1
-            if doubling_streak >= 10:
-                flags.append("doubling")
-                return IterationOutcome(False, None, n, sweeps, None, sup, flags)
-        else:
-            doubling_streak = 0
+            flags = []
+            break
+        doubling_streak = doubling_streak + 1 if sup >= 2.0 * last_sup and last_sup > 0 else 0
+        if doubling_streak == 10:
+            flags = ["doubling"]
+            break
         u, last_sup = u_next, sup
-
-    flags.append("inconclusive")
-    return IterationOutcome(False, None, cfg.max_outer, sweeps, None, last_sup, flags)
+    else:
+        flags = ["inconclusive"]
+    return IterationOutcome(False, None, n, system.factorizations, None, sup, flags)
 
 
 def monotone_iteration(
@@ -390,17 +390,14 @@ def monotone_iteration(
 
     Requires g <= 0 nodewise.  Converged means a field whose residual for the
     lam-problem passes the certificate (positive by construction up to
-    tolerance); Diverged means the sup norm crossed the blowup threshold,
-    doubled for 10 consecutive steps, or the step budget ran out (the last
-    case is flagged ``inconclusive``).
+    tolerance; u_1 = 0 itself, at outer step 0, when |g| passes it);
+    Diverged means the sup norm crossed the blowup threshold, doubled for 10
+    consecutive steps, or the step budget ran out (the last case is flagged
+    ``inconclusive``).
     """
     if np.max(g.values) > 0.0:
         raise ValueError("monotone_iteration requires g <= 0 nodewise")
-    u = np.zeros(grid.n_active)
-    r0 = float(np.max(np.abs(residual_values(grid, b.values, c.values, g.values, lam, u))))
-    if _certificate(r0, 0.0, cfg) is not None:  # g identically zero
-        return IterationOutcome(True, ScalarField(grid, u), 0, 0, r0, 0.0, [])
-    return _shifted_iteration(grid, b, c, lam, g, cfg, u)
+    return _shifted_iteration(grid, b, c, lam, g, cfg, np.zeros(grid.n_active))
 
 
 def solve_general_rhs(problem: SteadyProblem, cfg: SolverConfig) -> ScalarField:
@@ -408,22 +405,20 @@ def solve_general_rhs(problem: SteadyProblem, cfg: SolverConfig) -> ScalarField:
 
     Coercive case goes straight to solve_coercive.  Otherwise the iteration
     starts from -w, where w >= 0 solves the lam-problem with right-hand side
-    -g^+; L(-w) = g^+ >= g makes -w a subsolution, and the sequence rises
-    from it toward the solution.  For g <= 0 the barrier pass returns w = 0
-    without a solve, so only the plain sequence from 0 runs.  Both passes try
-    only the frozen-policy candidate on the side.  Raises Diverged when a
-    pass stops uncertified: at lam >= lam_bar, or when max_outer runs out.
+    -g^+ (the barrier pass, a monotone iteration); L(-w) = g^+ >= g makes -w
+    a subsolution, and the sequence rises from it toward the solution.  Each
+    pass first checks its start: for g <= 0 the barrier pass returns w = 0
+    without a solve, and for g >= 0 the start -w already solves the problem,
+    so only one pass takes outer steps.  Both passes try only the
+    frozen-policy candidate on the side.  Raises Diverged when a pass stops
+    uncertified: at lam >= lam_bar, or when max_outer runs out.
     """
     grid, b, c, g, lam = problem.grid, problem.b, problem.c, problem.g, problem.lam
     if np.max(c.values + lam) < 0.0:
         return solve_coercive(problem, cfg)
-    if not np.any(g.values):
-        return ScalarField.constant(grid, 0.0)
-
-    barrier = monotone_iteration(grid, b, c, lam, ScalarField(grid, -np.maximum(g.values, 0.0)), cfg)
-    if not barrier.converged:
-        raise Diverged(barrier.outer_steps, barrier.sup_norm, barrier.flags)
-    out = _shifted_iteration(grid, b, c, lam, g, cfg, -barrier.u.values)
+    out = monotone_iteration(grid, b, c, lam, ScalarField(grid, -np.maximum(g.values, 0.0)), cfg)
+    if out.converged:  # 0.0 - w, not -w: a zero barrier must not start the pass at -0.0
+        out = _shifted_iteration(grid, b, c, lam, g, cfg, 0.0 - out.u.values)
     if not out.converged:
         raise Diverged(out.outer_steps, out.sup_norm, out.flags)
     return out.u

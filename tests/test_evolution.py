@@ -119,7 +119,7 @@ class TestRunEvolution:
         na = step_explicit(ScalarField(disk8, a), prob, dt).values
         nb = step_explicit(ScalarField(disk8, b), prob, dt).values
         lhs = np.abs(na - nb).max()
-        rhs = (1.0 + dt * prob.zero_order_sup) * np.abs(a - b).max()
+        rhs = (1.0 + dt * np.abs(c.values).max()) * np.abs(a - b).max()
         assert lhs <= rhs + 1e-12
 
     def test_records_time_zero(self, interval16):

@@ -179,16 +179,20 @@ class TestSolveCoercive:
         assert coarse_calls < len(splu_sizes) - coarse_calls
 
     def test_system_carries_arms_and_factor(self, disk16s2, cfg, splu_sizes):
-        # a second solve starts from the last solve's arms and reuses its factor
+        # the first solve starts on the coarser grids, and the system counts
+        # their factorizations too; a second solve starts from the last
+        # solve's arms and reuses its factor
         r = np.linalg.norm(disk16s2.nodes, axis=1)
         rhs = -np.exp(-5.0 * r**2)
         b = np.zeros((disk16s2.n_active, 2))
         system = steady._CoerciveSystem(disk16s2, b, np.full(disk16s2.n_active, -1.0), cfg)
-        first, count = system.solve(rhs, initial=np.zeros(disk16s2.n_active))
-        assert count == len(splu_sizes) > 0
+        first = system.solve(rhs)
+        assert system.factorizations == len(splu_sizes) > 0
+        assert set(splu_sizes) > {disk16s2.n_active}
+        count = system.factorizations
         del splu_sizes[:]
-        second, count = system.solve(rhs)
-        assert count == 0 and splu_sizes == []
+        second = system.solve(rhs)
+        assert system.factorizations == count and splu_sizes == []
         assert np.array_equal(first, second)
 
     def test_nested_fallback_off_centre_disk(self, monkeypatch, splu_sizes):
@@ -451,6 +455,20 @@ class TestSolveGeneralRhs:
             assert out.converged
             assert np.array_equal(u.values, out.u.values)
             assert solve_calls == len(splu_sizes) - solve_calls
+
+    def test_nonnegative_rhs_returns_minus_barrier(self, disk8, splu_sizes):
+        # README c, lam = 0: not coercive.  For g >= 0 the barrier w solves
+        # the problem with -g, so -w solves it with g: the second pass
+        # certifies its start and factors nothing
+        c = _readme_c(disk8)
+        b = VectorField.zero(disk8)
+        g = np.exp(-5.0 * np.sum(disk8.nodes**2, axis=1))
+        u = solve_general_rhs(SteadyProblem(disk8, b, c, ScalarField(disk8, g), 0.0), SolverConfig())
+        solve_calls = len(splu_sizes)
+        barrier = monotone_iteration(disk8, b, c, 0.0, ScalarField(disk8, -g), SolverConfig())
+        assert barrier.converged and barrier.outer_steps > 0
+        assert solve_calls == barrier.sweeps == len(splu_sizes) - solve_calls
+        assert np.array_equal(u.values, 0.0 - barrier.u.values)
 
 
 class TestSolverConfig:

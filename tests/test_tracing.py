@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infeig import evolution, steady
+from infeig import eigen, evolution, steady
 from infeig.operators import ScalarField, SteadyProblem, VectorField
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -73,3 +73,21 @@ def test_spans_see_steps_and_solves(tracing, disk8):
     assert out.converged
     note = next(s[4] for s in tracer.spans if s[0] == "steady.monotone_iteration")
     assert note[0] == out.outer_steps
+
+
+def test_spans_see_eigen_and_general_solve(tracing, disk8):
+    # --trace 1 notes the eigen estimate by its probe history, which the
+    # inverse power iteration leaves empty
+    r2 = np.sum(disk8.nodes**2, axis=1)
+    b = VectorField.zero(disk8)
+    c = ScalarField(disk8, -r2)  # c <= 0 and c(0) = 0: lam = 0 is below lam_bar, not coercive
+    g = ScalarField(disk8, np.sin(3.0 * disk8.nodes[:, 0]))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        est = eigen.estimate_principal_eigenvalue(disk8, b, c, steady.SolverConfig())
+        u = steady.solve_general_rhs(SteadyProblem(disk8, b, c, g, 0.0), steady.SolverConfig())
+    spans = {s[0]: s for s in tracer.spans}
+    assert {"eigen.estimate_principal_eigenvalue", "steady.solve_general_rhs",
+            "steady.monotone_iteration", "steady.splu"} <= set(spans)
+    assert est.steps > 0 and u.sup_norm > 0
+    assert spans["eigen.estimate_principal_eigenvalue"][4] == (0, 0)
