@@ -34,14 +34,10 @@ def _emit_grid(out_dir: str, grid) -> None:
               node_rows(grid, CLASS_NAMES[grid.node_class]))
 
 
-def _cmd_solve(cfg: RunConfig, out_dir: str) -> int:
-    grid = cfg.build_grid()
-    problem = SteadyProblem(
-        grid, cfg.drift_field(grid), cfg.scalar_field(grid, cfg.c), cfg.scalar_field(grid, cfg.g), cfg.lam
-    )
+def _cmd_solve(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
+    problem = SteadyProblem(grid, b, c, cfg.scalar_field(grid, cfg.g), cfg.lam)
     u = solve_general_rhs(problem, cfg.solver)
     residual = apply_operator(problem, u)
-    _emit_grid(out_dir, grid)
     write_csv(os.path.join(out_dir, "solution.csv"), ("index", "x", "y", "u"),
               node_rows(grid, u.values))
     write_json(os.path.join(out_dir, "residual.json"), {
@@ -53,24 +49,17 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _cmd_eigen(cfg: RunConfig, out_dir: str) -> int:
-    grid = cfg.build_grid()
-    est = estimate_principal_eigenvalue(
-        grid, cfg.drift_field(grid), cfg.scalar_field(grid, cfg.c), cfg.solver, cfg.bisect_tol
-    )
-    _emit_grid(out_dir, grid)
+def _cmd_eigen(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
+    est = estimate_principal_eigenvalue(grid, b, c, cfg.solver, cfg.bisect_tol)
     write_json(os.path.join(out_dir, "eigen.json"), est.to_dict())
     write_csv(os.path.join(out_dir, "eigenfunction.csv"), ("index", "x", "y", "phi"),
               node_rows(grid, est.eigenfunction.values))
     return 0
 
 
-def _cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
+def _cmd_evolve(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
     """Source-free evolution h_t = lap(h) + b.Dh + (c + lambda) h from h0,
     with the weighted decay check against the (shifted) eigenvalue."""
-    grid = cfg.build_grid()
-    b = cfg.drift_field(grid)
-    c = cfg.scalar_field(grid, cfg.c)
     problem = SteadyProblem(grid, b, c, ScalarField.constant(grid, 0.0), cfg.lam)
     h0 = cfg.scalar_field(grid, cfg.h0)
     est = estimate_principal_eigenvalue(grid, b, c, cfg.solver, cfg.bisect_tol)
@@ -80,7 +69,6 @@ def _cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
         weight=est.eigenfunction, rate=rate,
     )
     decay = check_decay_bound(trace, tol=1e-2)
-    _emit_grid(out_dir, grid)
     write_csv(
         os.path.join(out_dir, "trace.csv"),
         ("t", "sup_norm", "weighted_ratio"),
@@ -99,13 +87,8 @@ def _cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
     return 0 if decay.passed else 4
 
 
-def _cmd_mpcheck(cfg: RunConfig, out_dir: str) -> int:
-    grid = cfg.build_grid()
-    b = cfg.drift_field(grid)
-    c = cfg.scalar_field(grid, cfg.c)
+def _cmd_mpcheck(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
     seeds = cfg.seed_fields(grid)
-    if not seeds:
-        raise ConfigError("mpcheck needs at least one seed in mpcheck.seeds")
     try:
         check_seeds(seeds, cfg.mp_decay_threshold, cfg.mp_blowup)
     except ValueError as e:
@@ -119,7 +102,6 @@ def _cmd_mpcheck(cfg: RunConfig, out_dir: str) -> int:
         blowup_threshold=cfg.mp_blowup,
         lambda_bar=est.lambda_bar,
     )
-    _emit_grid(out_dir, grid)
     write_json(os.path.join(out_dir, "mpcheck.json"), report.to_dict())
     return 0
 
@@ -166,13 +148,11 @@ def main(argv=None) -> int:
         out_dir = args.out or cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         write_run_meta(out_dir, args.subcommand, cfg.raw)
-        if args.subcommand == "solve":
-            return _cmd_solve(cfg, out_dir)
-        if args.subcommand == "eigen":
-            return _cmd_eigen(cfg, out_dir)
-        if args.subcommand == "evolve":
-            return _cmd_evolve(cfg, out_dir)
-        return _cmd_mpcheck(cfg, out_dir)
+        grid = cfg.build_grid()
+        command = {"solve": _cmd_solve, "eigen": _cmd_eigen, "evolve": _cmd_evolve, "mpcheck": _cmd_mpcheck}
+        code = command[args.subcommand](cfg, grid, cfg.drift_field(grid), cfg.scalar_field(grid, cfg.c), out_dir)
+        _emit_grid(out_dir, grid)  # after the command: a run that raises writes no grid.json
+        return code
     except (ConfigError, ExprError, GeometryError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

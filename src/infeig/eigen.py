@@ -172,7 +172,10 @@ class MaxPrincipleReport:
 
 
 def check_seeds(seeds: list, decay_threshold: float, blowup_threshold: float) -> None:
-    """Raises ValueError naming a seed with no positive part or a sup |h| not inside the thresholds."""
+    """Raises ValueError on an empty list, which would hold vacuously, or naming a
+    seed with no positive part or a sup |h| not inside the thresholds."""
+    if not seeds:
+        raise ValueError("at least one seed is needed")
     for i, seed in enumerate(seeds):
         sup = float(np.max(np.abs(seed.values)))
         if not float(np.max(seed.values)) > 0.0:

@@ -348,6 +348,7 @@ class Grid:
     over nodes, then ring arms, then axis plus/minus.  The three index
     arrays are column-major: the transposed ``ring_index`` is the
     C-contiguous (K, N) block the ring kernel gathers in one call, and the
+    steady solver's policy step and frozen matrix read the same block; the
     drift kernel reads one contiguous axis column at a time.
 
     ``ring_scale_runs`` is that block's run table: the maximal runs of

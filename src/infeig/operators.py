@@ -25,17 +25,18 @@ first-order upwind.  ``apply_operator`` evaluates the full residual
 
 at every active node.  Every evaluation goes through two private kernels.
 ``_ring_laplacian`` (behind ``residual_values`` and ``inf_laplacian_values``)
-gathers the C-contiguous (K, N) block ``ext[ring_index.T]``, subtracts u,
-multiplies only the runs of arms whose scale is not 1 (``Grid.ring_scale_runs``,
-one scalar per run), reduces the increments to their max and min over the
-arms, and adds u to those two N-vectors alone.  That is bit for bit the max
-and min of the arm values w_k, since x -> fl(x + u) is nondecreasing and
-fl(x * 1.0) = x.  ``ring_arm_values`` adds u back on the whole block of the
-same increments and returns its (N, K) transpose.
-``_add_upwind_drift`` (behind ``residual_values`` and ``drift_values``) works
-one axis column at a time.  ``frozen_matrices`` assembles the same ring and
-upwind coefficients, with the max and min arms frozen, as the sparse matrices
-that every solver factors; the ghost closure enters them as one sparse matrix.
+gathers the C-contiguous (K, N) block ``ext.take(ring_index.T)``, subtracts
+u, multiplies only the runs of arms whose scale is not 1
+(``Grid.ring_scale_runs``, one scalar per run), reduces the increments to
+their max and min over the arms, and adds u to those two N-vectors alone.
+That is bit for bit the max and min of the arm values w_k, since
+x -> fl(x + u) is nondecreasing and fl(x * 1.0) = x.  ``ring_arm_values``
+adds u back on the whole block of the same increments and returns its (N, K)
+transpose.  ``_add_upwind_drift`` (behind ``residual_values`` and
+``drift_values``) works one axis column at a time.  ``frozen_matrices``
+assembles the same ring and upwind coefficients, with the (2, N) max and min
+arms frozen, as the sparse matrices that every solver factors; the ghost
+closure enters them as one sparse matrix.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class SteadyProblem:
 def _arm_increments(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """(K, N) rescaled arm increments (u(x+v_k) - u) * rho/|v_k|; only the
     runs of ``ring_scale_runs`` are multiplied, one scalar per run."""
-    w = ext[grid.ring_index.T]
+    w = ext.take(grid.ring_index.T)
     w -= values
     for start, stop, scale in grid.ring_scale_runs:
         w[start:stop] *= scale
@@ -139,8 +140,8 @@ def _add_upwind_drift(out: np.ndarray, grid: Grid, b_values: np.ndarray, values:
 def frozen_matrices(grid: Grid, b_values: np.ndarray):
     """``matrix(arms, zero_order)`` on one (grid, b): the sparse A with
     A u = lap(u) + b . Du + zero_order * u when the ring's max and min are
-    taken at arms = (sel_max, sel_min), the Newton Jacobian of the residual.
-    Its rows address the extended vector like ``ring_index``, ``axis_plus``
+    taken at the (2, N) arms (row 0 max, row 1 min), the Newton Jacobian of
+    the residual.  Its rows address the extended vector like ``ring_index``, ``axis_plus``
     and ``axis_minus``, and the ghost closure maps them onto the nodes."""
     n = grid.n_active
     rows = np.arange(n)
@@ -156,12 +157,11 @@ def frozen_matrices(grid: Grid, b_values: np.ndarray):
     drift = sp.csr_matrix((coef[kept], cols[kept], indptr), shape=(n, closure.shape[0]))
     drift_sum = coef.sum(axis=1)
 
-    def matrix(arms: tuple, zero_order: np.ndarray) -> sp.csc_matrix:
-        sel = np.column_stack(arms)
-        arm_coef = grid.ring_scale[sel] * (1.0 / grid.rho**2)
-        diag = zero_order - drift_sum - arm_coef[:, 0] - arm_coef[:, 1]
-        data = np.column_stack([arm_coef, diag]).ravel()
-        index = np.column_stack([np.take_along_axis(grid.ring_index, sel, axis=1), rows]).ravel()
+    def matrix(arms: np.ndarray, zero_order: np.ndarray) -> sp.csc_matrix:
+        arm_coef = grid.ring_scale[arms] * (1.0 / grid.rho**2)
+        diag = zero_order - drift_sum - arm_coef[0] - arm_coef[1]
+        data = np.vstack([arm_coef, diag]).ravel("F")
+        index = np.vstack([grid.ring_index.T[arms, rows], rows]).ravel("F")
         ring = sp.csr_matrix((data, index, 3 * np.arange(n + 1)), shape=drift.shape)
         return ((ring + drift) @ closure).tocsc()  # the sum stores no zeros
 

@@ -12,15 +12,18 @@
   u (Armijo); the first step of a solve is taken in full.  The merit is the
   RMS and not the sup, which a few bad nodes set: the sup rejects full steps
   that improve almost every row, and its factorization count grows by up to
-  a third when only the factor's last bits change.  Both players then switch
-  arms at the new iterate; a damped step that moves no arm steps again
-  toward the same u_N.  Once t falls below 1e-3 the solve takes u_N and, for
-  the rest of that solve, switches the max arms only in a step where no min
-  arm moved: Howard's algorithm nested inside Hoffman-Karp, which terminates.
-  An arm switches only where it beats the current one by more than 1e-14,
-  since nearly tied arms cycle otherwise.  The first solve starts from the
-  solution on the grid with twice the spacing, solved the same way down to
-  the coarsest grid that builds, or from the arms of a given field.
+  a third when only the factor's last bits change.  The arms are one (2, N)
+  array, row 0 the max player's and row 1 the min player's, chosen on the
+  kernel's (K, N) arm block at each new iterate; one rule switches both
+  players, an arm moving only where the best arm beats it by more than
+  1e-14 in its player's direction, since nearly tied arms cycle otherwise.
+  A damped step that moves no arm steps again toward the same u_N.  Once t
+  falls below 1e-3 the solve takes u_N and, for the rest of that solve,
+  switches the max arms only in a step where no min arm moved: Howard's
+  algorithm nested inside Hoffman-Karp, which terminates.  The first solve
+  starts from the solution on the grid with twice the spacing, solved the
+  same way down to the coarsest grid that builds, or from the arms of a
+  given field.
   Convergence is certified by the sup of the nonlinear residual.  Every
   ``splu`` runs with ``relax=1, panel_size=1``: the frozen matrices have
   about 3.2 nonzeros a row, and SuperLU's default relaxed supernodes and
@@ -127,6 +130,7 @@ class IterationOutcome:
 _SWITCH_GAP = 1e-14  # an arm switches only when it beats the current one by more; nearly tied arms cycle
 _ARMIJO = 1e-4      # a step of length t must cut the residual RMS by the factor 1 - _ARMIJO * t
 _MIN_STEP = 1e-3    # below this step length the resolvent falls back to nested policy iteration
+_PLAYER = np.array([[1.0], [-1.0]])  # an arm's gain: upward for the max arms (row 0), downward for the min
 _SUPERLU = dict(relax=1, panel_size=1)  # lean supernodes and panels for ~3.2 nonzeros a row
 
 
@@ -136,23 +140,15 @@ def _splu(matrix):
     return spla.splu(matrix, **_SUPERLU)
 
 
-def _switch_arms(w: np.ndarray, sel: np.ndarray, best: np.ndarray, sign: float) -> bool:
-    """Moves sel to best in place where sign * (w_best - w_sel) > _SWITCH_GAP; True if any moved."""
-    rows = np.arange(sel.size)
-    moved = sign * (w[rows, best] - w[rows, sel]) > _SWITCH_GAP
-    sel[moved] = best[moved]
-    return bool(np.any(moved))
-
-
-def _start_arms(grid: Grid, u: np.ndarray) -> tuple:
-    """Max and min arm at each node; where they tie (everywhere at u = 0), the
-    min arm is the max arm's antipode, so no frozen row counts one arm twice."""
-    w = ring_arm_values(grid, u)
-    sel_max = np.argmax(w, axis=1)
-    sel_min = np.argmin(w, axis=1)
-    tied = sel_max == sel_min
-    sel_min[tied] = w.shape[1] - 1 - sel_max[tied]  # offset K-1-k is -offset k
-    return sel_max, sel_min
+def _arms_at(grid: Grid, u: np.ndarray) -> tuple:
+    """(arms, w): the (2, N) max and min arm at each node, chosen on the
+    (K, N) arm block w; where they tie (everywhere at u = 0), the min arm is
+    the max arm's antipode, so no frozen row counts one arm twice."""
+    w = ring_arm_values(grid, u).T
+    arms = np.stack([w.argmax(axis=0), w.argmin(axis=0)])
+    tied = arms[0] == arms[1]
+    arms[1, tied] = w.shape[0] - 1 - arms[0, tied]  # offset K-1-k is -offset k
+    return arms, w
 
 
 class _CoerciveSystem:
@@ -171,7 +167,7 @@ class _CoerciveSystem:
         self.cfg = cfg
         self.n = grid.n_active
         self.matrix = frozen_matrices(grid, b_values)
-        self._arms = None    # (sel_max, sel_min) of the last solve
+        self._arms = None    # (2, N) max and min arms of the last solve
         self._factor = None  # splu of the frozen matrix at self._arms; None once an arm moves
         self.factorizations = 0  # splu calls of every solve, coarse grids included
 
@@ -199,6 +195,18 @@ class _CoerciveSystem:
         idx, weights = interpolation_weights(coarse, grid)
         return np.einsum("nk,nk->n", weights, coarse_u[idx])
 
+    def switch(self, u: np.ndarray, nested: bool) -> bool:
+        """Moves each player's arm to its best at u where that beats it by more
+        than _SWITCH_GAP; in a nested step the max arms wait while a min arm
+        moves.  True if any arm moved."""
+        best, w = _arms_at(self.grid, u)
+        nodes = np.arange(self.n)
+        moved = _PLAYER * (w[best, nodes] - w[self._arms, nodes]) > _SWITCH_GAP
+        if nested and moved[1].any():
+            moved[0] = False
+        self._arms[moved] = best[moved]
+        return bool(moved.any())
+
     def solve(self, rhs: np.ndarray, initial: np.ndarray | None = None) -> np.ndarray:
         """Damped Newton (policy iteration) from the carried arm selection;
         returns the values, certified by the residual sup <= target.
@@ -222,8 +230,7 @@ class _CoerciveSystem:
         if self._arms is None:
             if initial is None:
                 initial = self._coarse_start(rhs)
-            self._arms = _start_arms(self.grid, initial)
-        sel_max, sel_min = self._arms
+            self._arms = _arms_at(self.grid, initial)[0]
         target = self.target(rhs)
         fresh = 0
         u, r, m = None, np.inf, np.inf  # the accepted iterate, its residual sup and RMS
@@ -257,11 +264,7 @@ class _CoerciveSystem:
             u, r, m = v, rv, mv
             if r <= target:
                 return u
-            w = ring_arm_values(self.grid, u)
-            moved = _switch_arms(w, sel_min, np.argmin(w, axis=1), -1.0)
-            if not (nested and moved):
-                moved = _switch_arms(w, sel_max, np.argmax(w, axis=1), 1.0) or moved
-            if moved:
+            if self.switch(u, nested):
                 self._factor = newton = None
             elif t == 1.0:
                 floor = float(np.max(np.abs(u))) * np.finfo(float).eps / self.grid.rho**2
@@ -349,9 +352,8 @@ def _shifted_iteration(
         if out is not None:
             return out
 
-        arms = np.concatenate(system._arms)
-        if tried_arms is None or not np.array_equal(arms, tried_arms):
-            tried_arms = arms
+        if tried_arms is None or not np.array_equal(system._arms, tried_arms):
+            tried_arms = system._arms.copy()  # the system switches its arms in place
             system.factorizations += 1
             try:
                 d = _splu(system.matrix(system._arms, lam_diag)).solve(g.values)

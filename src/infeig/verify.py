@@ -47,6 +47,17 @@ class CheckResult:
     seconds: float
 
 
+def _problem(grid, c, g, lam=0.0, b=None):
+    """The steady problem with constant or nodal c and g; zero drift unless b is given."""
+    return SteadyProblem(
+        grid,
+        b if b is not None else VectorField.zero(grid),
+        ScalarField(grid, c) if isinstance(c, np.ndarray) else ScalarField.constant(grid, c),
+        ScalarField(grid, g) if isinstance(g, np.ndarray) else ScalarField.constant(grid, g),
+        lam,
+    )
+
+
 def _projector_properties(rng):
     worst = 0.0
     for _ in range(200):
@@ -71,10 +82,7 @@ def _quadratic_exactness():
 
 def _constants_kill_operator():
     grid = build_grid(Disk((0.0, 0.0), 1.0), 0.25, 1)
-    b = VectorField.constant(grid, (0.7, -0.2))
-    c = ScalarField.constant(grid, -1.5)
-    g = ScalarField.constant(grid, 2.0)
-    prob = SteadyProblem(grid, b, c, g, 0.0)
+    prob = _problem(grid, -1.5, 2.0, b=VectorField.constant(grid, (0.7, -0.2)))
     res = apply_operator(prob, ScalarField.constant(grid, 3.0))
     return float(np.abs(res.values - (-1.5 * 3.0 - 2.0)).max()) - 1e-13
 
@@ -129,14 +137,7 @@ def _monotone_perturbation(rng):
 
 def _uniqueness():
     grid = build_grid(Interval(0.0, 1.0), 1.0 / 32.0, 1)
-    x = grid.nodes[:, 0]
-    prob = SteadyProblem(
-        grid,
-        VectorField.zero(grid),
-        ScalarField.constant(grid, -1.0),
-        ScalarField(grid, -np.exp(-5.0 * np.abs(x - 0.5))),
-        0.0,
-    )
+    prob = _problem(grid, -1.0, -np.exp(-5.0 * np.abs(grid.nodes[:, 0] - 0.5)))
     cfg = SolverConfig()
     u1 = solve_coercive(prob, cfg, initial=ScalarField.constant(grid, 0.0))
     u2 = solve_coercive(prob, cfg, initial=ScalarField.constant(grid, 10.0))
@@ -147,14 +148,7 @@ def _coercive_h64():
     """The coercive case c = -1, g = -exp(-5 r^2) on the unit disk at h = 1/64,
     s = 2 (N = 13085): the residual of solve_coercive's result against tol."""
     grid = build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 64.0, 2)
-    r = np.linalg.norm(grid.nodes, axis=1)
-    prob = SteadyProblem(
-        grid,
-        VectorField.zero(grid),
-        ScalarField.constant(grid, -1.0),
-        ScalarField(grid, -np.exp(-5.0 * r**2)),
-        0.0,
-    )
+    prob = _problem(grid, -1.0, -np.exp(-5.0 * np.linalg.norm(grid.nodes, axis=1) ** 2))
     cfg = SolverConfig()
     u = solve_coercive(prob, cfg)
     return float(np.abs(apply_operator(prob, u).values).max()) - cfg.tol
@@ -165,15 +159,8 @@ def _solve_refuses_at_threshold():
     CLI's solver settings: the lam-matrix is singular, no solution exists, and
     solve_general_rhs must raise Diverged rather than return a huge field."""
     grid = build_grid(Disk((0.0, 0.0), 1.0), 0.125, 1)
-    prob = SteadyProblem(
-        grid,
-        VectorField.zero(grid),
-        ScalarField.constant(grid, 0.0),
-        ScalarField.constant(grid, -1.0),
-        0.0,
-    )
     try:
-        solve_general_rhs(prob, SolverConfig())
+        solve_general_rhs(_problem(grid, 0.0, -1.0), SolverConfig())
     except Diverged:
         return 0.0
     return 1.0
@@ -187,10 +174,7 @@ def _manufactured():
         x = grid.nodes[:, 0]
         exact = x**2 * (3.0 - 2.0 * x)
         g = (6.0 - 12.0 * x) - exact
-        prob = SteadyProblem(
-            grid, VectorField.zero(grid), ScalarField.constant(grid, -1.0), ScalarField(grid, g), 0.0
-        )
-        u = solve_coercive(prob, SolverConfig())
+        u = solve_coercive(_problem(grid, -1.0, g), SolverConfig())
         errs[n] = float(np.abs(u.values - exact).max())
         worst = max(worst, errs[n] - 3.0 / n)
     return worst
@@ -269,13 +253,7 @@ def _sign_coefficient():
 
 def _evolution_decay():
     grid = build_grid(Interval(0.0, 1.0), 1.0 / 16.0, 1)
-    prob = SteadyProblem(
-        grid,
-        VectorField.zero(grid),
-        ScalarField.constant(grid, -1.0),
-        ScalarField.constant(grid, 0.0),
-        0.0,
-    )
+    prob = _problem(grid, -1.0, 0.0)
     ones = ScalarField.constant(grid, 1.0)
     # dt below the CFL step so the Euler-in-time error stays under 1e-3 at T=5
     trace = run_evolution(

@@ -206,6 +206,15 @@ class TestMaximumPrinciple:
                     -0.5, [fine, ScalarField.constant(interval16, seed)], lambda_bar=0.0, **kwargs,
                 )
 
+    def test_empty_seed_list_refused(self):
+        # c = 0 on the disk gives lam_bar_h = 0, so lam = 5 is far above it; an
+        # empty list must not report that the maximum principle holds there
+        grid = build_grid(Disk((0.0, 0.0), 1.0), 0.25, 1)
+        with pytest.raises(ValueError, match="at least one seed"):
+            check_maximum_principle(
+                grid, VectorField.zero(grid), ScalarField.constant(grid, 0.0), 5.0, [], lambda_bar=0.0,
+            )
+
     def test_sign_changing_case_holds_at_zero(self, sign_changing_setup):
         # the zero-order term changes sign yet lam_bar > 0, so the maximum
         # principle holds for the unshifted operator

@@ -128,7 +128,7 @@ def test_classification_stable_under_refinement():
 
 
 def test_stencil_symmetry_and_pair_lengths():
-    # steady._start_arms takes arm K-1-k as the antipode of arm k
+    # steady._arms_at takes arm K-1-k as the antipode of arm k
     cases = [(Interval(0.0, 1.0), 1.0 / 16.0, s) for s in (1, 2)]
     cases += [(Disk((0.0, 0.0), 1.0), 0.125, s) for s in (1, 2, 3, 4)]
     for domain, h, s in cases:

@@ -2,6 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from infeig.operators import (
     residual_values,
     ring_arm_values,
 )
-from infeig.steady import _start_arms
+from infeig.steady import _arms_at
 
 
 @pytest.fixture(scope="module")
@@ -391,11 +392,49 @@ class TestFrozenMatrices:
         matrix = frozen_matrices(grid, b)
         for _ in range(3):
             u = rng.normal(size=n)
-            A = matrix(_start_arms(grid, u), c0)
+            A = matrix(_arms_at(grid, u)[0], c0)
             want = residual_values(grid, b, c0, rhs, 0.0, u)
             assert np.abs(A @ u - rhs - want).max() <= 1e-12 * np.abs(want).max()
             # no stored zeros: with b = 0 they would widen the factorized pattern
             assert A.nnz == np.count_nonzero(A.data)
+
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("name", ["disk16s2", "offdisk16s3", "annulus20s2", "square16s3", "interval2048"])
+    def test_matches_tuple_assembly(self, name, drift, request, rng):
+        # the (2, N) arms read on the (K, N) block give the same bytes as the
+        # (sel_max, sel_min) tuple gathered from the (N, K) index
+        grid = request.getfixturevalue(name)
+        n = grid.n_active
+        b = rng.normal(size=(n, grid.dim)) if drift else np.zeros((n, grid.dim))
+        c0 = -1.0 - rng.random(n)
+        arms = _arms_at(grid, rng.normal(size=n))[0]
+        got = frozen_matrices(grid, b)(arms, c0)
+        want = _tuple_frozen_matrix(grid, b, (arms[0], arms[1]), c0)
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+def _tuple_frozen_matrix(grid, b_values, arms, zero_order):
+    """The frozen matrix assembled from a (sel_max, sel_min) tuple by
+    ``column_stack`` and ``take_along_axis`` on the (N, K) ring index."""
+    n = grid.n_active
+    rows = np.arange(n)
+    kept = grid.ghost_weights > 0.0
+    indptr = np.concatenate([np.arange(n + 1), n + np.cumsum(np.count_nonzero(kept, axis=1))])
+    closure = sp.csr_matrix((np.concatenate([np.ones(n), grid.ghost_weights[kept]]),
+                             np.concatenate([rows, grid.ghost_nodes[kept]]), indptr), shape=(n + grid.n_ghost, n))
+    coef = np.stack([np.maximum(b_values, 0.0), -np.minimum(b_values, 0.0)], axis=2).reshape(n, -1) / grid.h
+    cols = np.stack([grid.axis_plus, grid.axis_minus], axis=2).reshape(n, -1)
+    kept = coef > 0.0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(kept, axis=1))])
+    drift = sp.csr_matrix((coef[kept], cols[kept], indptr), shape=(n, closure.shape[0]))
+    sel = np.column_stack(arms)
+    arm_coef = grid.ring_scale[sel] * (1.0 / grid.rho**2)
+    diag = zero_order - coef.sum(axis=1) - arm_coef[:, 0] - arm_coef[:, 1]
+    data = np.column_stack([arm_coef, diag]).ravel()
+    index = np.column_stack([np.take_along_axis(grid.ring_index, sel, axis=1), rows]).ravel()
+    ring = sp.csr_matrix((data, index, 3 * np.arange(n + 1)), shape=drift.shape)
+    return ((ring + drift) @ closure).tocsc()
 
 
 class TestFieldValidation:

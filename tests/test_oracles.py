@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from infeig.geometry import Disk, Interval, build_grid
+from infeig.geometry import Annulus, Disk, Interval, Rectangle, build_grid
 from infeig.operators import ScalarField, SteadyProblem, VectorField, apply_operator
 from infeig.oracles import (
     InvalidParams,
@@ -108,6 +108,29 @@ class TestLipschitzConstant:
             consts.append(lipschitz_constant(u, grid))
         for a, b in zip(consts, consts[1:]):
             assert b / a <= 1.5
+
+    def test_matches_per_arm_loop(self, rng):
+        # the masked pass over the (K, N) block returns the very float of a
+        # loop over the arms, each arm's active pairs divided by its length
+        def per_arm(u, grid):
+            best = 0.0
+            for k in range(grid.ring_index.shape[1]):
+                nb = grid.ring_index[:, k]
+                mask = nb < grid.n_active
+                if np.any(mask):
+                    d = np.abs(u.values[mask] - u.values[nb[mask]]) / grid.ring_lengths[k]
+                    best = max(best, float(d.max()))
+            return best
+
+        for grid in (
+            build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 8.0, 2),
+            build_grid(Annulus((0.0, 0.0), 0.25, 1.0), 0.1, 1),
+            build_grid(Rectangle((0.0, 0.0), (1.0, 1.0)), 1.0 / 8.0, 2),
+            build_grid(Interval(0.0, 1.0), 1.0 / 32.0, 2),
+        ):
+            for _ in range(12):
+                u = ScalarField(grid, rng.normal(size=grid.n_active) * rng.exponential(size=grid.n_active))
+                assert lipschitz_constant(u, grid) == per_arm(u, grid)
 
 
 class TestDenseReference:

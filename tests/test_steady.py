@@ -128,15 +128,34 @@ class TestSolveCoercive:
             solve_coercive(prob, SolverConfig(max_sweeps=1), initial=ScalarField.constant(disk8, 0.0))
         assert splu_sizes == [disk8.n_active]
 
-    def test_start_arms_break_ties_by_antipode(self, disk16s2, rng):
+    def test_arms_at_break_ties_by_antipode(self, disk16s2, rng):
         grid = disk16s2
-        sel_max, sel_min = steady._start_arms(grid, np.zeros(grid.n_active))
-        assert np.array_equal(grid.ring_offsets[sel_min], -grid.ring_offsets[sel_max])
+        arms, _ = steady._arms_at(grid, np.zeros(grid.n_active))
+        assert np.array_equal(grid.ring_offsets[arms[1]], -grid.ring_offsets[arms[0]])
         u = rng.normal(size=grid.n_active)
         w = ring_arm_values(grid, u)
-        sel_max, sel_min = steady._start_arms(grid, u)
-        assert np.array_equal(sel_max, np.argmax(w, axis=1))
-        assert np.array_equal(sel_min, np.argmin(w, axis=1))
+        arms, block = steady._arms_at(grid, u)
+        assert block.shape == w.T.shape and block.flags.c_contiguous
+        assert np.array_equal(block, w.T)
+        assert np.array_equal(arms[0], np.argmax(w, axis=1))
+        assert np.array_equal(arms[1], np.argmin(w, axis=1))
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_switch_keeps_tied_arms(self, disk16s2, rng, nested):
+        # u constant on a patch: at nodes whose whole ring lies in it, all arms
+        # tie, so no arm there has a gain and a switch step leaves it alone
+        grid = disk16s2
+        n, k = grid.n_active, grid.ring_offsets.shape[0]
+        u = rng.normal(size=n)
+        u[np.linalg.norm(grid.nodes, axis=1) < 0.5] = 0.25
+        tied = np.ptp(ring_arm_values(grid, u), axis=1) == 0.0
+        assert tied.sum() > 50
+        system = steady._CoerciveSystem(grid, np.zeros((n, 2)), -np.ones(n), SolverConfig())
+        system._arms = rng.integers(0, k, size=(2, n))
+        before = system._arms.copy()
+        assert system.switch(u, nested)
+        assert np.array_equal(system._arms[:, tied], before[:, tied])
+        assert not np.array_equal(system._arms, before)
 
     def test_interval_h1024(self, cfg):
         # from u = 0 Howard's algorithm moves the arm switches a few nodes per
