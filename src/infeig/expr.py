@@ -3,9 +3,10 @@
 Coefficient fields (drift components, zero-order term, right-hand side,
 initial data) are given in config files as strings like ``"-1 + 0.5*sin(3*x)"``
 or ``"piecewise(r, 0.2, 1.0, 0.8, -1.0, -2.0)"``.  The language knows the
-variables ``x``, ``y`` and ``r`` (distance to the domain center), the unary
-functions abs/exp/sin/cos/sqrt, binary min/max, ``^`` for powers and a radial
-piecewise selector.  ASTs are immutable; evaluation is pure.
+variables ``x``, ``y`` and ``r`` (distance to the domain center), the signs
+and named functions of ``_OPS`` and a radial piecewise selector.  ``_OPS`` is
+the one place where the operators are listed: the parser, the evaluator and
+the printer all read it.  ASTs are immutable; evaluation is pure.
 
 ``evaluate_on_points`` is the one evaluator.  It computes every node on whole
 node arrays (a constant stays a scalar, except as a power's exponent), and a
@@ -25,8 +26,23 @@ import numpy as np
 from .errors import InfeigError
 
 VARIABLES = ("x", "y", "r")
-UNARY_FUNCTIONS = ("abs", "exp", "sin", "cos", "sqrt")
-BINARY_FUNCTIONS = ("min", "max")
+# operator -> (numpy function, argument count when called by name); a count
+# of 0 marks a sign: the unary minus "neg" or an infix operator
+_OPS = {
+    "neg": (np.negative, 0),
+    "+": (np.add, 0),
+    "-": (np.subtract, 0),
+    "*": (np.multiply, 0),
+    "/": (np.divide, 0),
+    "^": (np.power, 0),
+    "abs": (np.abs, 1),
+    "exp": (np.exp, 1),
+    "sin": (np.sin, 1),
+    "cos": (np.cos, 1),
+    "sqrt": (np.sqrt, 1),
+    "min": (np.minimum, 2),
+    "max": (np.maximum, 2),
+}
 
 
 class ExprError(InfeigError):
@@ -63,13 +79,13 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # "neg" or one of UNARY_FUNCTIONS
+    op: str  # a key of _OPS: "neg" or a function of one argument
     arg: "ExprAst"
 
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # + - * / ^ min max
+    op: str  # a key of _OPS: an infix sign or a function of two arguments
     left: "ExprAst"
     right: "ExprAst"
 
@@ -148,45 +164,31 @@ def parse(source: str) -> ExprAst:
     override.  Errors report byte offsets into the source string.
     """
     sc = _Scanner(source)
-    ast = _parse_sum(sc)
+    ast = _parse_infix(sc, "+-", _parse_product)
     sc.skip_ws()
     if sc.pos != len(sc.src):
         raise ExprSyntaxError(sc.pos, "end of input")
     return ast
 
 
-def _parse_sum(sc: _Scanner) -> ExprAst:
-    node = _parse_product(sc)
-    while True:
-        ch = sc.peek()
-        if ch == "+" or ch == "-":
-            sc.pos += 1
-            rhs = _parse_product(sc)
-            node = Binary(ch, node, rhs)
-        else:
-            return node
-
-
 def _parse_product(sc: _Scanner) -> ExprAst:
-    node = _parse_unary(sc)
-    while True:
-        ch = sc.peek()
-        if ch == "*" or ch == "/":
-            sc.pos += 1
-            rhs = _parse_unary(sc)
-            node = Binary(ch, node, rhs)
-        else:
-            return node
+    return _parse_infix(sc, "*/", _parse_unary)
+
+
+def _parse_infix(sc: _Scanner, ops: str, operand) -> ExprAst:
+    """Left-associative chain of ``operand`` joined by the signs in ``ops``;
+    a sum is ``_parse_infix(sc, "+-", _parse_product)``."""
+    node = operand(sc)
+    while (ch := sc.peek()) and ch in ops:
+        sc.pos += 1
+        node = Binary(ch, node, operand(sc))
+    return node
 
 
 def _parse_unary(sc: _Scanner) -> ExprAst:
     if sc.peek() == "-":
         sc.pos += 1
         return Unary("neg", _parse_unary(sc))
-    return _parse_power(sc)
-
-
-def _parse_power(sc: _Scanner) -> ExprAst:
     base = _parse_atom(sc)
     if sc.peek() == "^":
         sc.pos += 1
@@ -201,7 +203,7 @@ def _parse_atom(sc: _Scanner) -> ExprAst:
         raise ExprSyntaxError(sc.pos, "a value")
     if ch == "(":
         sc.pos += 1
-        inner = _parse_sum(sc)
+        inner = _parse_infix(sc, "+-", _parse_product)
         if sc.peek() != ")":
             raise ExprSyntaxError(sc.pos, "')'")
         sc.pos += 1
@@ -221,28 +223,25 @@ def _parse_atom(sc: _Scanner) -> ExprAst:
 
 def _parse_call(sc: _Scanner, name: str, start: int) -> ExprAst:
     sc.pos += 1  # consume "("
-    args = [_parse_sum(sc)]
+    args = [_parse_infix(sc, "+-", _parse_product)]
     while sc.peek() == ",":
         sc.pos += 1
-        args.append(_parse_sum(sc))
+        args.append(_parse_infix(sc, "+-", _parse_product))
     if sc.peek() != ")":
         raise ExprSyntaxError(sc.pos, "',' or ')'")
     sc.pos += 1
-    if name in UNARY_FUNCTIONS:
-        if len(args) != 1:
-            raise ExprSyntaxError(start, f"1 argument to {name}")
-        return Unary(name, args[0])
-    if name in BINARY_FUNCTIONS:
-        if len(args) != 2:
-            raise ExprSyntaxError(start, f"2 arguments to {name}")
-        return Binary(name, args[0], args[1])
     if name == "piecewise":
         # piecewise(sel, t1, v1, ..., tn, vn, default): even count >= 4
         if len(args) < 4 or len(args) % 2 != 0:
             raise ExprSyntaxError(start, "piecewise(sel, t1, v1, ..., default)")
         pairs = args[1:-1]
         return Piecewise(args[0], tuple(pairs[0::2]), tuple(pairs[1::2]), args[-1])
-    raise UnknownIdentifier(name, start)
+    count = _OPS.get(name, (None, 0))[1]
+    if count == 0:
+        raise UnknownIdentifier(name, start)
+    if len(args) != count:
+        raise ExprSyntaxError(start, f"{count} argument{'s' * (count > 1)} to {name}")
+    return Unary(name, *args) if count == 1 else Binary(name, *args)
 
 
 def evaluate_on_points(ast: ExprAst, x, y, r) -> np.ndarray:
@@ -275,41 +274,21 @@ def _eval_vec(ast: ExprAst, env: dict, shape, where=None):
         return env[ast.name]
     if isinstance(ast, Unary):
         a = _eval_vec(ast.arg, env, shape, where)
-        if ast.op == "neg":
-            return -a
-        if ast.op == "abs":
-            return np.abs(a)
-        if ast.op == "exp":
-            return np.exp(a)
-        if ast.op == "sin":
-            return np.sin(a)
-        if ast.op == "cos":
-            return np.cos(a)
         if ast.op == "sqrt":
             _check(a < 0, where, "sqrt of negative value")
-            return np.sqrt(a)
+        return _OPS[ast.op][0](a)
     if isinstance(ast, Binary):
         a = _eval_vec(ast.left, env, shape, where)
         b = _eval_vec(ast.right, env, shape, where)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
         if ast.op == "/":
             _check(b == 0.0, where, "division by zero")
-            return a / b
-        if ast.op == "^":
+        elif ast.op == "^":
             _check((a == 0.0) & (b < 0), where, "zero raised to a negative power")
             _check((a < 0) & (b != np.trunc(b)), where, "negative base with non-integer exponent")
             # numpy takes other paths, with other bits, for a scalar or
             # stride-0 exponent (x^2 by squaring), so the exponent is full
-            return np.power(a, np.full(shape, b) if np.ndim(b) == 0 else b)
-        if ast.op == "min":
-            return np.minimum(a, b)
-        if ast.op == "max":
-            return np.maximum(a, b)
+            b = np.full(shape, b) if np.ndim(b) == 0 else b
+        return _OPS[ast.op][0](a, b)
     if isinstance(ast, Piecewise):
         # threshold k is used where no earlier pair hit, value k where pair k
         # hit, the default where none did
@@ -332,13 +311,11 @@ def to_source(ast: ExprAst) -> str:
     if isinstance(ast, Var):
         return ast.name
     if isinstance(ast, Unary):
-        if ast.op == "neg":
-            return f"(-{to_source(ast.arg)})"
-        return f"{ast.op}({to_source(ast.arg)})"
+        a = to_source(ast.arg)
+        return f"{ast.op}({a})" if _OPS[ast.op][1] else f"(-{a})"
     if isinstance(ast, Binary):
-        if ast.op in BINARY_FUNCTIONS:
-            return f"{ast.op}({to_source(ast.left)}, {to_source(ast.right)})"
-        return f"({to_source(ast.left)} {ast.op} {to_source(ast.right)})"
+        a, b = to_source(ast.left), to_source(ast.right)
+        return f"{ast.op}({a}, {b})" if _OPS[ast.op][1] else f"({a} {ast.op} {b})"
     if isinstance(ast, Piecewise):
         parts = [to_source(ast.selector)]
         for thr, val in zip(ast.thresholds, ast.values):

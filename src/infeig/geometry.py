@@ -344,8 +344,8 @@ class Grid:
     ``ring_index`` / ``axis_plus`` / ``axis_minus`` address an extended value
     vector: entries < n_active are active nodes, the rest are ghost closures
     (convex combinations of active nodal values given by ``ghost_nodes`` /
-    ``ghost_weights``).  Ghosts are numbered in order of first appearance
-    over nodes, then ring arms, then axis plus/minus.  The three index
+    ``ghost_weights``).  Ghosts are numbered in lattice order: ghost j is
+    the j-th exterior target in the raveled lattice box.  The three index
     arrays are column-major: the transposed ``ring_index`` is the
     C-contiguous (K, N) block the ring kernel gathers in one call, and the
     steady solver's policy step and frozen matrix read the same block; the
@@ -424,8 +424,6 @@ class Grid:
         return self.ghost_points.shape[0]
 
     def ghost_values(self, values: np.ndarray) -> np.ndarray:
-        if self.n_ghost == 0:
-            return np.zeros(0)
         return np.einsum("gk,gk->g", self.ghost_weights, values[self.ghost_nodes])
 
     def extended_values(self, values: np.ndarray) -> np.ndarray:
@@ -493,23 +491,20 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     index = np.empty((n, steps.shape[0]), dtype=np.int64, order="F")
     for col, v in enumerate(step_offsets):
         np.take(table, base + v, out=index[:, col], mode="clip")
-    # np.nonzero runs node by node, then column, over the nodes with a ghost
-    # target: ghosts are numbered in order of first appearance
+    # the (node, column) pairs with a ghost target; np.unique numbers the
+    # ghosts by their key in the raveled box, that is in lattice order
     near = np.flatnonzero(index.min(axis=1) < 0)
     near_rows, cols = np.nonzero(index[near] < 0)
     rows = near[near_rows]
     _, first, label = np.unique(base[rows] + step_offsets[cols], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    ghost_number = np.empty_like(order)
-    ghost_number[order] = np.arange(order.size)
-    index[rows, cols] = n + ghost_number[label.reshape(-1)]
+    index[rows, cols] = n + label.reshape(-1)
     ring_index = index[:, :K]
     axis_plus = np.asfortranarray(index[:, K::2])
     axis_minus = np.asfortranarray(index[:, K + 1::2])
 
     # ghost closure: reflect each exterior point across the boundary and
     # interpolate bilinearly at the reflection
-    ghost_points = (act_lattice[rows[first[order]]] + steps[cols[first[order]]]) * h
+    ghost_points = (act_lattice[rows[first]] + steps[cols[first]]) * h
     ghost_nodes, ghost_weights = _bilinear(lattice_map, domain.reflect(ghost_points) / h)
     ghost_weights = _sum_to_one(ghost_weights)
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from infeig import steady
+from infeig import steady, verify
 from infeig.cli import main
 from infeig.config import ConfigError, load_config, parse_config_text
 from infeig.steady import SolverConfig
@@ -192,9 +192,20 @@ class TestSubcommands:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
 
-    def test_config_error_exit_2(self, tmp_path):
+    def test_config_error_exit_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "bad.cfg", "coeff.c = 2*(x+\n")
         assert main(["eigen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        # unparsable values and unknown keys: the message names the key or the item
+        cfg = _write(tmp_path, "disk.cfg", "domain.type = disk\ngrid.h = 0.125\ncoeff.c = -1\n")
+        for setting, named in (
+            ("grid.h=abc", "grid.h"), ("grid.s=1.5", "grid.s"),
+            ("domain.center=a,b", "domain.center"), ("domain.type=ellipse", "ellipse"),
+            ("foo", "foo"), ("nope=1", "nope"),
+        ):
+            capsys.readouterr()
+            argv = ["eigen", "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]
+            assert main(argv) == 2, setting
+            assert named in capsys.readouterr().err, setting
         # malformed disk and annulus geometry is a config error, not a crash
         for kind, setting in (
             ("disk", "domain.center=0,0,0"),
@@ -277,6 +288,17 @@ class TestSubcommands:
         dt = summary["dt"]
         assert abs(trace[-1, 1] - exact) / exact <= 1.5 * trace[-1, 0] * dt / 2.0
 
+    def test_evolve_below_resolution_fits_no_rate(self, tmp_path):
+        # the trailing half of the sups sits below 1e-12: no rate is fitted, and
+        # summary.json says so with null instead of a slope through noise
+        text = SOLVE_CFG + "coeff.c = -30\ncoeff.h0 = 1\nevolve.T = 5\n"
+        cfg = _write(tmp_path, "ev.cfg", text)
+        out = str(tmp_path / "out")
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["fitted_rate"] is None
+        assert summary["pass"] is True
+
     def test_mpcheck(self, tmp_path):
         text = SOLVE_CFG + (
             "coeff.c = -1\nmpcheck.lambda = 0.5\n"
@@ -352,3 +374,17 @@ class TestVerify:
         assert report["passed"] is True
         assert len(report["checks"]) >= 12
         assert "PASS" in captured.out
+
+    def test_raising_check_fails_loudly(self, tmp_path, monkeypatch, capsys):
+        # a check that raises is a FAIL with infinite slack, never a skip
+        def broken():
+            raise RuntimeError("broken check")
+
+        monkeypatch.setattr(verify, "_bump_bound", broken)
+        out = str(tmp_path / "v")
+        assert main(["verify", "--out", out]) == 4
+        report = json.loads(open(os.path.join(out, "verify.json")).read())
+        assert report["passed"] is False
+        (check,) = [c for c in report["checks"] if c["name"] == "bump-bound-limits"]
+        assert check["passed"] is False and check["slack"] is None
+        assert "FAIL" in capsys.readouterr().out

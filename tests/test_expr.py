@@ -67,6 +67,29 @@ def test_syntax_error_offset():
     assert "byte 9" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "source, offset, expected",
+    [
+        ("2e", 1, "end of input"),  # a bare "e" is not an exponent
+        ("1.2.3", 3, "end of input"),
+        (".", 0, "a number"),
+        ("(x", 2, "')'"),
+        ("*x", 0, "a number, variable or '('"),
+        ("min(x y)", 6, "',' or ')'"),
+        ("sin(x, y)", 0, "1 argument to sin"),
+        ("max(x)", 0, "2 arguments to max"),
+        ("piecewise(r, 1, 2)", 0, "piecewise(sel, t1, v1, ..., default)"),
+        ("sqrt()", 5, "a number, variable or '('"),
+        ("", 0, "a value"),
+    ],
+)
+def test_syntax_errors_pinned(source, offset, expected):
+    with pytest.raises(ExprSyntaxError) as err:
+        expr.parse(source)
+    assert (err.value.offset, err.value.expected) == (offset, expected)
+    assert str(err.value) == f"syntax error at byte {offset}: expected {expected}"
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifier) as err:
         expr.parse("2 * z")
@@ -77,6 +100,9 @@ def test_unknown_identifier():
 def test_unknown_function():
     with pytest.raises(UnknownIdentifier):
         expr.parse("tan(x)")
+    # "neg" names the unary minus in the AST, not a function of the language
+    with pytest.raises(UnknownIdentifier):
+        expr.parse("neg(x)")
 
 
 def test_division_by_zero():

@@ -326,8 +326,8 @@ def test_index_columns_contiguous(domain, h, s):
     (Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2),
 ])
 def test_stencil_indices_address_targets(domain, h, s):
-    # each index names the node or ghost at node + offset; ghosts are numbered
-    # by first appearance over nodes, then ring arms, then axis plus/minus
+    # each index names the node or ghost at node + offset; ghost j holds the
+    # j-th ghost lattice key in raveled box order
     grid = build_grid(domain, h, s)
     n = grid.n_active
     lattice_index = _lattice_map(grid)
@@ -336,7 +336,9 @@ def test_stencil_indices_address_targets(domain, h, s):
     assert len(set(ghost_keys)) == grid.n_ghost
     offsets = np.rint(grid.ring_offsets / h).astype(int).tolist()
     unit = np.eye(grid.dim, dtype=int).tolist()
-    seen = []
+    raveled = (np.array(ghost_keys) - grid.lattice.lo) @ grid.lattice.strides
+    assert np.all(np.diff(raveled) > 0)
+    seen = set()
     for i, q in enumerate(np.rint(grid.nodes / h).astype(int).tolist()):
         assert lattice_index[tuple(q)] == i
         columns = [(grid.ring_index[i, k], v) for k, v in enumerate(offsets)]
@@ -349,9 +351,8 @@ def test_stencil_indices_address_targets(domain, h, s):
             else:
                 assert key not in lattice_index
                 assert ghost_keys[j - n] == key
-                if j - n not in seen:
-                    seen.append(j - n)
-    assert seen == list(range(grid.n_ghost))
+                seen.add(j - n)
+    assert seen == set(range(grid.n_ghost))
 
 
 @pytest.mark.parametrize("domain, h, s", [

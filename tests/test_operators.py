@@ -449,6 +449,10 @@ class TestFieldValidation:
         bad[0] = np.nan
         with pytest.raises(ValueError):
             ScalarField(disk8, bad)
+        bad_vec = np.zeros((disk8.n_active, 2))
+        bad_vec[0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            VectorField(disk8, bad_vec)
 
     def test_grid_mismatch(self, disk8, interval16):
         u = ScalarField.constant(interval16, 1.0)
@@ -461,6 +465,11 @@ class TestFieldValidation:
         )
         with pytest.raises(ValueError):
             apply_operator(prob, u)
+        # a field from another grid is refused when the problem is built
+        with pytest.raises(ValueError, match="share the problem grid"):
+            SteadyProblem(
+                disk8, VectorField.zero(disk8), ScalarField.constant(disk8, -1.0), u, 0.0
+            )
 
 
 @pytest.mark.parametrize("module", ["infeig", "infeig.operators"])

@@ -79,9 +79,17 @@ class TestSignChangingCoefficient:
     def test_validation(self, disk16s2, interval16):
         with pytest.raises(InvalidParams):
             SignChangingParams(1.0, 0.97, 0.05, 1.0, 0.3, 5.0)
+        # well_depth, bump_height and rate must each be positive
+        for bad in ((0.0, 0.3, 5.0), (1.0, -0.3, 5.0), (1.0, 0.3, 0.0)):
+            with pytest.raises(InvalidParams, match="must be positive"):
+                SignChangingParams(1.0, 0.2, 0.05, *bad)
         params = SignChangingParams(1.0, 0.2, 0.05, 1.0, 0.3, 5.0)
         with pytest.raises(InvalidParams):
             sign_changing_coefficient(params, interval16)
+        # a disk of another radius than outer_radius
+        wide = SignChangingParams(2.0, 0.2, 0.05, 1.0, 0.3, 5.0)
+        with pytest.raises(InvalidParams, match="radius"):
+            sign_changing_coefficient(wide, disk16s2)
 
 
 class TestLipschitzConstant:
