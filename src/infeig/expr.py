@@ -64,7 +64,8 @@ class UnknownIdentifier(ExprError):
 
 
 class EvalError(ExprError):
-    """Division by zero, even root of a negative, or a non-finite result."""
+    """Division by zero, even root of a negative, a non-finite result, or
+    nesting too deep to evaluate."""
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,14 @@ def parse(source: str) -> ExprAst:
     """Parse an expression string into an AST.
 
     Precedence: ``^`` > unary minus > ``*``/``/`` > ``+``/``-``; parentheses
-    override.  Errors report byte offsets into the source string.
+    override.  Errors report byte offsets into the source string; nesting
+    deeper than Python's recursion limit allows is an ExprError too.
     """
     sc = _Scanner(source)
-    ast = _parse_infix(sc, "+-", _parse_product)
+    try:
+        ast = _parse_infix(sc, "+-", _parse_product)
+    except RecursionError:
+        raise ExprError(f"expression nested too deeply to parse at byte {sc.pos}") from None
     sc.skip_ws()
     if sc.pos != len(sc.src):
         raise ExprSyntaxError(sc.pos, "end of input")
@@ -248,11 +253,15 @@ def evaluate_on_points(ast: ExprAst, x, y, r) -> np.ndarray:
     """Evaluate over node arrays.  Raises EvalError on division by zero, sqrt
     of a negative, zero to a negative power, a negative base with a
     non-integer exponent or a non-finite result, each only at points that
-    use the value (a piecewise branch only where it is selected)."""
+    use the value (a piecewise branch only where it is selected), and on
+    nesting deeper than Python's recursion limit allows."""
     x = np.asarray(x, dtype=float)
     env = {"x": x, "y": np.asarray(y, dtype=float), "r": np.asarray(r, dtype=float)}
     with np.errstate(all="ignore"):
-        out = _eval_vec(ast, env, x.shape)
+        try:
+            out = _eval_vec(ast, env, x.shape)
+        except RecursionError:
+            raise EvalError("expression nested too deeply to evaluate") from None
     out = np.array(np.broadcast_to(out, x.shape), dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvalError("non-finite value in field evaluation")

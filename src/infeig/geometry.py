@@ -18,9 +18,11 @@ Lattice nodes sit at integer multiples of the spacing ``h`` so that grids at
 ``h`` and ``h/2`` are nested.  One lattice map, ``LatticeMap``, takes integer
 lattice points to node indices: the dense table over the padded lattice box
 that ``build_grid`` fills and keeps as ``Grid.lattice``.  It serves the
-stencil steps, the ghost closure's bilinear corners and both coarse-fine
-transfers, and a point with no weighted corner among the nodes takes its
-nearest node from a search over windows of the table.
+stencil steps and the bilinear corners, and a point with no weighted corner
+among the nodes takes its nearest node from a search over windows of the
+table.  The bilinear rule leaves this module only as CSR maps, the ghost
+closure ``Grid.ghost_map`` and the transfer ``interpolation_map``, whose
+product sums each row left to right in corner order.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InfeigError
 
@@ -343,8 +346,8 @@ class Grid:
 
     ``ring_index`` / ``axis_plus`` / ``axis_minus`` address an extended value
     vector: entries < n_active are active nodes, the rest are ghost closures
-    (convex combinations of active nodal values given by ``ghost_nodes`` /
-    ``ghost_weights``).  Ghosts are numbered in lattice order: ghost j is
+    (convex combinations of active nodal values given by the rows of
+    ``ghost_map``).  Ghosts are numbered in lattice order: ghost j is
     the j-th exterior target in the raveled lattice box.  The three index
     arrays are column-major: the transposed ``ring_index`` is the
     C-contiguous (K, N) block the ring kernel gathers in one call, and the
@@ -368,8 +371,7 @@ class Grid:
     axis_plus: np.ndarray      # (N, dim) extended indices
     axis_minus: np.ndarray     # (N, dim) extended indices
     ghost_points: np.ndarray   # (G, dim)
-    ghost_nodes: np.ndarray    # (G, 2**dim) node indices (padded)
-    ghost_weights: np.ndarray  # (G, 2**dim) nonnegative, rows sum to 1
+    ghost_map: sp.csr_matrix   # (G, N) positive weights, rows sum to 1
     lattice: LatticeMap        # integer points of the nodes; lookup over the padded box
 
     @property
@@ -423,12 +425,9 @@ class Grid:
     def n_ghost(self) -> int:
         return self.ghost_points.shape[0]
 
-    def ghost_values(self, values: np.ndarray) -> np.ndarray:
-        return np.einsum("gk,gk->g", self.ghost_weights, values[self.ghost_nodes])
-
     def extended_values(self, values: np.ndarray) -> np.ndarray:
         """Active nodal values followed by ghost-closed values."""
-        return np.concatenate([values, self.ghost_values(values)])
+        return np.concatenate([values, self.ghost_map @ values])
 
 
 def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
@@ -506,7 +505,6 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     # interpolate bilinearly at the reflection
     ghost_points = (act_lattice[rows[first]] + steps[cols[first]]) * h
     ghost_nodes, ghost_weights = _bilinear(lattice_map, domain.reflect(ghost_points) / h)
-    ghost_weights = _sum_to_one(ghost_weights)
 
     return Grid(
         domain=domain,
@@ -519,8 +517,7 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         axis_plus=axis_plus,
         axis_minus=axis_minus,
         ghost_points=ghost_points,
-        ghost_nodes=ghost_nodes,
-        ghost_weights=ghost_weights,
+        ghost_map=_sparse(ghost_nodes, _sum_to_one(ghost_weights), n),
         lattice=lattice_map,
     )
 
@@ -534,6 +531,12 @@ def _sum_to_one(weights: np.ndarray) -> np.ndarray:
     q = np.rint(weights * _UNITS)
     q[np.arange(len(q)), np.argmax(q, axis=1)] += _UNITS - q.sum(axis=1)
     return q / _UNITS
+
+
+def _sparse(idx: np.ndarray, weights: np.ndarray, n: int) -> sp.csr_matrix:
+    """(P, n) CSR map of padded rows: each row's nonzero weights, in their order."""
+    kept = weights > 0.0
+    return sp.csr_matrix((weights[kept], idx[kept], np.r_[0, np.cumsum(kept.sum(axis=1))]), shape=(len(idx), n))
 
 
 def _bilinear(lattice: LatticeMap, x: np.ndarray) -> tuple:
@@ -573,12 +576,12 @@ def injection_index(coarse: Grid, fine: Grid) -> np.ndarray:
     return _bilinear(fine.lattice, 2 * coarse.lattice.points)[0][:, 0]
 
 
-def interpolation_weights(coarse: Grid, fine: Grid) -> tuple:
+def interpolation_map(coarse: Grid, fine: Grid) -> sp.csr_matrix:
     """Bilinear interpolation from ``coarse``, the grid with twice ``fine``'s
-    spacing, onto ``fine``'s nodes: (N_fine, 2**dim) coarse node indices and
-    nonnegative weights summing to 1 per row, by the ghost closure's rule,
-    with corners found in ``coarse.lattice``."""
-    return _bilinear(coarse.lattice, 0.5 * fine.lattice.points)
+    spacing, onto ``fine``'s nodes: the (N_fine, N_coarse) CSR map of positive
+    weights summing to 1 per row, by the ghost closure's rule, with corners
+    found in ``coarse.lattice``."""
+    return _sparse(*_bilinear(coarse.lattice, 0.5 * fine.lattice.points), coarse.n_active)
 
 
 def grid_metadata(grid: Grid) -> dict:

@@ -36,7 +36,8 @@ transpose.  ``_add_upwind_drift`` (behind ``residual_values`` and
 ``drift_values``) works one axis column at a time.  ``frozen_matrices``
 assembles the same ring and upwind coefficients, with the (2, N) max and min
 arms frozen, as the sparse matrices that every solver factors; the ghost
-closure enters them as one sparse matrix.
+closure enters them as one sparse matrix, ``Grid.ghost_map``, the one that
+``Grid.extended_values`` applies, so both sum its rows in one order.
 """
 
 from __future__ import annotations
@@ -145,11 +146,8 @@ def frozen_matrices(grid: Grid, b_values: np.ndarray):
     and ``axis_minus``, and the ghost closure maps them onto the nodes."""
     n = grid.n_active
     rows = np.arange(n)
-    # the closure, (N + G, N): identity rows, then each ghost's weights
-    kept = grid.ghost_weights > 0.0
-    indptr = np.concatenate([np.arange(n + 1), n + np.cumsum(np.count_nonzero(kept, axis=1))])
-    closure = sp.csr_matrix((np.concatenate([np.ones(n), grid.ghost_weights[kept]]),
-                             np.concatenate([rows, grid.ghost_nodes[kept]]), indptr), shape=(n + grid.n_ghost, n))
+    # the closure, (N + G, N): identity rows, then the ghost map
+    closure = sp.vstack([sp.identity(n, format="csr"), grid.ghost_map], format="csr")
     coef = np.stack([np.maximum(b_values, 0.0), -np.minimum(b_values, 0.0)], axis=2).reshape(n, -1) / grid.h
     cols = np.stack([grid.axis_plus, grid.axis_minus], axis=2).reshape(n, -1)
     kept = coef > 0.0  # with b = 0 the drift block stores nothing

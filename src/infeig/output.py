@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from itertools import repeat
+from itertools import groupby, repeat
+
+import numpy as np
 
 
 def fmt(x) -> str:
@@ -59,20 +61,14 @@ def _row_format(types: tuple) -> tuple:
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Header and rows of values as ``fmt`` writes each, one %-format per row,
-    cached per tuple of value types."""
-    formats = {}
+    """Header and rows of values as ``fmt`` writes each: one %-format for each
+    run of consecutive rows with the same value types, mapped over the run."""
     lines = [",".join(header) + "\n"]
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        try:
-            form, has_bool = formats[types]
-        except KeyError:
-            form, has_bool = formats[types] = _row_format(types)
+    for types, run in groupby(map(tuple, rows), key=lambda row: tuple(map(type, row))):
+        form, has_bool = _row_format(types)
         if has_bool:
-            row = tuple(fmt(v) if isinstance(v, bool) else v for v in row)
-        lines.append(form % row)
+            run = (tuple(fmt(v) if isinstance(v, bool) else v for v in row) for row in run)
+        lines.extend(map(form.__mod__, run))
     with open(path, "w") as f:
         f.writelines(lines)
 
@@ -88,8 +84,8 @@ def write_run_meta(out_dir: str, subcommand: str, raw_config: dict) -> None:
 
 
 def node_rows(grid, column):
-    """CSV rows (index, x, y, column[index]) over the active nodes of a grid,
-    with y = 0 in 1D; ``column`` holds one value per node (a field's values,
-    or the node class names)."""
-    y = grid.nodes[:, 1] if grid.dim == 2 else repeat(0.0)
-    return zip(range(grid.n_active), grid.nodes[:, 0], y, column)
+    """CSV rows (index, x, y, column[index]) of Python scalars over the active
+    nodes of a grid, with y = 0 in 1D; ``column`` holds one value per node (a
+    field's values, or the node class names)."""
+    y = grid.nodes[:, 1].tolist() if grid.dim == 2 else repeat(0.0)
+    return zip(range(grid.n_active), grid.nodes[:, 0].tolist(), y, np.asarray(column).tolist())

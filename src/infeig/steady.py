@@ -64,7 +64,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import InfeigError
-from .geometry import GeometryError, Grid, build_grid, injection_index, interpolation_weights
+from .geometry import GeometryError, Grid, build_grid, injection_index, interpolation_map
 from .operators import (
     ScalarField,
     SteadyProblem,
@@ -181,8 +181,8 @@ class _CoerciveSystem:
         return max(0.2 * self.cfg.tol, 0.2 * self.cfg.rel_tol * max(1.0, float(np.max(np.abs(rhs)))))
 
     def _coarse_start(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution on the grid with twice the spacing, interpolated, its
-        factorizations added to this system's; zeros on the coarsest grid that builds."""
+        """The solution on the grid with twice the spacing, by ``interpolation_map``,
+        its factorizations added to this system's; zeros on the coarsest grid that builds."""
         grid = self.grid
         try:
             coarse = build_grid(grid.domain, 2.0 * grid.h, grid.s)
@@ -192,8 +192,7 @@ class _CoerciveSystem:
         system = _CoerciveSystem(coarse, self.b[down], self.c0[down], self.cfg)
         coarse_u = system.solve(rhs[down])
         self.factorizations += system.factorizations
-        idx, weights = interpolation_weights(coarse, grid)
-        return np.einsum("nk,nk->n", weights, coarse_u[idx])
+        return interpolation_map(coarse, grid) @ coarse_u
 
     def switch(self, u: np.ndarray, nested: bool) -> bool:
         """Moves each player's arm to its best at u where that beats it by more

@@ -242,6 +242,17 @@ class TestSubcommands:
             argv = [sub, "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]
             assert main(argv) == 2, (sub, setting)
 
+    @pytest.mark.parametrize("setting", [
+        "coeff.c=" + "(" * 250 + "-1" + ")" * 250,
+        "coeff.g=" + "sin(" * 200 + "x" + ")" * 200,
+        "coeff.g=" + "-" * 990 + "1",
+    ], ids=["parentheses", "sin", "unary-minus"])
+    def test_deep_nesting_exit_2(self, tmp_path, capsys, setting):
+        # nesting past Python's recursion limit is a config error, not a traceback
+        cfg = _write(tmp_path, "disk.cfg", README_DISK_CFG)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_oversized_grid_exit_2(self, tmp_path, capsys):
         # the lattice box is sized before it is built: no hang, no MemoryError
         cfg = _write(tmp_path, "rect.cfg", "domain.type = rectangle\ndomain.lo = -1,-1\ncoeff.c = -1\n")

@@ -105,6 +105,22 @@ def test_unknown_function():
         expr.parse("neg(x)")
 
 
+def test_deep_nesting_that_fits_still_parses_and_evaluates():
+    assert ev("(" * 150 + "-1" + ")" * 150) == -1.0
+    assert ev("sin(" * 100 + "0" + ")" * 100) == 0.0
+    assert ev("-" * 400 + "2") == 2.0
+
+
+def test_nesting_too_deep_is_an_expr_error():
+    with pytest.raises(expr.ExprError, match="nested too deeply to parse"):
+        expr.parse("(" * 5000 + "1" + ")" * 5000)
+    ast = expr.Const(1.0)
+    for _ in range(5000):
+        ast = expr.Unary("neg", ast)
+    with pytest.raises(EvalError, match="nested too deeply to evaluate"):
+        at_point(ast)
+
+
 def test_division_by_zero():
     with pytest.raises(EvalError):
         ev("1 / x", x=0.0)

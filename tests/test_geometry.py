@@ -19,7 +19,7 @@ from infeig.geometry import (
     build_grid,
     grid_metadata,
     injection_index,
-    interpolation_weights,
+    interpolation_map,
 )
 from infeig.geometry import LatticeMap, _bilinear, _box, _norm
 from infeig.output import node_rows
@@ -143,10 +143,13 @@ def test_stencil_symmetry_and_pair_lengths():
 def test_ghost_weights_are_convex():
     grid = build_grid(Disk((0.0, 0.0), 1.0), 0.125, 2)
     assert grid.n_ghost > 0
-    assert np.all(grid.ghost_weights >= 0.0)
-    assert np.allclose(grid.ghost_weights.sum(axis=1), 1.0)
-    assert np.all(grid.ghost_nodes >= 0)
-    assert np.all(grid.ghost_nodes < grid.n_active)
+    gm = grid.ghost_map
+    assert gm.shape == (grid.n_ghost, grid.n_active)
+    assert np.all(np.diff(gm.indptr) >= 1)
+    assert np.all(gm.data > 0.0)
+    assert np.allclose(gm.sum(axis=1), 1.0)
+    assert np.all(gm.indices >= 0)
+    assert np.all(gm.indices < grid.n_active)
 
 
 @pytest.mark.parametrize("domain, h, s", [
@@ -157,8 +160,28 @@ def test_ghost_weights_are_convex():
 def test_ghost_closure_exact_on_constants(domain, h, s):
     # renormalized bilinear weights used to miss 1 by an ulp on a few rows
     grid = build_grid(domain, h, s)
-    assert np.all(grid.ghost_weights.sum(axis=1) == 1.0)
+    assert np.all(grid.ghost_map.sum(axis=1) == 1.0)
     assert np.all(grid.extended_values(np.ones(grid.n_active)) == 1.0)
+
+
+@pytest.mark.parametrize("domain, h, s", [
+    (Disk((0.0, 0.0), 1.0), 1.0 / 16.0, 2),
+    (Annulus((0.0, 0.0), 0.25, 1.0), 1.0 / 40.0, 2),
+    (Interval(0.0, 1.0), 1.0 / 32.0, 2),
+])
+def test_ghost_closure_sums_each_row_left_to_right(domain, h, s):
+    # the closure adds each row's products weight * v[col] in the map's stored
+    # order, the order in which the frozen matrices' sparse product adds them
+    grid = build_grid(domain, h, s)
+    v = np.random.default_rng(3).normal(size=grid.n_active).tolist()
+    gm = grid.ghost_map
+    want = []
+    for start, stop in zip(gm.indptr[:-1].tolist(), gm.indptr[1:].tolist()):
+        total = 0.0
+        for w, col in zip(gm.data[start:stop].tolist(), gm.indices[start:stop].tolist()):
+            total += w * v[col]
+        want.append(total)
+    assert grid.extended_values(np.array(v))[grid.n_active:].tolist() == want
 
 
 def test_interior_stencils_complete():
@@ -303,7 +326,8 @@ def test_deterministic_build():
     b = build_grid(Disk((0.0, 0.0), 1.0), 0.125, 2)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.ring_index, b.ring_index)
-    assert np.array_equal(a.ghost_weights, b.ghost_weights)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a.ghost_map, attr), getattr(b.ghost_map, attr))
 
 
 @pytest.mark.parametrize("domain, h, s", [
@@ -377,10 +401,11 @@ def test_transfers_between_nested_grids(domain, h, s):
     assert np.count_nonzero(nearest) < 0.1 * coarse.n_active
     # interpolation: convex weights, exact on affine data wherever the whole
     # cell is active, which holds at every fine interior node
-    idx, w = interpolation_weights(coarse, fine)
-    assert np.all(w >= 0.0) and np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    up_map = interpolation_map(coarse, fine)
+    assert up_map.shape == (fine.n_active, coarse.n_active)
+    assert np.all(up_map.data > 0.0) and np.allclose(up_map.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
     slope = np.array([2.0, -3.0])[: fine.dim]
-    up = np.einsum("nk,nk->n", w, (1.0 + coarse.nodes @ slope)[idx])
+    up = up_map @ (1.0 + coarse.nodes @ slope)
     interior = fine.node_class == INTERIOR
     assert np.abs(up - (1.0 + fine.nodes @ slope))[interior].max() <= 1e-12
 

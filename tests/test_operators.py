@@ -419,10 +419,9 @@ def _tuple_frozen_matrix(grid, b_values, arms, zero_order):
     ``column_stack`` and ``take_along_axis`` on the (N, K) ring index."""
     n = grid.n_active
     rows = np.arange(n)
-    kept = grid.ghost_weights > 0.0
-    indptr = np.concatenate([np.arange(n + 1), n + np.cumsum(np.count_nonzero(kept, axis=1))])
-    closure = sp.csr_matrix((np.concatenate([np.ones(n), grid.ghost_weights[kept]]),
-                             np.concatenate([rows, grid.ghost_nodes[kept]]), indptr), shape=(n + grid.n_ghost, n))
+    gm = grid.ghost_map
+    closure = sp.csr_matrix((np.concatenate([np.ones(n), gm.data]), np.concatenate([rows, gm.indices]),
+                             np.concatenate([np.arange(n + 1), n + gm.indptr[1:]])), shape=(n + grid.n_ghost, n))
     coef = np.stack([np.maximum(b_values, 0.0), -np.minimum(b_values, 0.0)], axis=2).reshape(n, -1) / grid.h
     cols = np.stack([grid.axis_plus, grid.axis_minus], axis=2).reshape(n, -1)
     kept = coef > 0.0
