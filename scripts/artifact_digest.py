@@ -9,6 +9,15 @@ carries a timestamp, is left out) and one per exit code.  Run it once per
 version and diff the outputs:
 
     PYTHONPATH=src python scripts/artifact_digest.py --h 0.0625 > a.txt
+
+``--set`` overrides the config as for the CLI, so the other domains are
+digested from the same config, for instance the interval [0, 1] with the
+ring factor s = 1, and the unit square:
+
+    PYTHONPATH=src python scripts/artifact_digest.py --h 0.0625 \
+        --set domain.type=interval --set grid.s=1 > interval.txt
+    PYTHONPATH=src python scripts/artifact_digest.py --h 0.0625 \
+        --set domain.type=rectangle > rectangle.txt
 """
 
 import argparse

@@ -102,11 +102,15 @@ def _integer(values: dict, key: str) -> int:
 
 
 def _point(values: dict, key: str) -> tuple:
-    parts = values[key].split(",")
+    """The 2D point "x,y" of a domain key; the interval's ends are the
+    numbers ``domain.a`` and ``domain.b``."""
     try:
-        return tuple(float(p) for p in parts)
+        p = tuple(float(v) for v in values[key].split(","))
     except ValueError:
-        raise ConfigError(f"config key {key} is not a point: {values[key]!r}") from None
+        p = ()
+    if len(p) != 2:
+        raise ConfigError(f"config key {key} is not a 2D point: {values[key]!r}")
+    return p
 
 
 def _domain(values: dict) -> Domain:

@@ -1,13 +1,14 @@
 """Computational domains and uniform lattice grids.
 
 Domains are restricted to shapes with a closed-form signed distance and
-reflection across the boundary (interval, disk, annulus, axis-aligned
-rectangle); that, with the bounding box, is all ``build_grid`` reads of a
-domain.  It classifies lattice nodes into interior / boundary / exterior by
-the signed distance, assembles the ring stencil used by the wide-stencil
-operator, and closes every exterior arm with a reflection-based ghost rule,
-which is how the homogeneous Neumann condition enters the scheme (to first
-order); no boundary normal is ever formed.
+reflection across the boundary (disk, annulus, and the axis-aligned box
+``Rectangle``, whose one-dimensional case is the interval); that, with the
+bounding box, is all ``build_grid`` reads of a domain.  It classifies
+lattice nodes into interior / boundary / exterior by the signed distance,
+assembles the ring stencil used by the wide-stencil operator, and closes
+every exterior arm with a reflection-based ghost rule, which is how the
+homogeneous Neumann condition enters the scheme (to first order); no
+boundary normal is ever formed.
 
 Both point methods, ``signed_distance`` and ``reflect``, take a (..., dim)
 array and return one result per point, each bit for bit what a single (dim,)
@@ -85,50 +86,14 @@ def _radial(center: tuple, pts) -> tuple:
     return v, rho, np.where(at_centre, [1.0, 0.0], v / np.where(at_centre, 1.0, rho[..., None]))
 
 
-def _box_reflect(lo, hi, pts) -> np.ndarray:
-    """Mirror each coordinate below ``lo`` or above ``hi`` across that wall."""
-    q = np.asarray(pts, dtype=float)
-    return np.where(q < lo, 2.0 * lo - q, np.where(q > hi, 2.0 * hi - q, q))
-
-
-def _finite_point(point, kind: str) -> tuple:
+def _finite_point(point, kind: str, dims=(2,)) -> tuple:
+    """The point as a tuple of floats, which must be finite and have one of
+    the lengths ``dims``."""
     p = tuple(float(v) for v in point)
-    if len(p) != 2 or not all(map(math.isfinite, p)):
-        raise InvalidParams(f"{kind} must be a finite 2D point, got {point!r}")
+    if len(p) not in dims or not all(map(math.isfinite, p)):
+        shapes = " or ".join(f"{d}D" for d in dims)
+        raise InvalidParams(f"{kind} must be a finite {shapes} point, got {point!r}")
     return p
-
-
-@dataclass(frozen=True)
-class Interval:
-    """1D domain (a, b)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a < self.b and math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InvalidParams(f"interval needs finite a < b, got ({self.a}, {self.b})")
-
-    dim = 1
-
-    def signed_distance(self, pts):
-        x = np.asarray(pts, dtype=float)[..., 0]
-        return np.maximum(self.a - x, x - self.b)
-
-    def reflect(self, pts):
-        return _box_reflect(*self.bounding_box(), pts)
-
-    def center(self):
-        return np.array([0.5 * (self.a + self.b)])
-
-    def bounding_box(self):
-        return np.array([self.a]), np.array([self.b])
-
-    def diameter(self) -> float:
-        return self.b - self.a
-
-    def describe(self) -> dict:
-        return {"type": "interval", "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -225,37 +190,43 @@ class Annulus:
 
 @dataclass(frozen=True)
 class Rectangle:
-    """Axis-aligned 2D rectangle.
+    """Axis-aligned box lo < x < hi in 1D or 2D; its dimension is len(lo).
 
-    Corners break the smooth-boundary hypothesis the rest of the package
-    leans on, so grids built on a rectangle carry a metadata flag.  A ghost
-    point beyond a corner is mirrored across both walls.
+    The 1D box is the interval (lo[0], hi[0]) and describes itself as one.
+    The corners of a 2D box break the smooth-boundary hypothesis the rest of
+    the package leans on, so grids built on one carry a metadata flag; a 1D
+    box has no corners and no flag.  A ghost point beyond a corner is
+    mirrored across both walls.
     """
 
     lo: tuple
     hi: tuple
 
     def __post_init__(self):
-        lo = _finite_point(self.lo, "rectangle lo")
-        hi = _finite_point(self.hi, "rectangle hi")
-        if not all(a < b for a, b in zip(lo, hi)):
-            raise InvalidParams("rectangle needs lo < hi componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", _finite_point(self.lo, "rectangle lo", (1, 2)))
+        object.__setattr__(self, "hi", _finite_point(self.hi, "rectangle hi", (self.dim,)))
+        if not all(a < b for a, b in zip(self.lo, self.hi)):
+            raise InvalidParams(f"box needs lo < hi componentwise, got {self.describe()}")
 
-    dim = 2
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
 
     def signed_distance(self, pts):
         p = np.asarray(pts, dtype=float)
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         q = np.maximum(lo - p, p - hi)  # per-axis signed excess
-        inside = np.max(q, axis=-1)
-        outside = _norm(np.maximum(q, 0.0))
-        return np.where(inside <= 0.0, inside, outside)
+        # the largest excess, exact at any scale, except beyond a corner (two
+        # axes outside), where it is the distance to that corner
+        corner = np.count_nonzero(q > 0.0, axis=-1) > 1
+        return np.where(corner, _norm(np.where(corner[..., None], q, 0.0)), np.max(q, axis=-1))
 
     def reflect(self, pts):
-        return _box_reflect(*self.bounding_box(), pts)
+        """Mirror each coordinate below ``lo`` or above ``hi`` across that wall."""
+        q = np.asarray(pts, dtype=float)
+        lo, hi = self.bounding_box()
+        return np.where(q < lo, 2.0 * lo - q, np.where(q > hi, 2.0 * hi - q, q))
 
     def center(self):
         return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
@@ -264,13 +235,22 @@ class Rectangle:
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
     def diameter(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.hi) - np.asarray(self.lo)))
+        return math.dist(self.lo, self.hi)
 
     def describe(self) -> dict:
+        if self.dim == 1:
+            return {"type": "interval", "a": self.lo[0], "b": self.hi[0]}
         return {"type": "rectangle", "lo": list(self.lo), "hi": list(self.hi)}
 
 
-Domain = Interval | Disk | Annulus | Rectangle
+class Interval(Rectangle):
+    """1D domain (a, b): the one-dimensional ``Rectangle``."""
+
+    def __init__(self, a: float, b: float):
+        Rectangle.__init__(self, (a,), (b,))
+
+
+Domain = Disk | Annulus | Rectangle
 
 
 def _box(lo, hi) -> np.ndarray:
@@ -543,9 +523,9 @@ def _bilinear(lattice: LatticeMap, x: np.ndarray) -> tuple:
     """Bilinear interpolation at points ``x`` (in lattice units) from the
     points of ``lattice``: (P, 2**dim) rows and nonnegative weights summing to 1.
 
-    Weights on corners that ``lattice.find`` does not hold are dropped and the
-    rest renormalized, kept corners first in the order (0, 0), (1, 0),
-    (0, 1), (1, 1), the rest padded with index 0 and weight 0.  A point none
+    Each row is in corner order (0, 0), (1, 0), (0, 1), (1, 1).  Weights on
+    corners that ``lattice.find`` does not hold are dropped, leaving index 0
+    and weight 0 in place, and the rest renormalized.  A point none
     of whose weighted corners is held takes its nearest point with weight 1,
     by ``lattice.nearest``'s windowed search (the first row among
     equidistant ones).
@@ -557,9 +537,8 @@ def _bilinear(lattice: LatticeMap, x: np.ndarray) -> tuple:
     weights = np.prod(np.where(corners, frac, 1.0 - frac), axis=2)
     idx = lattice.find(base.astype(np.int64)[:, None, :] + corners)
     kept = (weights > 0.0) & (idx >= 0)
-    front = np.argsort(~kept, axis=1, kind="stable")
-    idx = np.take_along_axis(np.where(kept, idx, 0), front, axis=1)
-    weights = np.take_along_axis(np.where(kept, weights, 0.0), front, axis=1)
+    idx = np.where(kept, idx, 0)
+    weights = np.where(kept, weights, 0.0)
     total = weights.cumsum(axis=1)[:, -1]  # a sequential sum over the kept corners in order
     lost = np.flatnonzero(total == 0.0)
     idx[lost, 0] = lattice.nearest(x[lost])
@@ -587,7 +566,7 @@ def interpolation_map(coarse: Grid, fine: Grid) -> sp.csr_matrix:
 def grid_metadata(grid: Grid) -> dict:
     """JSON-ready description: domain, spacing, per-class node counts."""
     flags = []
-    if isinstance(grid.domain, Rectangle):
+    if isinstance(grid.domain, Rectangle) and grid.dim == 2:
         flags.append("rectangle-corners-violate-smoothness")
     return {
         "domain": grid.domain.describe(),

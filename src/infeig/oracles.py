@@ -89,8 +89,7 @@ def sign_changing_coefficient(params: SignChangingParams, grid: Grid) -> ScalarF
         raise InvalidParams("the sign-changing coefficient lives on a disk grid")
     if abs(grid.domain.radius - params.outer_radius) > 1e-12:
         raise InvalidParams("grid disk radius does not match params.outer_radius")
-    center = grid.domain.center()
-    r = np.linalg.norm(grid.nodes - center, axis=1)
+    r = grid.node_variables[2]
     values = np.where(r <= params.bump_radius, params.bump_height, -params.well_depth)
     return ScalarField(grid, values)
 

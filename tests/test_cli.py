@@ -76,13 +76,16 @@ class TestConfigParsing:
         assert np.all(c.values == -3.0)
 
     def test_domain_variants(self):
-        for text, kind in (
-            ("domain.type = disk\ndomain.radius = 2\n", "disk"),
-            ("domain.type = annulus\ndomain.inner_radius = 0.3\n", "annulus"),
-            ("domain.type = rectangle\ndomain.hi = 2,1\n", "rectangle"),
+        for text, described in (
+            ("domain.type = interval\ndomain.a = -1\n", {"type": "interval", "a": -1.0, "b": 1.0}),
+            ("domain.type = disk\ndomain.radius = 2\n", {"type": "disk", "center": [0.0, 0.0], "radius": 2.0}),
+            ("domain.type = annulus\ndomain.inner_radius = 0.3\n",
+             {"type": "annulus", "center": [0.0, 0.0], "inner_radius": 0.3, "outer_radius": 1.0}),
+            ("domain.type = rectangle\ndomain.hi = 2,1\n", {"type": "rectangle", "lo": [0.0, 0.0], "hi": [2.0, 1.0]}),
         ):
             cfg = load_config(parse_config_text(text))
-            assert cfg.domain.describe()["type"] == kind
+            assert cfg.domain.describe() == described
+            assert [type(v) for v in cfg.domain.describe().values()] == [type(v) for v in described.values()]
 
     def test_expression_error_carries_offset(self):
         with pytest.raises(Exception) as err:
@@ -252,6 +255,14 @@ class TestSubcommands:
         cfg = _write(tmp_path, "disk.cfg", README_DISK_CFG)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--set", setting]) == 2
         assert "nested too deeply" in capsys.readouterr().err
+
+    def test_one_dimensional_rectangle_exit_2(self, tmp_path, capsys):
+        # a config rectangle is 2D; the 1D box is spelled domain.type = interval
+        cfg = _write(tmp_path, "rect.cfg", "domain.type = rectangle\ncoeff.c = -1\n")
+        argv = ["eigen", "--config", cfg, "--out", str(tmp_path / "o"),
+                "--set", "domain.lo=0", "--set", "domain.hi=1"]
+        assert main(argv) == 2
+        assert "domain.lo" in capsys.readouterr().err
 
     def test_oversized_grid_exit_2(self, tmp_path, capsys):
         # the lattice box is sized before it is built: no hang, no MemoryError

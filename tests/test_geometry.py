@@ -22,7 +22,7 @@ from infeig.geometry import (
     interpolation_map,
 )
 from infeig.geometry import LatticeMap, _bilinear, _box, _norm
-from infeig.output import node_rows
+from infeig.output import json_text, node_rows
 
 
 def _map(points, pad=(0, 0)):
@@ -304,6 +304,39 @@ def test_rectangle_grid_flags_corners():
     grid = build_grid(Rectangle((0.0, 0.0), (1.0, 1.0)), 0.125, 1)
     assert grid_metadata(grid)["flags"] == ["rectangle-corners-violate-smoothness"]
     assert grid_metadata(build_grid(Disk((0.0, 0.0), 1.0), 0.125, 1))["flags"] == []
+    # the 1D box has no corners
+    assert grid_metadata(build_grid(Interval(0.0, 1.0), 0.125, 1))["flags"] == []
+
+
+@pytest.mark.parametrize("a, b, h, s", [
+    (0.0, 1.0, 1.0 / 8.0, 1),
+    (-1.0, 1.0, 1.0 / 64.0, 2),
+    (-0.5, 1.0, 1.0 / 32.0, 3),
+    (0.1, 0.73, 1.0 / 128.0, 1),
+    (0.0, 1e200, 1e199, 1),  # squared excesses would overflow
+    (0.0, 3e-300, 1e-301, 1),  # and here underflow
+])
+def test_interval_is_the_one_dimensional_rectangle(a, b, h, s):
+    box, interval = Rectangle((a,), (b,)), Interval(a, b)
+    assert isinstance(interval, Rectangle) and box.dim == interval.dim == 1
+    g, w = build_grid(box, h, s), build_grid(interval, h, s)
+    for attr in ("nodes", "node_class", "ring_offsets", "ring_index", "axis_plus", "axis_minus", "ghost_points"):
+        x, y = getattr(g, attr), getattr(w, attr)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), attr
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(g.ghost_map, attr).tobytes() == getattr(w.ghost_map, attr).tobytes(), attr
+    for x, y in zip(g.node_variables, w.node_variables):
+        assert x.tobytes() == y.tobytes()
+    assert json_text(grid_metadata(g)) == json_text(grid_metadata(w))
+    assert grid_metadata(w)["domain"] == {"type": "interval", "a": a, "b": b}
+    # the box's formulas give the interval's own at the nodes and the ghost
+    # points: the signed distance to the nearer end, the mirror image across
+    # it, the midpoint and the length
+    pts = np.vstack([g.nodes, g.ghost_points])
+    x = pts[:, 0]
+    assert box.signed_distance(pts).tobytes() == np.maximum(a - x, x - b).tobytes()
+    assert box.reflect(pts)[:, 0].tobytes() == np.where(x < a, 2.0 * a - x, np.where(x > b, 2.0 * b - x, x)).tobytes()
+    assert box.center().tolist() == [0.5 * (a + b)] and box.diameter() == b - a
 
 
 def test_metadata_and_rows():
@@ -437,9 +470,10 @@ def test_lattice_map_find_agrees_with_a_dict(dim):
 def test_bilinear_drops_inactive_corners():
     lattice = _map([[0, 1], [1, 0], [1, 1]])  # the cell's corner (0, 0) is inactive
     idx, w = _bilinear(lattice, np.array([[0.25, 0.5]]))
-    # corners (1, 0), (0, 1), (1, 1) keep 0.125, 0.375, 0.125 of 0.625, packed to the front
-    assert idx.tolist() == [[1, 0, 2, 0]]
-    assert w.tolist() == [[0.2, 0.6, 0.2, 0.0]]
+    # corners (1, 0), (0, 1), (1, 1) keep 0.125, 0.375, 0.125 of 0.625, in
+    # corner order; the dropped corner keeps index 0 and weight 0
+    assert idx.tolist() == [[0, 1, 0, 2]]
+    assert w.tolist() == [[0.0, 0.2, 0.6, 0.2]]
     # on a lattice point, corners of zero weight are dropped even when active
     idx, w = _bilinear(lattice, np.array([[1.0, 0.0]]))
     assert idx.tolist() == [[1, 0, 0, 0]] and w.tolist() == [[1.0, 0.0, 0.0, 0.0]]
