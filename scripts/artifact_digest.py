@@ -18,6 +18,12 @@ ring factor s = 1, and the unit square:
         --set domain.type=interval --set grid.s=1 > interval.txt
     PYTHONPATH=src python scripts/artifact_digest.py --h 0.0625 \
         --set domain.type=rectangle > rectangle.txt
+
+The README config's ``solve`` is not coercive, so it never starts from the
+grid with twice the spacing; a coercive ``c`` and ``g`` make it do so:
+
+    PYTHONPATH=src python scripts/artifact_digest.py --h 0.0625 \
+        --set coeff.c=-1 --set 'coeff.g=-exp(-5*r^2)' > coercive.txt
 """
 
 import argparse

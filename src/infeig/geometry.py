@@ -23,7 +23,8 @@ stencil steps and the bilinear corners, and a point with no weighted corner
 among the nodes takes its nearest node from a search over windows of the
 table.  The bilinear rule leaves this module only as CSR maps, the ghost
 closure ``Grid.ghost_map`` and the transfer ``interpolation_map``, whose
-product sums each row left to right in corner order.
+product sums each row left to right in corner order.  The transfer prolongs
+from the grid with twice the spacing and restricts onto it, one 1.0 a row.
 """
 
 from __future__ import annotations
@@ -433,6 +434,9 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
             f"spacing h = {h!r} needs a lattice box of {box_points:.3g} points; "
             f"at most {MAX_BOX_POINTS} are allowed"
         )
+    reach = 2.0 * float(np.max(np.abs([imin, imax])) * h)  # twice the largest box coordinate
+    if not (h * h >= np.finfo(float).tiny and math.isfinite(reach * reach)):
+        raise InvalidParams(f"spacing h = {h!r} squares lengths outside the normal float range")
     imin = imin.astype(int)
     imax = imax.astype(int)
 
@@ -546,21 +550,15 @@ def _bilinear(lattice: LatticeMap, x: np.ndarray) -> tuple:
     return idx, weights / total[:, None]
 
 
-def injection_index(coarse: Grid, fine: Grid) -> np.ndarray:
-    """(N_coarse,) fine node under each node of ``coarse``, the grid with twice
-    ``fine``'s spacing: the same lattice point, found in ``fine.lattice``, or,
-    for a coarse boundary node just outside the fine active set, the nearest
-    fine node in lattice units by ``_bilinear``'s windowed search (the first
-    in node order among equidistant ones)."""
-    return _bilinear(fine.lattice, 2 * coarse.lattice.points)[0][:, 0]
-
-
-def interpolation_map(coarse: Grid, fine: Grid) -> sp.csr_matrix:
-    """Bilinear interpolation from ``coarse``, the grid with twice ``fine``'s
-    spacing, onto ``fine``'s nodes: the (N_fine, N_coarse) CSR map of positive
-    weights summing to 1 per row, by the ghost closure's rule, with corners
-    found in ``coarse.lattice``."""
-    return _sparse(*_bilinear(coarse.lattice, 0.5 * fine.lattice.points), coarse.n_active)
+def interpolation_map(source: Grid, target: Grid) -> sp.csr_matrix:
+    """The (N_target, N_source) CSR map, positive weights summing to 1 per row,
+    that reads ``source`` bilinearly at ``target``'s nodes by the ghost
+    closure's rule: the one transfer between grids nested by a factor of 2.
+    From the grid with twice the spacing it prolongs.  Onto it, it restricts:
+    each row is a single 1.0, at the same lattice point or, off the fine active
+    set, at the nearest fine node by ``_bilinear``'s windowed search."""
+    x = target.h / source.h * target.lattice.points
+    return _sparse(*_bilinear(source.lattice, x), source.n_active)
 
 
 def grid_metadata(grid: Grid) -> dict:

@@ -23,7 +23,8 @@
   algorithm nested inside Hoffman-Karp, which terminates.  The first solve
   starts from the solution on the grid with twice the spacing, solved the
   same way down to the coarsest grid that builds, or from the arms of a
-  given field.
+  given field; ``geometry.interpolation_map`` restricts the coefficients and
+  right-hand side to that grid and prolongs its solution back.
   Convergence is certified by the sup of the nonlinear residual.  Every
   ``splu`` runs with ``relax=1, panel_size=1``: the frozen matrices have
   about 3.2 nonzeros a row, and SuperLU's default relaxed supernodes and
@@ -64,7 +65,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import InfeigError
-from .geometry import GeometryError, Grid, build_grid, injection_index, interpolation_map
+from .geometry import GeometryError, Grid, build_grid, interpolation_map
 from .operators import (
     ScalarField,
     SteadyProblem,
@@ -181,16 +182,17 @@ class _CoerciveSystem:
         return max(0.2 * self.cfg.tol, 0.2 * self.cfg.rel_tol * max(1.0, float(np.max(np.abs(rhs)))))
 
     def _coarse_start(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution on the grid with twice the spacing, by ``interpolation_map``,
-        its factorizations added to this system's; zeros on the coarsest grid that builds."""
+        """The solution on the grid with twice the spacing, its factorizations added
+        to this system's; zeros on the coarsest grid that builds.  ``interpolation_map``
+        restricts the coefficients and rhs to that grid and prolongs its solution."""
         grid = self.grid
         try:
             coarse = build_grid(grid.domain, 2.0 * grid.h, grid.s)
         except GeometryError:
             return np.zeros(self.n)
-        down = injection_index(coarse, grid)
-        system = _CoerciveSystem(coarse, self.b[down], self.c0[down], self.cfg)
-        coarse_u = system.solve(rhs[down])
+        down = interpolation_map(grid, coarse)
+        system = _CoerciveSystem(coarse, down @ self.b, down @ self.c0, self.cfg)
+        coarse_u = system.solve(down @ rhs)
         self.factorizations += system.factorizations
         return interpolation_map(coarse, grid) @ coarse_u
 

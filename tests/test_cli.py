@@ -272,6 +272,15 @@ class TestSubcommands:
             assert main(argv) == 2, h
             assert "points; at most" in capsys.readouterr().err
 
+    def test_spacing_out_of_float_range_exit_2(self, tmp_path, capsys):
+        # h^2 is subnormal, so 1/rho^2 would overflow in every frozen matrix
+        cfg = _write(tmp_path, "eigen.cfg", README_DISK_CFG)
+        argv = ["eigen", "--config", cfg, "--out", str(tmp_path / "o"), "--set", "domain.type=disk",
+                "--set", "domain.radius=1e-160", "--set", "grid.h=1e-161"]
+        assert main(argv) == 2
+        assert "spacing h = 1e-161" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "eigen.json").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["eigen", "--out", str(tmp_path)]) == 2
         assert main(["eigen", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -18,7 +19,6 @@ from infeig.geometry import (
     Rectangle,
     build_grid,
     grid_metadata,
-    injection_index,
     interpolation_map,
 )
 from infeig.geometry import LatticeMap, _bilinear, _box, _norm
@@ -240,6 +240,23 @@ def test_lattice_box_size_guard(domain, h):
     assert peak < 100_000
 
 
+@pytest.mark.parametrize("radius", [1e-150, 1e150])
+def test_spacing_in_the_float_range_builds(radius):
+    # the unit disk at h = 0.1, scaled by a power of ten: 349 nodes, 88 ghosts
+    grid = build_grid(Disk((0.0, 0.0), radius), 0.1 * radius, 1)
+    assert (grid.n_active, grid.n_ghost) == (349, 88)
+
+
+@pytest.mark.parametrize("radius", [1e-200, 1e-160, 1e160])
+def test_spacing_out_of_the_float_range(radius):
+    # h^2 underflows to 0 (a grid would mark its whole padded box active,
+    # with r = 0 at every node), is subnormal, or the squared box coordinates
+    # overflow
+    h = 0.1 * radius
+    with pytest.raises(InvalidParams, match=re.escape(f"spacing h = {h!r} squares lengths")):
+        build_grid(Disk((0.0, 0.0), radius), h, 1)
+
+
 def test_lattice_box_size_guard_admits_fine_grids():
     # the finest documented grids build: a unit disk at h = 1/128 and an
     # interval at h = 1/4096
@@ -313,12 +330,20 @@ def test_rectangle_grid_flags_corners():
     (-1.0, 1.0, 1.0 / 64.0, 2),
     (-0.5, 1.0, 1.0 / 32.0, 3),
     (0.1, 0.73, 1.0 / 128.0, 1),
-    (0.0, 1e200, 1e199, 1),  # squared excesses would overflow
-    (0.0, 3e-300, 1e-301, 1),  # and here underflow
+    (0.0, 1e200, 1e199, 1),  # squared lengths overflow: both refuse the spacing
+    (0.0, 3e-300, 1e-301, 1),  # and here h^2 underflows
 ])
 def test_interval_is_the_one_dimensional_rectangle(a, b, h, s):
     box, interval = Rectangle((a,), (b,)), Interval(a, b)
     assert isinstance(interval, Rectangle) and box.dim == interval.dim == 1
+    if not 1e-150 < h < 1e150:
+        errors = []
+        for domain in (box, interval):
+            with pytest.raises(InvalidParams, match="normal float range") as e:
+                build_grid(domain, h, s)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
+        return
     g, w = build_grid(box, h, s), build_grid(interval, h, s)
     for attr in ("nodes", "node_class", "ring_offsets", "ring_index", "axis_plus", "axis_minus", "ghost_points"):
         x, y = getattr(g, attr), getattr(w, attr)
@@ -422,9 +447,14 @@ def test_stencil_indices_address_targets(domain, h, s):
 def test_transfers_between_nested_grids(domain, h, s):
     fine = build_grid(domain, h, s)
     coarse = build_grid(domain, 2.0 * h, s)
-    # injection: the same lattice point where it is active, else the nearest
-    # fine node in lattice units, the first in node order among equidistant ones
-    down = injection_index(coarse, fine)
+    # restriction: one stored 1.0 a row, at the same lattice point where it is
+    # active, else at the nearest fine node in lattice units, the first in
+    # node order among equidistant ones
+    restrict = interpolation_map(fine, coarse)
+    assert restrict.shape == (coarse.n_active, fine.n_active)
+    assert np.array_equal(restrict.indptr, np.arange(coarse.n_active + 1))
+    assert np.all(restrict.data == 1.0)
+    down = restrict.indices
     fine_q = np.rint(fine.nodes / fine.h)
     coarse_q = 2.0 * np.rint(coarse.nodes / coarse.h)
     dist = [np.linalg.norm(fine_q - q, axis=1) for q in coarse_q]
@@ -432,7 +462,12 @@ def test_transfers_between_nested_grids(domain, h, s):
     assert np.array_equal(np.linalg.norm(fine_q[down] - coarse_q, axis=1), nearest)
     assert down.tolist() == [int(np.argmin(d)) for d in dist]
     assert np.count_nonzero(nearest) < 0.1 * coarse.n_active
-    # interpolation: convex weights, exact on affine data wherever the whole
+    # the product with a stored 1.0 returns each fine value bit for bit, for a
+    # nodal vector and an (N, 2) drift array alike
+    rng = np.random.default_rng(fine.n_active)
+    for v in (rng.standard_normal(fine.n_active), rng.standard_normal((fine.n_active, 2))):
+        assert (restrict @ v).tobytes() == v[down].tobytes()
+    # prolongation: convex weights, exact on affine data wherever the whole
     # cell is active, which holds at every fine interior node
     up_map = interpolation_map(coarse, fine)
     assert up_map.shape == (fine.n_active, coarse.n_active)
