@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Median cost of one ``residual_values`` call and of one explicit step.
 
-Builds the README example config (the unit disk, its c and its h0) at the
-given spacing and ring factor, with an optional constant drift, and prints
-the grid's sizes, the core count and the numpy and scipy versions.  Then it
-times --repeats rounds of two loops of --steps each: ``residual_values`` on
-h0, and a ``run_evolution`` march from h0 at 0.9 times the CFL step.  It
-prints the median over the rounds of the time per call and per step:
+Builds the README example config (the unit disk, its c, its h0 and its two
+mpcheck seeds) at the given spacing and ring factor, with an optional
+constant drift, and prints the grid's sizes, the core count and the numpy
+and scipy versions.  Then it times --repeats rounds of three loops of
+--steps each: ``residual_values`` on h0, a ``run_evolution`` march from h0,
+and an ``evolve_until`` march of the mpcheck seeds as one stack at the
+mpcheck lambda, neither march stopping early, both at 0.9 times the CFL
+step.  It prints the median over the rounds of the time per call, per step,
+and per seed of a stacked step:
 
     PYTHONPATH=src python scripts/step_cost.py --h 0.015625 --drift 0.7 -0.3
 """
@@ -21,8 +24,8 @@ import scipy
 
 from artifact_digest import README_CONFIG
 from infeig import config
-from infeig.evolution import cfl_bound, run_evolution
-from infeig.operators import SteadyProblem, residual_values
+from infeig.evolution import cfl_bound, evolve_until, run_evolution
+from infeig.operators import ScalarField, SteadyProblem, residual_values
 
 
 def main():
@@ -42,6 +45,9 @@ def main():
     problem = SteadyProblem(grid, cfg.drift_field(grid), cfg.scalar_field(grid, cfg.c),
                             cfg.scalar_field(grid, cfg.g), cfg.lam)
     h0 = cfg.scalar_field(grid, cfg.h0)
+    seeds = cfg.seed_fields(grid)
+    mp_problem = SteadyProblem(grid, problem.b, problem.c, ScalarField.constant(grid, 0.0), cfg.mp_lambda)
+    mp_T = (args.steps - 0.5) * 0.9 * cfl_bound(mp_problem)
     coefficients = (grid, problem.b.values, problem.c.values, problem.g.values, problem.lam)
     dt = 0.9 * cfl_bound(problem)
     T = (args.steps - 0.5) * dt  # args.steps steps, the last one clipped
@@ -50,7 +56,7 @@ def main():
           f"cores {len(os.sched_getaffinity(0))}  numpy {np.__version__}  scipy {scipy.__version__}")
     print(f"h {grid.h}  s {grid.s}  drift {bool(problem.b.values.any())}  "
           f"steps {args.steps}  repeats {args.repeats}")
-    calls, steps = [], []
+    calls, steps, seed_steps = [], [], []
     for _ in range(args.repeats):
         start = perf_counter()
         for _ in range(args.steps):
@@ -59,8 +65,13 @@ def main():
         start = perf_counter()
         run_evolution(h0, problem, T, output_interval=T, dt=dt)
         steps.append((perf_counter() - start) / args.steps)
+        start = perf_counter()
+        evolve_until(seeds, mp_problem, mp_T, stop_below=0.0, stop_above=np.inf)
+        seed_steps.append((perf_counter() - start) / args.steps / len(seeds))
     print(f"residual_values  {1e6 * statistics.median(calls):.1f} us per call (median)")
     print(f"explicit step    {1e6 * statistics.median(steps):.1f} us per step (median)")
+    print(f"mpcheck step     {1e6 * statistics.median(seed_steps):.1f} us per seed of a "
+          f"{len(seeds)}-seed stacked step (median)")
 
 
 if __name__ == "__main__":

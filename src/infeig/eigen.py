@@ -197,29 +197,29 @@ def check_maximum_principle(
     *,
     lambda_bar: float,
 ) -> MaxPrincipleReport:
-    """Evolve each seed under h_t = lap(h) + b.Dh + (c + lam) h.
+    """Evolve the seeds under h_t = lap(h) + b.Dh + (c + lam) h.
 
     A seed that decays below decay_threshold supports the maximum principle
     at this lam; a seed that grows past blowup_threshold refutes it.  Seeds
-    must pass ``check_seeds``.  ``lambda_bar``, estimated by the caller, is
-    carried into the report for comparison with lam.
+    must pass ``check_seeds``.  One ``evolve_until`` call marches them all
+    as an (S, N) stack, from which each seed leaves at its verdict; every
+    seed's t and sup are the bits of a march of its own.  A seed that
+    reaches neither threshold by t_max makes the check inconclusive: the
+    ``MaxPrincipleInconclusive`` names the lowest such seed.
+    ``lambda_bar``, estimated by the caller, is carried into the report for
+    comparison with lam.
     """
     from .evolution import evolve_until  # looked up at call time: span tracers patch it in evolution only
 
     check_seeds(seeds, decay_threshold, blowup_threshold)
 
     problem = SteadyProblem(grid, b, c, ScalarField.constant(grid, 0.0), lam)
+    results = evolve_until(seeds, problem, t_max, stop_below=decay_threshold, stop_above=blowup_threshold)
     verdicts = []
-    for i, seed in enumerate(seeds):
-        t, sup, outcome = evolve_until(
-            seed, problem, t_max, stop_below=decay_threshold, stop_above=blowup_threshold
-        )
-        if outcome == "decayed":
-            verdicts.append(SeedVerdict(i, True, t, sup))
-        elif outcome == "blew-up":
-            verdicts.append(SeedVerdict(i, False, t, sup))
-        else:
+    for i, (t, sup, outcome) in enumerate(results):
+        if outcome == "timeout":
             raise MaxPrincipleInconclusive(t_max, i)
+        verdicts.append(SeedVerdict(i, outcome == "decayed", t, sup))
     return MaxPrincipleReport(
         lam=lam,
         lambda_bar=lambda_bar,

@@ -26,10 +26,15 @@ shorter than rho (s >= 3).
 
 ``step_explicit``, ``run_evolution`` and ``evolve_until`` all march with the
 one private generator ``_euler_steps``: ceil(T/dt) steps of dt, the last
-clipped to end exactly at T.  Each step calls ``residual_values`` once and
+clipped to end exactly at T.  The state is an (N,) field or an (S, N) stack
+of fields, one per row.  Each step calls ``residual_values`` once and
 updates in place on the fresh array it returns (``res *= step; res += u``,
-the bits of ``u + step * res``), so a step allocates no N-vector of its own
-and never writes to a state it has yielded.
+the bits of ``u + step * res``), so a step allocates no state of its own
+and never writes to a state it has yielded.  ``evolve_until`` marches all
+its seeds as one stack, which gives each row the bytes of a march of its
+own, and drops a seed at its verdict by sending the shrunk stack back to
+the same generator: t is a running sum of the steps, so a new generator
+would change its bits.
 """
 
 from __future__ import annotations
@@ -88,8 +93,11 @@ def step_explicit(state: ScalarField, problem: SteadyProblem, dt: float) -> Scal
 
 
 def _euler_steps(u: np.ndarray, problem: SteadyProblem, dt: float, T: float):
-    """Forward Euler from u over [0, T]: ceil(T/dt) steps of dt, the last one
-    clipped to end at T.  Yields (t, u, last) after each step."""
+    """Forward Euler from u, an (N,) state or an (S, N) stack, over [0, T]:
+    ceil(T/dt) steps of dt, the last one clipped to end at T.  Yields
+    (t, u, last) after each step.  A state sent back replaces u for the
+    steps that follow, on the same clock; ``send`` returns None and the
+    next step comes from the next ``next``."""
     coefficients = (problem.grid, problem.b.values, problem.c.values, problem.g.values, problem.lam)
     n_steps = int(np.ceil(T / dt - 1e-12))
     t = 0.0
@@ -100,7 +108,10 @@ def _euler_steps(u: np.ndarray, problem: SteadyProblem, dt: float, T: float):
         res += u
         u = res
         t += step
-        yield t, u, k == n_steps
+        sent = yield t, u, k == n_steps
+        if sent is not None:
+            u = sent
+            yield None
 
 
 @dataclass
@@ -190,25 +201,38 @@ def run_evolution(
 
 
 def evolve_until(
-    h0: ScalarField,
+    seeds: list,
     problem: SteadyProblem,
     t_max: float,
     stop_below: float,
     stop_above: float,
-):
-    """March until sup |h| crosses a threshold; returns (t, sup, outcome)
-    with outcome in {"decayed", "blew-up", "timeout"}.  The last step is
-    clipped, so a timeout returns t == t_max."""
+) -> list:
+    """March the seeds as one (S, N) stack until each one's sup |h| crosses
+    a threshold; returns one (t, sup, outcome) per seed, with outcome in
+    {"decayed", "blew-up", "timeout"}.  The sups are checked every 16 steps
+    and at the last, which is clipped, so a timeout returns t == t_max.  A
+    seed leaves the stack at its verdict; the stack goes on in the same
+    march, so each seed gets the bits of a march of its own."""
     _check_horizon("t_max", t_max)
-    t, u = 0.0, h0.values.copy()
-    for k, (t, u, last) in enumerate(_euler_steps(u, problem, 0.9 * cfl_bound(problem), t_max), 1):
-        if k % 16 == 0 or last:
-            sup = float(np.max(np.abs(u)))
-            if sup <= stop_below:
-                return t, sup, "decayed"
-            if sup >= stop_above:
-                return t, sup, "blew-up"
-    return t, float(np.max(np.abs(u))), "timeout"
+    u = np.stack([seed.values for seed in seeds])
+    rows = list(range(len(seeds)))  # the seed of each row of the stack
+    results = [(0.0, float(np.max(np.abs(seed.values))), "timeout") for seed in seeds]
+    steps = _euler_steps(u, problem, 0.9 * cfl_bound(problem), t_max)
+    for k, (t, u, last) in enumerate(steps, 1):
+        if not (k % 16 == 0 or last):
+            continue
+        keep = []
+        for row, sup in enumerate(np.max(np.abs(u), axis=-1).tolist()):
+            outcome = "decayed" if sup <= stop_below else "blew-up" if sup >= stop_above else "timeout"
+            results[rows[row]] = t, sup, outcome
+            if outcome == "timeout":
+                keep.append(row)
+        if not keep:
+            break
+        if len(keep) < len(rows):
+            rows = [rows[row] for row in keep]
+            steps.send(u[keep])
+    return results
 
 
 @dataclass

@@ -23,18 +23,24 @@ first-order upwind.  ``apply_operator`` evaluates the full residual
 
     lap(u) + b . Du + (c + lam) u - g
 
-at every active node.  Every evaluation goes through two private kernels.
+at every active node.  Every evaluation goes through two private kernels,
+which take an (N,) state or an (S, N) stack of states, nodes on the last
+axis, and give each row of a stack the bytes of its own (N,) call.
 ``_ring_laplacian`` (behind ``residual_values`` and ``inf_laplacian_values``)
-gathers the C-contiguous (K, N) block ``ext.take(ring_index.T)``, subtracts
-u, multiplies only the runs of arms whose scale is not 1
-(``Grid.ring_scale_runs``, one scalar per run), reduces the increments to
-their max and min over the arms, and adds u to those two N-vectors alone.
-That is bit for bit the max and min of the arm values w_k, since
-x -> fl(x + u) is nondecreasing and fl(x * 1.0) = x.  ``ring_arm_values``
-adds u back on the whole block of the same increments and returns its (N, K)
-transpose.  ``_add_upwind_drift`` (behind ``residual_values`` and
-``drift_values``) works one axis column at a time.  ``frozen_matrices``
-assembles the same ring and upwind coefficients, with the (2, N) max and min
+gathers the C-contiguous (..., K, N) block ``ext.take(ring_group_index,
+axis=-1)``, whose arms are sorted into groups of one scale s = rho/|v_k|
+(``Grid.ring_groups``).  It takes the max and min of each group's raw arm
+values, subtracts u from those N-vectors alone and scales them, and combines
+the groups with ``np.maximum`` and ``np.minimum``.  That is bit for bit the
+max and min of the rescaled increments fl(s * fl(u(x+v_k) - u)): for s > 0
+the map x -> fl(s * fl(x - u)) is nondecreasing, so it commutes with the
+max and min within a group.  The group of scale 1 skips the multiply, as
+fl(x * 1.0) = x.  Adding u to the two N-vectors then gives the max and min
+of the arm values w_k.  ``ring_arm_values`` rescales the whole (K, N) block
+of increments, adds u back and returns its (N, K) transpose.
+``_add_upwind_drift`` (behind ``residual_values`` and ``drift_values``)
+works one axis column at a time, gathering with ``take`` along the last
+axis.  ``frozen_matrices`` assembles the same ring and upwind coefficients, with the (2, N) max and min
 arms frozen, as the sparse matrices that every solver factors; the ghost
 closure enters them as one sparse matrix, ``Grid.ghost_map``, the one that
 ``Grid.extended_values`` applies, so both sum its rows in one order.
@@ -139,29 +145,35 @@ class SteadyProblem:
                 raise ValueError("all problem fields must share the problem grid")
 
 
-def _arm_increments(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """(K, N) rescaled arm increments (u(x+v_k) - u) * rho/|v_k|; only the
-    runs of ``ring_scale_runs`` are multiplied, one scalar per run."""
-    w = ext.take(grid.ring_index.T)
-    w -= values
-    for start, stop, scale in grid.ring_scale_runs:
-        w[start:stop] *= scale
-    return w
-
-
 def ring_arm_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """(N, K) rescaled arm values w_k = u + (u(x+v_k) - u) * rho/|v_k|."""
-    w = _arm_increments(grid, values, grid.extended_values(values))
+    w = grid.extended_values(values).take(grid.ring_index.T)
+    w -= values
+    w *= grid.ring_scale[:, None]
     w += values
     return w.T
 
 
 def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Ring-scheme lap(u) at every active node, from u's extended values."""
-    w = _arm_increments(grid, values, ext)
-    top = w.max(axis=0)
+    """Ring-scheme lap(u) at every active node, from u's extended values;
+    reduces each scale group's raw arm values before subtracting u."""
+    w = ext.take(grid.ring_group_index, axis=-1)
+    top = bot = None
+    for start, stop, scale in grid.ring_groups:
+        group = w[..., start:stop, :]
+        hi = group.max(axis=-2)
+        hi -= values
+        lo = group.min(axis=-2)
+        lo -= values
+        if scale != 1.0:
+            hi *= scale
+            lo *= scale
+        if top is None:
+            top, bot = hi, lo
+        else:
+            np.maximum(top, hi, out=top)
+            np.minimum(bot, lo, out=bot)
     top += values
-    bot = w.min(axis=0)
     bot += values
     top += bot
     top -= 2.0 * values
@@ -173,10 +185,10 @@ def _add_upwind_drift(out: np.ndarray, grid: Grid, b_values: np.ndarray, values:
                       ext: np.ndarray) -> np.ndarray:
     """Adds the componentwise upwind b . Du to out in place and returns out."""
     for d in range(grid.dim):
-        fwd = ext[grid.axis_plus[:, d]]
+        fwd = ext.take(grid.axis_plus[:, d], axis=-1)
         fwd -= values
         fwd *= np.maximum(b_values[:, d], 0.0)
-        bwd = ext[grid.axis_minus[:, d]]
+        bwd = ext.take(grid.axis_minus[:, d], axis=-1)
         np.subtract(values, bwd, out=bwd)
         bwd *= np.minimum(b_values[:, d], 0.0)
         fwd += bwd
@@ -230,7 +242,8 @@ def residual_values(
     lam: float,
     values: np.ndarray,
 ) -> np.ndarray:
-    """lap(u) + b . Du + (c + lam) u - g on raw arrays (hot path)."""
+    """lap(u) + b . Du + (c + lam) u - g on raw arrays (hot path); values
+    is an (N,) state or an (S, N) stack, and so is the result."""
     ext = grid.extended_values(values)
     res = _ring_laplacian(grid, values, ext)
     if b_values.any():

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from infeig import steady
+from infeig import evolution, steady
 from infeig.config import load_config, parse_config_text
 from infeig.eigen import (
     BracketFailure,
@@ -12,7 +12,7 @@ from infeig.eigen import (
     estimate_principal_eigenvalue,
 )
 from infeig.geometry import Disk, Interval, build_grid
-from infeig.operators import ScalarField, VectorField
+from infeig.operators import ScalarField, SteadyProblem, VectorField, residual_values
 from infeig.oracles import bisection_eigenvalue_reference, sign_changing_coefficient
 from infeig.steady import monotone_iteration
 
@@ -160,7 +160,66 @@ class TestEstimate:
         assert np.min(phi.values) > 0.0
 
 
+def _reference_march(seed, problem, t_max, stop_below, stop_above):
+    """One seed marched alone, out of place: (t, sup, outcome, steps taken)."""
+    grid = problem.grid
+    dt = 0.9 * evolution.cfl_bound(problem)
+    n_steps = int(np.ceil(t_max / dt - 1e-12))
+    u, t = seed.values, 0.0
+    for k in range(1, n_steps + 1):
+        step = min(dt, t_max - t)
+        u = u + step * residual_values(grid, problem.b.values, problem.c.values, problem.g.values,
+                                       problem.lam, u)
+        t += step
+        if k % 16 == 0 or k == n_steps:
+            sup = np.max(np.abs(u))
+            if sup <= stop_below:
+                return t, sup, "decayed", k
+            if sup >= stop_above:
+                return t, sup, "blew-up", k
+    return t, sup, "timeout", n_steps
+
+
 class TestMaximumPrinciple:
+    def test_stacked_march_matches_per_seed_marches(self, disk8, monkeypatch):
+        # c = 0 with a constant drift: constants are the positive eigenfunction,
+        # so lam_bar_h = 0 and lam = 0.5 lies above the bracket.  Spikes spread
+        # below the decay threshold first (at steps 32 and 16); constants grow
+        # as e^(0.5 t), so 1 blows up (step 688) and 0.2, 0.3 time out at t_max
+        n = disk8.n_active
+        b, c = VectorField.constant(disk8, (0.4, -0.2)), ScalarField.constant(disk8, 0.0)
+        problem = SteadyProblem(disk8, b, c, ScalarField.constant(disk8, 0.0), 0.5)
+        spike = [ScalarField(disk8, np.eye(n)[i]) for i in (n // 2, 0)]
+        ones, low, mid = (ScalarField.constant(disk8, v) for v in (1.0, 0.2, 0.3))
+        kwargs = dict(t_max=6.0, decay_threshold=0.1, blowup_threshold=10.0, lambda_bar=0.0)
+
+        rows = []
+        residual = evolution.residual_values
+
+        def counted(*args):
+            rows.append(len(args[-1]))  # the state is the last argument
+            return residual(*args)
+
+        monkeypatch.setattr(evolution, "residual_values", counted)
+        seeds = [spike[0], spike[1], ones]
+        report = check_maximum_principle(disk8, b, c, 0.5, seeds, **kwargs)
+        want = [_reference_march(seed, problem, 6.0, 0.1, 10.0) for seed in seeds]
+        assert [w[2] for w in want] == ["decayed", "decayed", "blew-up"]
+        assert want[0][3] != want[1][3]
+        assert not report.holds
+        for verdict, (t, sup, outcome, _) in zip(report.verdicts, want):
+            assert verdict.holds == (outcome == "decayed")
+            assert np.float64(verdict.t_reached).tobytes() == np.float64(t).tobytes()
+            assert np.float64(verdict.sup_final).tobytes() == sup.tobytes()
+        # a seed leaves the stack after the step of its verdict
+        assert rows == [sum(w[3] >= k for w in want) for k in range(1, want[2][3] + 1)]
+        assert rows[0] == 3 and rows[-1] == 1
+
+        with pytest.raises(MaxPrincipleInconclusive) as caught:
+            check_maximum_principle(disk8, b, c, 0.5, [spike[1], low, ones, mid], **kwargs)
+        assert caught.value.seed_index == 1
+        assert [_reference_march(seed, problem, 6.0, 0.1, 10.0)[2] for seed in (low, mid)] == ["timeout"] * 2
+
     def test_decay_below_threshold(self, interval16):
         x = interval16.nodes[:, 0]
         bump = ScalarField(interval16, np.exp(-20.0 * (x - 0.5) ** 2))

@@ -206,16 +206,16 @@ class TestRateMatchesEigenvalue:
 class TestEvolveUntil:
     def test_decay_detection(self, interval16):
         prob = _problem(interval16, -1.0)
-        t, sup, outcome = evolve_until(
-            ScalarField.constant(interval16, 1.0), prob, 100.0, stop_below=1e-6, stop_above=1e6
+        [(t, sup, outcome)] = evolve_until(
+            [ScalarField.constant(interval16, 1.0)], prob, 100.0, stop_below=1e-6, stop_above=1e6
         )
         assert outcome == "decayed"
         assert t == pytest.approx(np.log(1e6), rel=0.05)
 
     def test_timeout(self, interval16):
         prob = _problem(interval16, 0.0)
-        t, sup, outcome = evolve_until(
-            ScalarField.constant(interval16, 1.0), prob, 0.5, stop_below=1e-9, stop_above=1e9
+        [(t, sup, outcome)] = evolve_until(
+            [ScalarField.constant(interval16, 1.0)], prob, 0.5, stop_below=1e-9, stop_above=1e9
         )
         assert outcome == "timeout"
         # 0.5 is 284.4 steps: the last one is clipped, so the march ends at t_max
@@ -236,10 +236,10 @@ class TestSharedStepper:
         dt = 0.9 * cfl_bound(prob)  # the step both use by default
         trace = run_evolution(h0, prob, 40.5 * dt, output_interval=dt)
         # stop at the first check (step 16) and at the clipped final step
-        t, sup, outcome = evolve_until(h0, prob, 40.5 * dt, stop_below=0.0, stop_above=1e-300)
+        [(t, sup, outcome)] = evolve_until([h0], prob, 40.5 * dt, stop_below=0.0, stop_above=1e-300)
         assert outcome == "blew-up"
         assert t == trace.times[16] and sup == trace.sup_norm[16]
-        t, sup, outcome = evolve_until(h0, prob, 40.5 * dt, stop_below=0.0, stop_above=np.inf)
+        [(t, sup, outcome)] = evolve_until([h0], prob, 40.5 * dt, stop_below=0.0, stop_above=np.inf)
         assert outcome == "timeout"
         assert t == trace.times[-1] == trace.T
         assert sup == trace.sup_norm[-1] == np.max(np.abs(trace.final_state.values))
@@ -288,6 +288,6 @@ class TestSharedStepper:
             with pytest.raises(ValueError, match="T must be finite and positive"):
                 run_evolution(h0, prob, bad)
             with pytest.raises(ValueError, match="t_max must be finite and positive"):
-                evolve_until(h0, prob, bad, stop_below=1e-6, stop_above=1e6)
+                evolve_until([h0], prob, bad, stop_below=1e-6, stop_above=1e6)
             with pytest.raises(ValueError, match="output_interval must be finite and positive"):
                 run_evolution(h0, prob, 1.0, output_interval=bad)

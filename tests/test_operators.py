@@ -336,8 +336,9 @@ def _kernel_inputs(grid, rng):
 
 
 class TestKernelBytes:
-    """The kernel that rescales only the off-radius arms and adds u after the
-    reduction gives the bytes of the one that rescaled the whole block."""
+    """The kernel that reduces each scale group's raw arm values, then
+    subtracts u and rescales, gives the bytes of the one that rescaled the
+    whole block, and a stack of states the bytes of one call per row."""
 
     @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
     def test_bytes_as_the_full_block_kernel(self, name, rng):
@@ -359,18 +360,40 @@ class TestKernelBytes:
                 assert residual_values(grid, b, c, g, 0.3, u).tobytes() == want.tobytes(), (label, drift)
 
     @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
-    def test_runs_cover_the_off_radius_arms(self, name):
+    def test_stack_rows_as_single_calls(self, name, rng):
         grid = build_grid(*KERNEL_GRIDS[name])
-        scale = np.ones_like(grid.ring_scale)
+        n = grid.n_active
+        c = rng.normal(size=n)
+        g = rng.normal(size=n)
+        inputs = _kernel_inputs(grid, rng)
+        stack = np.stack(list(inputs.values()))
+        lap = inf_laplacian_values(grid, stack)
+        assert lap.shape == stack.shape
+        for b in (np.zeros((n, grid.dim)), np.tile([0.7, -0.3][:grid.dim], (n, 1))):
+            res = residual_values(grid, b, c, g, 0.3, stack)
+            assert res.shape == stack.shape
+            for row, (label, u) in enumerate(inputs.items()):
+                assert lap[row].tobytes() == inf_laplacian_values(grid, u).tobytes(), label
+                assert res[row].tobytes() == residual_values(grid, b, c, g, 0.3, u).tobytes(), label
+
+    @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+    def test_runs_cover_the_off_radius_arms(self, name):
+        # the scale groups are runs of rows of the sorted block; they cover
+        # every arm once, in arm order, one scale a group, and the groups of
+        # scale other than 1 hold exactly the arms whose length is not rho
+        grid = build_grid(*KERNEL_GRIDS[name])
+        block = grid.ring_group_index
+        assert block.flags.c_contiguous and block.shape == grid.ring_index.T.shape
         stop = 0
-        for start, end, value in grid.ring_scale_runs:
-            assert stop <= start < end and value != 1.0
-            scale[start:end] = value
+        for start, end, scale in grid.ring_groups:
+            assert start == stop < end
+            arms = np.flatnonzero(grid.ring_scale == scale)
+            assert block[start:end].tobytes() == grid.ring_index.T[arms].tobytes()
+            assert (scale == 1.0) == np.all(grid.ring_lengths[arms] == grid.rho)
             stop = end
-        assert scale.tobytes() == grid.ring_scale.tobytes()
-        # maximal: neighbouring runs of one scale would be one run
-        runs = grid.ring_scale_runs
-        assert all(a[1] < b[0] or a[2] != b[2] for a, b in zip(runs, runs[1:]))
+        assert stop == len(grid.ring_scale)
+        scales = [scale for _, _, scale in grid.ring_groups]
+        assert len(set(scales)) == len(scales)  # one group per scale
 
 
 class TestFrozenMatrices:

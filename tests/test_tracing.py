@@ -61,7 +61,7 @@ def test_spans_see_steps_and_solves(tracing, disk8):
     tracer = tracing.Tracer()
     with tracer.installed():
         trace = evolution.run_evolution(h0, prob, 0.05)
-        evolution.evolve_until(h0, prob, 0.05, stop_below=0.0, stop_above=np.inf)
+        evolution.evolve_until([h0], prob, 0.05, stop_below=0.0, stop_above=np.inf)
         out = steady.monotone_iteration(disk8, b, c, 0.5, ScalarField.constant(disk8, -1.0),
                                         steady.SolverConfig())
     names = {s[0] for s in tracer.spans}
