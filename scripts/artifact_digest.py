@@ -24,6 +24,15 @@ grid with twice the spacing; a coercive ``c`` and ``g`` make it do so:
 
     PYTHONPATH=src python scripts/artifact_digest.py --h 0.0625 \
         --set coeff.c=-1 --set 'coeff.g=-exp(-5*r^2)' > coercive.txt
+
+A change to the stencil layout (the arm order, the scale groups, the index
+columns) is checked on the rings with more scale groups, s = 3 (three) and
+s = 4 (five), and with a drift, which reads the axis columns:
+
+    PYTHONPATH=src python scripts/artifact_digest.py --h 0.0625 --set grid.s=3 > s3.txt
+    PYTHONPATH=src python scripts/artifact_digest.py --h 0.0625 --set grid.s=4 > s4.txt
+    PYTHONPATH=src python scripts/artifact_digest.py --h 0.0625 \
+        --set coeff.bx=0.7 --set coeff.by=-0.3 > drift.txt
 """
 
 import argparse

@@ -3,8 +3,9 @@
 
 Builds the README example config (the unit disk, its c, its h0 and its two
 mpcheck seeds) at the given spacing and ring factor, with an optional
-constant drift, and prints the grid's sizes, the core count and the numpy
-and scipy versions.  Then it times --repeats rounds of three loops of
+constant drift, and prints the grid's sizes (N, the ring's K arms and its
+scale groups, whose count sets the kernel's passes, and the ghost count),
+the core count and the numpy and scipy versions.  Then it times --repeats rounds of three loops of
 --steps each: ``residual_values`` on h0, a ``run_evolution`` march from h0,
 and an ``evolve_until`` march of the mpcheck seeds as one stack at the
 mpcheck lambda, neither march stopping early, both at 0.9 times the CFL
@@ -52,7 +53,7 @@ def main():
     dt = 0.9 * cfl_bound(problem)
     T = (args.steps - 0.5) * dt  # args.steps steps, the last one clipped
 
-    print(f"N {grid.n_active}  K {grid.ring_index.shape[1]}  ghosts {grid.n_ghost}  "
+    print(f"N {grid.n_active}  K {grid.ring_index.shape[1]}  groups {len(grid.ring_groups)}  ghosts {grid.n_ghost}  "
           f"cores {len(os.sched_getaffinity(0))}  numpy {np.__version__}  scipy {scipy.__version__}")
     print(f"h {grid.h}  s {grid.s}  drift {bool(problem.b.values.any())}  "
           f"steps {args.steps}  repeats {args.repeats}")

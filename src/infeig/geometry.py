@@ -5,7 +5,8 @@ reflection across the boundary (disk, annulus, and the axis-aligned box
 ``Rectangle``, whose one-dimensional case is the interval); that, with the
 bounding box, is all ``build_grid`` reads of a domain.  It classifies
 lattice nodes into interior / boundary / exterior by the signed distance,
-assembles the ring stencil used by the wide-stencil operator, and closes
+assembles the ring stencil used by the wide-stencil operator, its arms in
+runs of one scale (``_ring_offsets`` takes that order once), and closes
 every exterior arm with a reflection-based ghost rule, which is how the
 homogeneous Neumann condition enters the scheme (to first order); no
 boundary normal is ever formed.
@@ -261,11 +262,13 @@ def _box(lo, hi) -> np.ndarray:
 
 
 def _ring_offsets(dim: int, s: int) -> np.ndarray:
-    """Integer lattice offsets whose length is within half a cell of s, in
-    lexicographic order.  The set is symmetric, so offset K-1-k is -offset k."""
+    """Integer lattice offsets whose length is within half a cell of s, by
+    decreasing length (increasing scale s/|v|) and in lexicographic order
+    within a length.  So the arms of one scale are one run, and the set of
+    one length is symmetric: the run reversed is its own negation."""
     cand = _box([-s - 1] * dim, [s + 1] * dim)
-    lengths = np.linalg.norm(cand, axis=1)
-    return cand[np.abs(lengths - s) <= 0.5 + 1e-12]
+    ring = cand[np.abs(np.linalg.norm(cand, axis=1) - s) <= 0.5 + 1e-12]
+    return ring[np.argsort(-np.sum(ring * ring, axis=1), kind="stable")]
 
 
 class LatticeMap:
@@ -330,16 +333,18 @@ class Grid:
     (convex combinations of active nodal values given by the rows of
     ``ghost_map``).  Ghosts are numbered in lattice order: ghost j is
     the j-th exterior target in the raveled lattice box.  The three index
-    arrays are column-major: the transposed ``ring_index`` is the
-    C-contiguous (K, N) block the ring kernel gathers in one call, and the
-    steady solver's policy step and frozen matrix read the same block; the
-    drift kernel reads one contiguous axis column at a time.
+    arrays are column slices of one column-major stencil table, [ring arms |
+    +axes | -axes]: the transposed ``ring_index`` is the C-contiguous (K, N)
+    block the ring kernel gathers in one call, and the steady solver's policy
+    step and frozen matrix read the same block; the drift kernel reads one
+    contiguous axis column at a time.
 
-    ``ring_group_index`` is that block with its arms sorted by their scale
-    rho/|v_k|, and ``ring_groups`` its scale-group table: one (start, stop,
-    scale) slice per distinct scale, which the ring kernel reduces one group
-    at a time.  With s = 1 in 2D the groups are the four axis arms (scale 1)
-    and the four diagonal arms, and in 1D there is one group.
+    The arms are ordered by their scale rho/|v_k| (``_ring_offsets``), so
+    ``ring_groups``, one (start, stop, scale) slice per distinct scale, cuts
+    the block into runs of rows that the ring kernel reduces one group at a
+    time, and each group reversed is its own negation.  With s = 1 in 2D the
+    groups are the four diagonal arms and the four axis arms (scale 1), and
+    in 1D there is one group.
     """
 
     domain: Domain
@@ -347,7 +352,7 @@ class Grid:
     s: int
     nodes: np.ndarray          # (N, dim)
     node_class: np.ndarray     # (N,) INTERIOR/BOUNDARY
-    ring_offsets: np.ndarray   # (K, dim) physical offsets; offset K-1-k is -offset k
+    ring_offsets: np.ndarray   # (K, dim) physical offsets, by increasing scale
     ring_index: np.ndarray     # (N, K) extended indices
     axis_plus: np.ndarray      # (N, dim) extended indices
     axis_minus: np.ndarray     # (N, dim) extended indices
@@ -377,20 +382,13 @@ class Grid:
     @cached_property
     def ring_groups(self) -> tuple:
         """The scale-group table: (start, stop, scale) for each distinct
-        scale, by increasing scale; rows start:stop of ``ring_group_index``
-        are the arms of that scale."""
+        scale, by increasing scale; arms start:stop are those of that scale."""
         groups, start = [], 0
-        for scale, arms in itertools.groupby(np.sort(self.ring_scale).tolist()):
+        for scale, arms in itertools.groupby(self.ring_scale.tolist()):
             stop = start + len(list(arms))
             groups.append((start, stop, scale))
             start = stop
         return tuple(groups)
-
-    @cached_property
-    def ring_group_index(self) -> np.ndarray:
-        """The C-contiguous (K, N) block of ``ring_index`` columns sorted by
-        scale, in arm order within a scale."""
-        return self.ring_index.T[np.argsort(self.ring_scale, kind="stable")]
 
     @cached_property
     def node_variables(self) -> tuple:
@@ -473,13 +471,13 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
 
     offsets = _ring_offsets(dim, s)
 
-    # Stencil steps in column order: ring arms, then axis plus/minus.  The
-    # lattice box is padded by s + 2, so every target of an active node lies
-    # inside it and a step is a fixed offset into the raveled box.
+    # Stencil steps in column order: ring arms, +axes, -axes.  The lattice
+    # box is padded by s + 2, so every target of an active node lies inside
+    # it and a step is a fixed offset into the raveled box.
     n = nodes.shape[0]
     K = offsets.shape[0]
     eye = np.eye(dim, dtype=np.int64)
-    steps = np.concatenate([offsets, np.stack([eye, -eye], axis=1).reshape(2 * dim, dim)])
+    steps = np.concatenate([offsets, eye, -eye])
     table = lattice_map.table.reshape(-1)
     base = np.flatnonzero(active)  # _box enumerates the box in the table's raveled order
     step_offsets = steps @ lattice_map.strides
@@ -493,9 +491,6 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
     rows = near[near_rows]
     _, first, label = np.unique(base[rows] + step_offsets[cols], return_index=True, return_inverse=True)
     index[rows, cols] = n + label.reshape(-1)
-    ring_index = index[:, :K]
-    axis_plus = np.asfortranarray(index[:, K::2])
-    axis_minus = np.asfortranarray(index[:, K + 1::2])
 
     # ghost closure: reflect each exterior point across the boundary and
     # interpolate bilinearly at the reflection
@@ -509,9 +504,9 @@ def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:
         nodes=nodes,
         node_class=act_class,
         ring_offsets=offsets * h,
-        ring_index=ring_index,
-        axis_plus=axis_plus,
-        axis_minus=axis_minus,
+        ring_index=index[:, :K],
+        axis_plus=index[:, K:K + dim],
+        axis_minus=index[:, K + dim:],
         ghost_points=ghost_points,
         ghost_map=_sparse(ghost_nodes, _sum_to_one(ghost_weights), n),
         lattice=lattice_map,

@@ -27,8 +27,8 @@ at every active node.  Every evaluation goes through two private kernels,
 which take an (N,) state or an (S, N) stack of states, nodes on the last
 axis, and give each row of a stack the bytes of its own (N,) call.
 ``_ring_laplacian`` (behind ``residual_values`` and ``inf_laplacian_values``)
-gathers the C-contiguous (..., K, N) block ``ext.take(ring_group_index,
-axis=-1)``, whose arms are sorted into groups of one scale s = rho/|v_k|
+gathers the C-contiguous (..., K, N) block ``ext.take(ring_index.T,
+axis=-1)``, whose arms come in runs of one scale s = rho/|v_k|
 (``Grid.ring_groups``).  It takes the max and min of each group's raw arm
 values, subtracts u from those N-vectors alone and scales them, and combines
 the groups with ``np.maximum`` and ``np.minimum``.  That is bit for bit the
@@ -157,7 +157,7 @@ def ring_arm_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """Ring-scheme lap(u) at every active node, from u's extended values;
     reduces each scale group's raw arm values before subtracting u."""
-    w = ext.take(grid.ring_group_index, axis=-1)
+    w = ext.take(grid.ring_index.T, axis=-1)
     top = bot = None
     for start, stop, scale in grid.ring_groups:
         group = w[..., start:stop, :]

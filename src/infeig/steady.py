@@ -144,11 +144,14 @@ def _splu(matrix):
 def _arms_at(grid: Grid, u: np.ndarray) -> tuple:
     """(arms, w): the (2, N) max and min arm at each node, chosen on the
     (K, N) arm block w; where they tie (everywhere at u = 0), the min arm is
-    the max arm's antipode, so no frozen row counts one arm twice."""
+    the max arm's antipode, so no frozen row counts one arm twice.
+
+    argmax and argmin pick the same arm only where all K values are equal,
+    and there argmax picks arm 0.  The first scale group reversed is its own
+    negation, so -offset 0 is that group's last arm."""
     w = ring_arm_values(grid, u).T
     arms = np.stack([w.argmax(axis=0), w.argmin(axis=0)])
-    tied = arms[0] == arms[1]
-    arms[1, tied] = w.shape[0] - 1 - arms[0, tied]  # offset K-1-k is -offset k
+    arms[1, arms[0] == arms[1]] = grid.ring_groups[0][1] - 1
     return arms, w
 
 

@@ -59,9 +59,9 @@ def test_disk_example_interior_set():
             assert abs(d) < 0.25
     origin = int(np.argmin(np.linalg.norm(grid.nodes, axis=1)))
     assert grid.node_class[origin] == INTERIOR
-    # at least two antipodal arm pairs: offset K-1-k is -offset k
+    # at least two antipodal arm pairs, each within one scale group
     assert len(grid.ring_offsets) >= 4
-    assert np.array_equal(grid.ring_offsets[::-1], -grid.ring_offsets)
+    _assert_groups_reverse_to_negation(grid)
 
 
 def test_annulus_ring_against_brute_force():
@@ -73,11 +73,19 @@ def test_annulus_ring_against_brute_force():
         for j in range(-4, 5):
             if (i, j) != (0, 0) and abs(math.hypot(i, j) - s) <= 0.5 + 1e-12:
                 brute.add((i, j))
-    got = {tuple(int(round(v / grid.h)) for v in off) for off in grid.ring_offsets}
-    assert got == brute
-    # every node sees the same >= 4 antipodal pairs: offset K-1-k is -offset k
+    got = [tuple(int(round(v / grid.h)) for v in off) for off in grid.ring_offsets]
+    # by decreasing length, lexicographic within a length
+    assert got == sorted(brute, key=lambda v: (-(v[0] ** 2 + v[1] ** 2), v))
+    # every node sees the same >= 4 antipodal pairs, each within one scale group
     assert len(grid.ring_offsets) >= 8
-    assert np.array_equal(grid.ring_offsets[::-1], -grid.ring_offsets)
+    _assert_groups_reverse_to_negation(grid)
+
+
+def _assert_groups_reverse_to_negation(grid):
+    """Each scale group of the ring, reversed, is its own negation."""
+    for start, stop, _ in grid.ring_groups:
+        group = grid.ring_offsets[start:stop]
+        assert np.array_equal(group[::-1], -group)
 
 
 def _distance(grid):
@@ -128,16 +136,18 @@ def test_classification_stable_under_refinement():
 
 
 def test_stencil_symmetry_and_pair_lengths():
-    # steady._arms_at takes arm K-1-k as the antipode of arm k
+    # steady._arms_at takes the last arm of the first scale group as the
+    # antipode of arm 0: each group, reversed, is its own negation
     cases = [(Interval(0.0, 1.0), 1.0 / 16.0, s) for s in (1, 2)]
     cases += [(Disk((0.0, 0.0), 1.0), 0.125, s) for s in (1, 2, 3, 4)]
     for domain, h, s in cases:
         grid = build_grid(domain, h, s)
         offs = grid.ring_offsets
         assert len(offs) % 2 == 0 and len(offs) >= 2 * grid.dim
-        assert np.array_equal(offs[::-1], -offs)
-        lengths = np.linalg.norm(offs, axis=1)
-        assert np.all(np.abs(lengths - lengths[::-1]) <= 1e-12 * lengths)
+        _assert_groups_reverse_to_negation(grid)
+        for start, stop, _ in grid.ring_groups:
+            lengths = np.linalg.norm(offs[start:stop], axis=1)
+            assert np.all(np.abs(lengths - lengths[::-1]) <= 1e-12 * lengths)
 
 
 def test_ghost_weights_are_convex():
@@ -394,12 +404,15 @@ def test_deterministic_build():
     (Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2),
 ])
 def test_index_columns_contiguous(domain, h, s):
-    # the ring kernel gathers the (K, N) transpose, the drift kernel one axis column at a time
+    # the ring kernel gathers the (K, N) transpose, the drift kernel one axis
+    # column at a time; all three are column slices of one stencil table
     grid = build_grid(domain, h, s)
     assert grid.ring_index.T.flags.c_contiguous
     for index in (grid.ring_index, grid.axis_plus, grid.axis_minus):
         for k in range(index.shape[1]):
             assert index[:, k].flags.c_contiguous
+    for index in (grid.axis_plus, grid.axis_minus):
+        assert np.shares_memory(index, grid.ring_index.base)
 
 
 @pytest.mark.parametrize("domain, h, s", [

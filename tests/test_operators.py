@@ -157,9 +157,13 @@ class TestRingScheme:
         lap = inf_laplacian_values(grid, u)[i]
         arms = u[grid.ring_index[i]]
         w = u[i] + (arms - u[i]) * grid.ring_scale
-        K = len(grid.ring_offsets)
-        assert np.array_equal(grid.ring_offsets[::-1], -grid.ring_offsets)  # arm K-1-k opposes arm k
-        pair_sums = [(w[k] + w[K - 1 - k] - 2.0 * u[i]) / grid.rho**2 for k in range(K // 2)]
+        pair_sums = []
+        for start, stop, _ in grid.ring_groups:
+            offsets = grid.ring_offsets[start:stop]
+            assert np.array_equal(offsets[::-1], -offsets)  # arm start + stop - 1 - k opposes arm k
+            pair_sums += [(w[k] + w[start + stop - 1 - k] - 2.0 * u[i]) / grid.rho**2
+                          for k in range(start, (start + stop) // 2)]
+        assert len(pair_sums) == len(grid.ring_offsets) // 2
         assert min(pair_sums) - 1e-12 <= lap <= max(pair_sums) + 1e-12
 
     def test_radial_reduction_error_model(self):
@@ -378,22 +382,24 @@ class TestKernelBytes:
 
     @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
     def test_runs_cover_the_off_radius_arms(self, name):
-        # the scale groups are runs of rows of the sorted block; they cover
-        # every arm once, in arm order, one scale a group, and the groups of
-        # scale other than 1 hold exactly the arms whose length is not rho
+        # the scale groups are runs of rows of the block the kernel gathers,
+        # ring_index.T; they cover every arm once, by ascending scale and
+        # lexicographic within a group, and the group of scale 1 holds
+        # exactly the arms whose length is rho
         grid = build_grid(*KERNEL_GRIDS[name])
-        block = grid.ring_group_index
-        assert block.flags.c_contiguous and block.shape == grid.ring_index.T.shape
+        assert grid.ring_index.T.flags.c_contiguous
+        lattice = np.rint(grid.ring_offsets / grid.h).astype(int).tolist()
         stop = 0
         for start, end, scale in grid.ring_groups:
             assert start == stop < end
-            arms = np.flatnonzero(grid.ring_scale == scale)
-            assert block[start:end].tobytes() == grid.ring_index.T[arms].tobytes()
-            assert (scale == 1.0) == np.all(grid.ring_lengths[arms] == grid.rho)
+            assert np.all(grid.ring_scale[start:end] == scale)
+            assert lattice[start:end] == sorted(lattice[start:end])
             stop = end
         assert stop == len(grid.ring_scale)
         scales = [scale for _, _, scale in grid.ring_groups]
-        assert len(set(scales)) == len(scales)  # one group per scale
+        assert scales == sorted(set(scales))  # ascending, one group per scale
+        on_radius = [k for start, end, scale in grid.ring_groups if scale == 1.0 for k in range(start, end)]
+        assert on_radius and on_radius == np.flatnonzero(grid.ring_lengths == grid.rho).tolist()
 
 
 class TestFrozenMatrices:

@@ -18,6 +18,7 @@ from infeig.steady import (
     solve_coercive,
     solve_general_rhs,
 )
+from test_operators import KERNEL_GRIDS
 
 
 def _problem(grid, c, g, lam=0.0, b=None):
@@ -128,17 +129,22 @@ class TestSolveCoercive:
             solve_coercive(prob, SolverConfig(max_sweeps=1), initial=ScalarField.constant(disk8, 0.0))
         assert splu_sizes == [disk8.n_active]
 
-    def test_arms_at_break_ties_by_antipode(self, disk16s2, rng):
-        grid = disk16s2
-        arms, _ = steady._arms_at(grid, np.zeros(grid.n_active))
-        assert np.array_equal(grid.ring_offsets[arms[1]], -grid.ring_offsets[arms[0]])
-        u = rng.normal(size=grid.n_active)
-        w = ring_arm_values(grid, u)
-        arms, block = steady._arms_at(grid, u)
-        assert block.shape == w.T.shape and block.flags.c_contiguous
-        assert np.array_equal(block, w.T)
-        assert np.array_equal(arms[0], np.argmax(w, axis=1))
-        assert np.array_equal(arms[1], np.argmin(w, axis=1))
+    @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+    def test_arms_at_break_ties_by_antipode(self, name, rng):
+        # the arms are the first max and the first min, except where all arms
+        # tie: there the min arm is the max arm's antipode
+        grid = build_grid(*KERNEL_GRIDS[name])
+        n = grid.n_active
+        for label, u in {"zero": np.zeros(n), "constant": np.full(n, -0.3), "random": rng.normal(size=n)}.items():
+            w = ring_arm_values(grid, u)
+            arms, block = steady._arms_at(grid, u)
+            assert block.shape == w.T.shape and block.flags.c_contiguous
+            assert np.array_equal(block, w.T)
+            tied = np.ptp(w, axis=1) == 0.0
+            assert {"zero": tied.all(), "constant": tied.any(), "random": not tied.all()}[label], label
+            assert np.array_equal(arms[0], np.argmax(w, axis=1)), label
+            assert np.array_equal(arms[1, ~tied], np.argmin(w, axis=1)[~tied]), label
+            assert np.array_equal(grid.ring_offsets[arms[1, tied]], -grid.ring_offsets[arms[0, tied]]), label
 
     @pytest.mark.parametrize("nested", [False, True])
     def test_switch_keeps_tied_arms(self, disk16s2, rng, nested):
