@@ -202,10 +202,11 @@ def check_maximum_principle(
     A seed that decays below decay_threshold supports the maximum principle
     at this lam; a seed that grows past blowup_threshold refutes it.  Seeds
     must pass ``check_seeds``.  One ``evolve_until`` call marches them all
-    as an (S, N) stack, from which each seed leaves at its verdict; every
-    seed's t and sup are the bits of a march of its own.  A seed that
-    reaches neither threshold by t_max makes the check inconclusive: the
-    ``MaxPrincipleInconclusive`` names the lowest such seed.
+    as an (N, S) stack, one seed a column, from which each seed leaves at
+    its verdict; every seed's t and sup are the bits of a march of its own.
+    A seed that reaches neither threshold by t_max makes the check
+    inconclusive: the ``MaxPrincipleInconclusive`` names the lowest such
+    seed.
     ``lambda_bar``, estimated by the caller, is carried into the report for
     comparison with lam.
     """

@@ -26,15 +26,15 @@ shorter than rho (s >= 3).
 
 ``step_explicit``, ``run_evolution`` and ``evolve_until`` all march with the
 one private generator ``_euler_steps``: ceil(T/dt) steps of dt, the last
-clipped to end exactly at T.  The state is an (N,) field or an (S, N) stack
-of fields, one per row.  Each step calls ``residual_values`` once and
-updates in place on the fresh array it returns (``res *= step; res += u``,
-the bits of ``u + step * res``), so a step allocates no state of its own
-and never writes to a state it has yielded.  ``evolve_until`` marches all
-its seeds as one stack, which gives each row the bytes of a march of its
-own, and drops a seed at its verdict by sending the shrunk stack back to
-the same generator: t is a running sum of the steps, so a new generator
-would change its bits.
+clipped to end exactly at T.  The state is an (N,) field or an (N, S) stack
+of fields, nodes first and one field a column.  Each step calls
+``residual_values`` once and updates in place on the fresh array it returns
+(``res *= step; res += u``, the bits of ``u + step * res``), so a step
+allocates no state of its own and never writes to a state it has yielded.
+``evolve_until`` marches all its seeds as one stack, which gives each
+column the bytes of a march of its own, and drops a seed at its verdict by
+sending the shrunk stack back to the same generator: t is a running sum of
+the steps, so a new generator would change its bits.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def step_explicit(state: ScalarField, problem: SteadyProblem, dt: float) -> Scal
 
 
 def _euler_steps(u: np.ndarray, problem: SteadyProblem, dt: float, T: float):
-    """Forward Euler from u, an (N,) state or an (S, N) stack, over [0, T]:
+    """Forward Euler from u, an (N,) state or an (N, S) stack, over [0, T]:
     ceil(T/dt) steps of dt, the last one clipped to end at T.  Yields
     (t, u, last) after each step.  A state sent back replaces u for the
     steps that follow, on the same clock; ``send`` returns None and the
@@ -207,31 +207,32 @@ def evolve_until(
     stop_below: float,
     stop_above: float,
 ) -> list:
-    """March the seeds as one (S, N) stack until each one's sup |h| crosses
-    a threshold; returns one (t, sup, outcome) per seed, with outcome in
-    {"decayed", "blew-up", "timeout"}.  The sups are checked every 16 steps
-    and at the last, which is clipped, so a timeout returns t == t_max.  A
-    seed leaves the stack at its verdict; the stack goes on in the same
-    march, so each seed gets the bits of a march of its own."""
+    """March the seeds as one (N, S) stack, one seed a column, until each
+    one's sup |h| crosses a threshold; returns one (t, sup, outcome) per
+    seed, with outcome in {"decayed", "blew-up", "timeout"}.  The sups are
+    checked every 16 steps and at the last, which is clipped, so a timeout
+    returns t == t_max.  A seed leaves the stack at its verdict; the stack
+    goes on in the same march, so each seed gets the bits of a march of its
+    own."""
     _check_horizon("t_max", t_max)
-    u = np.stack([seed.values for seed in seeds])
-    rows = list(range(len(seeds)))  # the seed of each row of the stack
+    u = np.stack([seed.values for seed in seeds], axis=1)
+    cols = list(range(len(seeds)))  # the seed of each column of the stack
     results = [(0.0, float(np.max(np.abs(seed.values))), "timeout") for seed in seeds]
     steps = _euler_steps(u, problem, 0.9 * cfl_bound(problem), t_max)
     for k, (t, u, last) in enumerate(steps, 1):
         if not (k % 16 == 0 or last):
             continue
         keep = []
-        for row, sup in enumerate(np.max(np.abs(u), axis=-1).tolist()):
+        for col, sup in enumerate(np.max(np.abs(u), axis=0).tolist()):
             outcome = "decayed" if sup <= stop_below else "blew-up" if sup >= stop_above else "timeout"
-            results[rows[row]] = t, sup, outcome
+            results[cols[col]] = t, sup, outcome
             if outcome == "timeout":
-                keep.append(row)
+                keep.append(col)
         if not keep:
             break
-        if len(keep) < len(rows):
-            rows = [rows[row] for row in keep]
-            steps.send(u[keep])
+        if len(keep) < len(cols):
+            cols = [cols[col] for col in keep]
+            steps.send(u.take(keep, axis=1))  # C-contiguous, unlike u[:, keep]
     return results
 
 

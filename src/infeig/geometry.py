@@ -24,7 +24,9 @@ stencil steps and the bilinear corners, and a point with no weighted corner
 among the nodes takes its nearest node from a search over windows of the
 table.  The bilinear rule leaves this module only as CSR maps, the ghost
 closure ``Grid.ghost_map`` and the transfer ``interpolation_map``, whose
-product sums each row left to right in corner order.  The transfer prolongs
+product sums each row left to right in corner order.  ``Grid.extended_values``
+applies the closure to an (N,) state or an (N, S) stack, nodes first and
+one state a column, like ``ring_index`` (N, K).  The transfer prolongs
 from the grid with twice the spacing and restricts onto it, one 1.0 a row.
 """
 
@@ -412,13 +414,11 @@ class Grid:
 
     def extended_values(self, values: np.ndarray) -> np.ndarray:
         """Active nodal values followed by ghost-closed values, along the
-        last axis of an (N,) state or an (S, N) stack.  A stack is closed
-        one row at a time, so each row gets the bytes of its own (N,) call:
-        one product with the (N, S) transpose copied it twice, which cost
-        4 times as much (N = 13085, S = 2, on a 2-core x86 machine)."""
-        if values.ndim == 1:
-            return np.concatenate([values, self.ghost_map @ values])
-        return np.concatenate([values, np.stack([self.ghost_map @ row for row in values])], axis=1)
+        first axis of an (N,) state or an (N, S) stack, one state a column.
+        One CSR product closes every column of a C-contiguous stack, each
+        with the bytes of its own (N,) call; a nodes-last (S, N) array
+        with S != N raises."""
+        return np.concatenate([values, self.ghost_map @ values])
 
 
 def build_grid(domain: Domain, h: float, s: int = 1) -> Grid:

@@ -24,11 +24,12 @@ first-order upwind.  ``apply_operator`` evaluates the full residual
     lap(u) + b . Du + (c + lam) u - g
 
 at every active node.  Every evaluation goes through two private kernels,
-which take an (N,) state or an (S, N) stack of states, nodes on the last
-axis, and give each row of a stack the bytes of its own (N,) call.
+which take an (N,) state or an (N, S) stack of states, nodes first and one
+state a column like ``ring_index`` (N, K) and ``VectorField`` (N, dim), and
+give each column of a stack the bytes of its own (N,) call.
 ``_ring_laplacian`` (behind ``residual_values`` and ``inf_laplacian_values``)
-gathers the C-contiguous (..., K, N) block ``ext.take(ring_index.T,
-axis=-1)``, whose arms come in runs of one scale s = rho/|v_k|
+gathers the C-contiguous (K, N[, S]) block ``ext.take(ring_index.T,
+axis=0)``, whose arms come in runs of one scale s = rho/|v_k|
 (``Grid.ring_groups``).  It takes the max and min of each group's raw arm
 values, subtracts u from those N-vectors alone and scales them, and combines
 the groups with ``np.maximum`` and ``np.minimum``.  That is bit for bit the
@@ -39,11 +40,13 @@ fl(x * 1.0) = x.  Adding u to the two N-vectors then gives the max and min
 of the arm values w_k.  ``ring_arm_values`` rescales the whole (K, N) block
 of increments, adds u back and returns its (N, K) transpose.
 ``_add_upwind_drift`` (behind ``residual_values`` and ``drift_values``)
-works one axis column at a time, gathering with ``take`` along the last
-axis.  ``frozen_matrices`` assembles the same ring and upwind coefficients, with the (2, N) max and min
-arms frozen, as the sparse matrices that every solver factors; the ghost
-closure enters them as one sparse matrix, ``Grid.ghost_map``, the one that
-``Grid.extended_values`` applies, so both sum its rows in one order.
+works one axis column at a time, gathering with ``take`` along the first
+axis; it and the zero-order term broadcast each per-node coefficient
+across a stack's columns.  ``frozen_matrices`` assembles the same ring and
+upwind coefficients, with the (2, N) max and min arms frozen, as the sparse
+matrices that every solver factors; the ghost closure enters them as one
+sparse matrix, ``Grid.ghost_map``, the one that ``Grid.extended_values``
+applies, so both sum its rows in one order.
 """
 
 from __future__ import annotations
@@ -157,13 +160,13 @@ def ring_arm_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """Ring-scheme lap(u) at every active node, from u's extended values;
     reduces each scale group's raw arm values before subtracting u."""
-    w = ext.take(grid.ring_index.T, axis=-1)
+    w = ext.take(grid.ring_index.T, axis=0)
     top = bot = None
     for start, stop, scale in grid.ring_groups:
-        group = w[..., start:stop, :]
-        hi = group.max(axis=-2)
+        group = w[start:stop]
+        hi = group.max(axis=0)
         hi -= values
-        lo = group.min(axis=-2)
+        lo = group.min(axis=0)
         lo -= values
         if scale != 1.0:
             hi *= scale
@@ -184,11 +187,13 @@ def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarr
 def _add_upwind_drift(out: np.ndarray, grid: Grid, b_values: np.ndarray, values: np.ndarray,
                       ext: np.ndarray) -> np.ndarray:
     """Adds the componentwise upwind b . Du to out in place and returns out."""
+    if values.ndim > 1:
+        b_values = b_values[:, :, None]  # each node's b_d as a column over the stack
     for d in range(grid.dim):
-        fwd = ext.take(grid.axis_plus[:, d], axis=-1)
+        fwd = ext.take(grid.axis_plus[:, d], axis=0)
         fwd -= values
         fwd *= np.maximum(b_values[:, d], 0.0)
-        bwd = ext.take(grid.axis_minus[:, d], axis=-1)
+        bwd = ext.take(grid.axis_minus[:, d], axis=0)
         np.subtract(values, bwd, out=bwd)
         bwd *= np.minimum(b_values[:, d], 0.0)
         fwd += bwd
@@ -213,14 +218,22 @@ def frozen_matrices(grid: Grid, b_values: np.ndarray):
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(kept, axis=1))])
     drift = sp.csr_matrix((coef[kept], cols[kept], indptr), shape=(n, closure.shape[0]))
     drift_sum = coef.sum(axis=1)
+    # The product adds a row's terms into each column in the row's stored
+    # order, and the sum ring + drift stores each row reversed (scipy's sum
+    # of rows with unsorted indices).  Without drift the product takes the
+    # ring itself, stored diagonal first, so A is bit for bit
+    # (ring + drift) @ closure either way when the two arms differ.
+    order = slice(None) if drift.nnz else slice(None, None, -1)
 
     def matrix(arms: np.ndarray, zero_order: np.ndarray) -> sp.csc_matrix:
         arm_coef = grid.ring_scale[arms] * (1.0 / grid.rho**2)
         diag = zero_order - drift_sum - arm_coef[0] - arm_coef[1]
-        data = np.vstack([arm_coef, diag]).ravel("F")
-        index = np.vstack([grid.ring_index.T[arms, rows], rows]).ravel("F")
+        data = np.vstack([arm_coef, diag])[order].ravel("F")
+        index = np.vstack([grid.ring_index.T[arms, rows], rows])[order].ravel("F")
         ring = sp.csr_matrix((data, index, 3 * np.arange(n + 1)), shape=drift.shape)
-        return ((ring + drift) @ closure).tocsc()  # the sum stores no zeros
+        if drift.nnz:
+            ring = ring + drift  # the sum stores no zeros
+        return (ring @ closure).tocsc()
 
     return matrix
 
@@ -243,12 +256,16 @@ def residual_values(
     values: np.ndarray,
 ) -> np.ndarray:
     """lap(u) + b . Du + (c + lam) u - g on raw arrays (hot path); values
-    is an (N,) state or an (S, N) stack, and so is the result."""
+    is an (N,) state or an (N, S) stack, one state a column, and so is the
+    result."""
     ext = grid.extended_values(values)
     res = _ring_laplacian(grid, values, ext)
     if b_values.any():
         _add_upwind_drift(res, grid, b_values, values, ext)
-    res += (c_values + lam) * values - g_values
+    zero_order = c_values + lam
+    if values.ndim > 1:
+        zero_order, g_values = zero_order[:, None], g_values[:, None]
+    res += zero_order * values - g_values
     return res
 
 

@@ -193,11 +193,11 @@ class TestMaximumPrinciple:
         ones, low, mid = (ScalarField.constant(disk8, v) for v in (1.0, 0.2, 0.3))
         kwargs = dict(t_max=6.0, decay_threshold=0.1, blowup_threshold=10.0, lambda_bar=0.0)
 
-        rows = []
+        cols = []
         residual = evolution.residual_values
 
         def counted(*args):
-            rows.append(len(args[-1]))  # the state is the last argument
+            cols.append(args[-1].shape[-1])  # the state, an (N, S) stack, is the last argument
             return residual(*args)
 
         monkeypatch.setattr(evolution, "residual_values", counted)
@@ -212,8 +212,8 @@ class TestMaximumPrinciple:
             assert np.float64(verdict.t_reached).tobytes() == np.float64(t).tobytes()
             assert np.float64(verdict.sup_final).tobytes() == sup.tobytes()
         # a seed leaves the stack after the step of its verdict
-        assert rows == [sum(w[3] >= k for w in want) for k in range(1, want[2][3] + 1)]
-        assert rows[0] == 3 and rows[-1] == 1
+        assert cols == [sum(w[3] >= k for w in want) for k in range(1, want[2][3] + 1)]
+        assert cols[0] == 3 and cols[-1] == 1
 
         with pytest.raises(MaxPrincipleInconclusive) as caught:
             check_maximum_principle(disk8, b, c, 0.5, [spike[1], low, ones, mid], **kwargs)

@@ -194,6 +194,31 @@ def test_ghost_closure_sums_each_row_left_to_right(domain, h, s):
     assert grid.extended_values(np.array(v))[grid.n_active:].tolist() == want
 
 
+@pytest.mark.parametrize("domain, h, s", [
+    (Disk((0.0, 0.0), 1.0), 1.0 / 16.0, 2),
+    (Annulus((0.0, 0.0), 0.25, 1.0), 1.0 / 40.0, 2),
+    (Interval(0.0, 1.0), 1.0 / 32.0, 2),
+])
+def test_ghost_closure_of_a_stack_closes_each_column_as_its_own_call(domain, h, s):
+    # an (N, S) stack, one state a column, is closed in one product that gives
+    # each column the bytes of its (N,) call; a nodes-last (S, N) array with
+    # S != N is refused, not broadcast
+    grid = build_grid(domain, h, s)
+    n = grid.n_active
+    rng = np.random.default_rng(5)
+    signed_zeros = rng.normal(size=n)
+    signed_zeros[rng.random(n) < 0.5] = -0.0
+    columns = [signed_zeros, np.full(n, -0.0), 1e300 * rng.normal(size=n),
+               1e-300 * rng.normal(size=n), np.full(n, 7.0)]
+    stack = np.stack(columns, axis=1)
+    ext = grid.extended_values(stack)
+    assert ext.shape == (n + grid.n_ghost, len(columns))
+    for col, v in enumerate(columns):
+        assert ext[:, col].tobytes() == grid.extended_values(v).tobytes()
+    with pytest.raises(ValueError):
+        grid.extended_values(np.ascontiguousarray(stack.T))
+
+
 def test_interior_stencils_complete():
     grid = build_grid(Annulus((0.0, 0.0), 0.25, 1.0), 0.05, 2)
     assert np.all(grid.ring_index >= 0)
