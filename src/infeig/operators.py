@@ -218,22 +218,14 @@ def frozen_matrices(grid: Grid, b_values: np.ndarray):
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(kept, axis=1))])
     drift = sp.csr_matrix((coef[kept], cols[kept], indptr), shape=(n, closure.shape[0]))
     drift_sum = coef.sum(axis=1)
-    # The product adds a row's terms into each column in the row's stored
-    # order, and the sum ring + drift stores each row reversed (scipy's sum
-    # of rows with unsorted indices).  Without drift the product takes the
-    # ring itself, stored diagonal first, so A is bit for bit
-    # (ring + drift) @ closure either way when the two arms differ.
-    order = slice(None) if drift.nnz else slice(None, None, -1)
 
     def matrix(arms: np.ndarray, zero_order: np.ndarray) -> sp.csc_matrix:
         arm_coef = grid.ring_scale[arms] * (1.0 / grid.rho**2)
         diag = zero_order - drift_sum - arm_coef[0] - arm_coef[1]
-        data = np.vstack([arm_coef, diag])[order].ravel("F")
-        index = np.vstack([grid.ring_index.T[arms, rows], rows])[order].ravel("F")
+        data = np.vstack([arm_coef, diag]).ravel("F")
+        index = np.vstack([grid.ring_index.T[arms, rows], rows]).ravel("F")
         ring = sp.csr_matrix((data, index, 3 * np.arange(n + 1)), shape=drift.shape)
-        if drift.nnz:
-            ring = ring + drift  # the sum stores no zeros
-        return (ring @ closure).tocsc()
+        return ((ring + drift) @ closure).tocsc()  # the sum stores no zeros
 
     return matrix
 

@@ -432,34 +432,16 @@ class TestFrozenMatrices:
     @pytest.mark.parametrize("name", ["disk16s2", "offdisk16s3", "annulus20s2", "square16s3", "interval2048"])
     def test_matches_tuple_assembly(self, name, drift, request, rng):
         # the (2, N) arms read on the (K, N) block give the same bytes as the
-        # (sel_max, sel_min) tuple gathered from the (N, K) index, summed with
-        # the drift block even when it is empty; the second arm set makes the
-        # diagonal sum three terms, whose order then shows
+        # (sel_max, sel_min) tuple gathered from the (N, K) index
         grid = request.getfixturevalue(name)
         n = grid.n_active
         b = rng.normal(size=(n, grid.dim)) if drift else np.zeros((n, grid.dim))
         c0 = -1.0 - rng.random(n)
-        matrix = frozen_matrices(grid, b)
-        start = _arms_at(grid, rng.normal(size=n))[0]
-        for arms in (start, _self_closing_arms(grid, start)):
-            got = matrix(arms, c0)
-            want = _tuple_frozen_matrix(grid, b, (arms[0], arms[1]), c0)
-            for attr in ("data", "indices", "indptr"):
-                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
-
-
-def _self_closing_arms(grid, arms):
-    """The arms with, at each node where two ring arms are ghosts whose
-    closure reads the node itself, those two as the max and min arm."""
-    n = grid.n_active
-    node, arm = np.nonzero(grid.ring_index >= n)
-    onto = np.asarray(grid.ghost_map[grid.ring_index[node, arm] - n, node]).ravel() != 0.0
-    arms = arms.copy()
-    for i in np.unique(node[onto]).tolist():
-        pair = arm[onto & (node == i)][:2]
-        if len(pair) == 2:
-            arms[:, i] = pair
-    return arms
+        arms = _arms_at(grid, rng.normal(size=n))[0]
+        got = frozen_matrices(grid, b)(arms, c0)
+        want = _tuple_frozen_matrix(grid, b, (arms[0], arms[1]), c0)
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
 
 
 def _tuple_frozen_matrix(grid, b_values, arms, zero_order):
