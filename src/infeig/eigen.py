@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evolution  # evolve_until looked up in evolution, where span tracers patch it
 from .errors import InfeigError
 from .geometry import Grid
 from .operators import ScalarField, SteadyProblem, VectorField, residual_values
@@ -210,12 +211,10 @@ def check_maximum_principle(
     ``lambda_bar``, estimated by the caller, is carried into the report for
     comparison with lam.
     """
-    from .evolution import evolve_until  # looked up at call time: span tracers patch it in evolution only
-
     check_seeds(seeds, decay_threshold, blowup_threshold)
 
     problem = SteadyProblem(grid, b, c, ScalarField.constant(grid, 0.0), lam)
-    results = evolve_until(seeds, problem, t_max, stop_below=decay_threshold, stop_above=blowup_threshold)
+    results = evolution.evolve_until(seeds, problem, t_max, stop_below=decay_threshold, stop_above=blowup_threshold)
     verdicts = []
     for i, (t, sup, outcome) in enumerate(results):
         if outcome == "timeout":

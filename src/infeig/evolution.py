@@ -24,17 +24,15 @@ arm coefficients a max/min selection can take: 2/rho^2 for s = 1, 2, where
 every arm is at least rho long, and slightly larger when the ring holds arms
 shorter than rho (s >= 3).
 
-``step_explicit``, ``run_evolution`` and ``evolve_until`` all march with the
-one private generator ``_euler_steps``: ceil(T/dt) steps of dt, the last
-clipped to end exactly at T.  The state is an (N,) field or an (N, S) stack
-of fields, nodes first and one field a column.  Each step calls
-``residual_values`` once and updates in place on the fresh array it returns
-(``res *= step; res += u``, the bits of ``u + step * res``), so a step
-allocates no state of its own and never writes to a state it has yielded.
-``evolve_until`` marches all its seeds as one stack, which gives each
-column the bytes of a march of its own, and drops a seed at its verdict by
-sending the shrunk stack back to the same generator: t is a running sum of
-the steps, so a new generator would change its bits.
+``step_explicit``, ``run_evolution`` and ``evolve_until`` share one clock
+and one step.  The clock ``_clock`` gives ceil(T/dt) steps of dt, at least
+one, the last clipped to end exactly at T, with t a running sum of the steps.
+The step ``_euler_step`` returns u + step * residual(u) for an (N,) field or
+an (N, S) stack of fields, nodes first and one field a column; it builds the
+sum in place on the fresh array ``residual_values`` returns, so it never
+writes to its input.  ``evolve_until`` marches all its seeds as one stack,
+which gives each column the bytes of a march of its own, and drops a seed
+at its verdict by taking the other columns.
 """
 
 from __future__ import annotations
@@ -77,41 +75,43 @@ def _check_horizon(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _check_dt(dt: float, bound: float) -> None:
+def _checked_dt(problem: SteadyProblem, dt: float | None = None) -> tuple[float, float]:
+    """(dt, CFL bound), dt 0.9 of the bound by default; raises CflViolation for dt <= 0 or above it."""
+    bound = cfl_bound(problem)
+    if dt is None:
+        dt = 0.9 * bound
     if not dt > 0:  # NaN fails too
         raise CflViolation(f"dt must be positive, got {dt}")
     if dt > bound * (1.0 + 1e-12):
         raise CflViolation(f"dt = {dt} exceeds the CFL bound {bound}")
+    return dt, bound
 
 
-def step_explicit(state: ScalarField, problem: SteadyProblem, dt: float) -> ScalarField:
-    """One forward Euler step; raises CflViolation for dt <= 0 or above the
-    CFL bound."""
-    _check_dt(dt, cfl_bound(problem))
-    _, u, _ = next(_euler_steps(state.values, problem, dt, dt))
-    return ScalarField(problem.grid, u)
+def _step_count(dt: float, T: float) -> int:
+    return max(1, int(np.ceil(T / dt - 1e-12)))
 
 
-def _euler_steps(u: np.ndarray, problem: SteadyProblem, dt: float, T: float):
-    """Forward Euler from u, an (N,) state or an (N, S) stack, over [0, T]:
-    ceil(T/dt) steps of dt, the last one clipped to end at T.  Yields
-    (t, u, last) after each step.  A state sent back replaces u for the
-    steps that follow, on the same clock; ``send`` returns None and the
-    next step comes from the next ``next``."""
-    coefficients = (problem.grid, problem.b.values, problem.c.values, problem.g.values, problem.lam)
-    n_steps = int(np.ceil(T / dt - 1e-12))
+def _clock(dt: float, T: float):
+    """Yields (t, step, last) for each step over [0, T], t the time the step ends at."""
+    n_steps = _step_count(dt, T)
     t = 0.0
     for k in range(1, n_steps + 1):
         step = min(dt, T - t)
-        res = residual_values(*coefficients, u)
-        res *= step
-        res += u
-        u = res
         t += step
-        sent = yield t, u, k == n_steps
-        if sent is not None:
-            u = sent
-            yield None
+        yield t, step, k == n_steps
+
+
+def _euler_step(u: np.ndarray, problem: SteadyProblem, step: float) -> np.ndarray:
+    res = residual_values(problem.grid, problem.b.values, problem.c.values, problem.g.values, problem.lam, u)
+    res *= step
+    res += u  # the bits of u + step * res
+    return res
+
+
+def step_explicit(state: ScalarField, problem: SteadyProblem, dt: float) -> ScalarField:
+    """One forward Euler step; raises CflViolation for dt <= 0 or above the CFL bound."""
+    dt, _ = _checked_dt(problem, dt)
+    return ScalarField(problem.grid, _euler_step(state.values, problem, dt))
 
 
 @dataclass
@@ -159,10 +159,7 @@ def run_evolution(
     _check_horizon("T", T)
     if output_interval is not None:
         _check_horizon("output_interval", output_interval)
-    bound = cfl_bound(problem)
-    if dt is None:
-        dt = 0.9 * bound
-    _check_dt(dt, bound)
+    dt, bound = _checked_dt(problem, dt)
     if output_interval is None:
         output_interval = T / 200.0
     if (weight is None) != (rate is None):
@@ -170,16 +167,18 @@ def run_evolution(
     if weight is not None and float(np.min(weight.values)) <= 0.0:
         raise NonpositiveWeight("weight field must be strictly positive")
 
-    every = max(1, int(round(output_interval / dt)))
+    # a stride at or above the step count records the last step only
+    every = max(1, int(round(min(output_interval / dt, _step_count(dt, T)))))
 
-    u = h0.values.copy()
+    u = h0.values
     times = [0.0]
     sups = [float(np.max(np.abs(u)))]
     ratios = None
     if weight is not None:
         ratios = [float(np.max(u / weight.values))]
 
-    for k, (t, u, last) in enumerate(_euler_steps(u, problem, dt, T), 1):
+    for k, (t, step, last) in enumerate(_clock(dt, T), 1):
+        u = _euler_step(u, problem, step)
         if k % every == 0 or last:
             times.append(t)
             sups.append(float(np.max(np.abs(u))))
@@ -215,11 +214,12 @@ def evolve_until(
     goes on in the same march, so each seed gets the bits of a march of its
     own."""
     _check_horizon("t_max", t_max)
+    dt, _ = _checked_dt(problem)
     u = np.stack([seed.values for seed in seeds], axis=1)
     cols = list(range(len(seeds)))  # the seed of each column of the stack
     results = [(0.0, float(np.max(np.abs(seed.values))), "timeout") for seed in seeds]
-    steps = _euler_steps(u, problem, 0.9 * cfl_bound(problem), t_max)
-    for k, (t, u, last) in enumerate(steps, 1):
+    for k, (t, step, last) in enumerate(_clock(dt, t_max), 1):
+        u = _euler_step(u, problem, step)
         if not (k % 16 == 0 or last):
             continue
         keep = []
@@ -232,7 +232,7 @@ def evolve_until(
             break
         if len(keep) < len(cols):
             cols = [cols[col] for col in keep]
-            steps.send(u.take(keep, axis=1))  # C-contiguous, unlike u[:, keep]
+            u = u.take(keep, axis=1)  # C-contiguous, unlike u[:, keep]
     return results
 
 

@@ -319,6 +319,15 @@ class TestSubcommands:
         dt = summary["dt"]
         assert abs(trace[-1, 1] - exact) / exact <= 1.5 * trace[-1, 0] * dt / 2.0
 
+    def test_evolve_output_interval_beyond_horizon(self, tmp_path):
+        # output_interval / dt overflows an int: the stride is capped at the step count
+        text = SOLVE_CFG + "coeff.c = -1\ncoeff.h0 = 2\nevolve.T = 2\nevolve.output_interval = 1e308\n"
+        cfg = _write(tmp_path, "ev.cfg", text)
+        out = str(tmp_path / "out")
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        trace = np.loadtxt(os.path.join(out, "trace.csv"), delimiter=",", skiprows=1)
+        assert trace[:, 0].tolist() == [0.0, 2.0]
+
     def test_evolve_below_resolution_fits_no_rate(self, tmp_path):
         # the trailing half of the sups sits below 1e-12: no rate is fitted, and
         # summary.json says so with null instead of a slope through noise

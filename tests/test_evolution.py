@@ -291,3 +291,28 @@ class TestSharedStepper:
                 evolve_until([h0], prob, bad, stop_below=1e-6, stop_above=1e6)
             with pytest.raises(ValueError, match="output_interval must be finite and positive"):
                 run_evolution(h0, prob, 1.0, output_interval=bad)
+
+
+class TestClock:
+    def test_horizon_below_a_step_takes_one_step_of_length_T(self, disk8):
+        # ceil(T/dt - 1e-12) is 0 here: the march still takes one step, of length T
+        prob = _problem(disk8, -1.0)
+        h0 = ScalarField.constant(disk8, 1.0)
+        trace = run_evolution(h0, prob, 1e-20)
+        assert len(trace.times) == 2 and trace.times[-1] == 1e-20
+        assert np.array_equal(trace.final_state.values, step_explicit(h0, prob, 1e-20).values)
+        [(t, _, outcome)] = evolve_until([h0], prob, 1e-20, stop_below=1e-6, stop_above=1e6)
+        assert outcome == "timeout" and t == 1e-20
+
+    def test_inputs_unchanged(self, disk8):
+        x = disk8.nodes
+        prob = _problem(disk8, -0.5, b=VectorField.constant(disk8, (0.4, -0.2)))
+        h0 = ScalarField(disk8, np.exp(-4.0 * np.sum((x - 0.2) ** 2, axis=1)))
+        other = ScalarField(disk8, 1.0 + x[:, 0])
+        before = [f.values.tobytes() for f in (h0, other)]
+        dt = 0.9 * cfl_bound(prob)
+        step_explicit(h0, prob, dt)
+        trace = run_evolution(h0, prob, 20.5 * dt, output_interval=dt)
+        evolve_until([h0, other], prob, 20.5 * dt, stop_below=0.0, stop_above=np.inf)
+        assert [f.values.tobytes() for f in (h0, other)] == before
+        assert trace.final_state.values is not h0.values
