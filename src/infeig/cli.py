@@ -24,7 +24,7 @@ from .expr import ExprError
 from .geometry import CLASS_NAMES, GeometryError, grid_metadata
 from .operators import ScalarField, SteadyProblem, apply_operator
 from .output import node_rows, write_csv, write_json, write_run_meta
-from .steady import solve_general_rhs
+from .steady import Diverged, SolverError, solve_general_rhs
 from .verify import run_verification
 
 
@@ -34,9 +34,30 @@ def _emit_grid(out_dir: str, grid) -> None:
               node_rows(grid, CLASS_NAMES[grid.node_class]))
 
 
+def _where_lambda_lies(cfg: RunConfig, grid, b, c) -> str:
+    """Where lambda lies against the eigen bracket, for a solve that diverged.
+    The ends are rounded quotients, so a lambda within 1e-12 max(1, |lambda|)
+    of one counts as inside, as lambda = -c does for a constant c."""
+    try:
+        est = estimate_principal_eigenvalue(grid, b, c, cfg.solver, cfg.bisect_tol)
+    except InfeigError as e:
+        return f"no eigen bracket to compare lambda with: {e}"
+    lo, hi, slack = est.lambda_lo, est.lambda_hi, 1e-12 * max(1.0, abs(cfg.lam))
+    if cfg.lam > hi + slack:
+        where = "above", "lambda > lambda_bar_h, where no solution is expected"
+    elif cfg.lam < lo - slack:
+        where = "below", "lambda < lambda_bar_h, where a solution exists, so this is a solver failure"
+    else:
+        where = "inside", "undecided, the bracket cannot tell lambda from lambda_bar_h"
+    return f"lambda = {cfg.lam!r} lies {where[0]} the eigen bracket [{lo!r}, {hi!r}]: {where[1]}"
+
+
 def _cmd_solve(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
     problem = SteadyProblem(grid, b, c, cfg.scalar_field(grid, cfg.g), cfg.lam)
-    u = solve_general_rhs(problem, cfg.solver)
+    try:
+        u = solve_general_rhs(problem, cfg.solver)
+    except Diverged as e:
+        raise SolverError(f"{e}; {_where_lambda_lies(cfg, grid, b, c)}") from e
     residual = apply_operator(problem, u)
     write_csv(os.path.join(out_dir, "solution.csv"), ("index", "x", "y", "u"),
               node_rows(grid, u.values))
@@ -101,6 +122,7 @@ def _cmd_mpcheck(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
         decay_threshold=cfg.mp_decay_threshold,
         blowup_threshold=cfg.mp_blowup,
         lambda_bar=est.lambda_bar,
+        estimate=est,
     )
     write_json(os.path.join(out_dir, "mpcheck.json"), report.to_dict())
     return 0

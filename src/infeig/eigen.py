@@ -23,10 +23,26 @@ positive.  For
 constant c, x = 1 closes the bracket with no solve.  Bisection on the
 monotone iteration's dichotomy is kept in ``oracles`` as an independent
 reference.
+
+``check_maximum_principle`` given the estimate decides a seed from the
+bracket where it can.  Under the CFL bound the explicit step
+S(u) = u + dt (L_h + lam) u is monotone, odd and positively 1-homogeneous,
+so lam_lo x <= -L_h x <= lam_hi x with max x = 1 gives, at every step n,
+
+    sup|u_n| <= max(|u_0|/x) (1 - dt (lam_lo - lam))^n,
+    max u_n  >= min(u_0/x) (1 + dt (lam - lam_hi))^n   if min(u_0/x) > 0.
+
+For lam < lam_lo, x is a strict supersolution and the first bound decays;
+for lam > lam_hi, x is a strict subsolution and the second grows.  A seed
+whose bound crosses its threshold within t_max takes that verdict
+(certificate "supersolution" or "subsolution"); the rest are marched
+("march").  Like the bracket, these are statements about lam_bar_h, the
+eigenvalue of the discrete operator, not about the continuum lam_bar.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +162,7 @@ class SeedVerdict:
     holds: bool            # True: decayed below the decay threshold
     t_reached: float
     sup_final: float
+    certificate: str = "march"   # or "supersolution" / "subsolution": the eigen bound decided it
 
 
 @dataclass
@@ -166,6 +183,7 @@ class MaxPrincipleReport:
                     "verdict": "MP-holds" if v.holds else "MP-fails",
                     "t": v.t_reached,
                     "sup": v.sup_final,
+                    "certificate": v.certificate,
                 }
                 for v in self.verdicts
             ],
@@ -186,6 +204,46 @@ def check_seeds(seeds: list, decay_threshold: float, blowup_threshold: float) ->
                              f"{decay_threshold:.3e} and the blowup threshold {blowup_threshold:.3e}")
 
 
+def _first_crossing(log_start: float, log_rate: float, threshold: float, n_max: float):
+    """(n, bound) for the least n >= 1 at which bound = exp(log_start + n log_rate)
+    reaches threshold, downward for log_rate < 0 and upward for log_rate > 0;
+    None when that n exceeds n_max."""
+    if log_rate == 0.0:  # a gap below the rounding of 1 + rate: the bound never moves
+        return None
+    steps = (math.log(threshold) - log_start) / log_rate
+    if not steps <= n_max + 1:
+        return None
+
+    def reached(n):
+        bound = math.exp(log_start + n * log_rate)
+        return bound <= threshold if log_rate < 0 else bound >= threshold
+
+    n = max(1, math.ceil(steps))
+    while n > 1 and reached(n - 1):
+        n -= 1
+    while not reached(n):
+        n += 1
+    return (n, math.exp(log_start + n * log_rate)) if n <= n_max else None
+
+
+def _bound_verdict(
+    i: int, seed: np.ndarray, x: np.ndarray, estimate: EigenEstimate, lam: float, dt: float,
+    t_max: float, decay_threshold: float, blowup_threshold: float,
+) -> SeedVerdict | None:
+    """The verdict that the bounds of the module docstring give seed i within t_max, or None."""
+    if lam < estimate.lambda_lo and decay_threshold > 0.0:  # the bound stays positive
+        start, rate = float(np.max(np.abs(seed) / x)), -dt * (estimate.lambda_lo - lam)
+        threshold, holds, certificate = decay_threshold, True, "supersolution"
+    elif lam > estimate.lambda_hi and float(np.min(seed / x)) > 0.0:
+        start, rate = float(np.min(seed / x)), dt * (lam - estimate.lambda_hi)
+        threshold, holds, certificate = blowup_threshold, False, "subsolution"
+    else:
+        return None
+    # n steps of dt end inside the horizon when n <= t_max / dt
+    hit = _first_crossing(math.log(start), math.log1p(rate), threshold, t_max / dt)
+    return None if hit is None else SeedVerdict(i, holds, hit[0] * dt, hit[1], certificate)
+
+
 def check_maximum_principle(
     grid: Grid,
     b: VectorField,
@@ -197,29 +255,53 @@ def check_maximum_principle(
     blowup_threshold: float = 1e6,
     *,
     lambda_bar: float,
+    estimate: EigenEstimate | None = None,
 ) -> MaxPrincipleReport:
     """Evolve the seeds under h_t = lap(h) + b.Dh + (c + lam) h.
 
     A seed that decays below decay_threshold supports the maximum principle
     at this lam; a seed that grows past blowup_threshold refutes it.  Seeds
-    must pass ``check_seeds``.  One ``evolve_until`` call marches them all
-    as an (N, S) stack, one seed a column, from which each seed leaves at
-    its verdict; every seed's t and sup are the bits of a march of its own.
-    A seed that reaches neither threshold by t_max makes the check
-    inconclusive: the ``MaxPrincipleInconclusive`` names the lowest such
-    seed.
+    must pass ``check_seeds``.
+
+    With ``estimate``, the eigen bracket of (grid, b, c) and its positive x,
+    each seed is first tried against the bounds of the module docstring at
+    the dt ``evolve_until`` takes.  A seed whose bound crosses its threshold
+    after n steps, with n dt <= t_max, takes that verdict at t = n dt, with
+    the bound as its sup: MP-holds for lam < lam_lo (certificate
+    "supersolution"), MP-fails for lam > lam_hi (certificate "subsolution").
+
+    The other seeds, all of them without an estimate, are marched: one
+    ``evolve_until`` call marches them as an (N, S) stack, one seed a column,
+    from which each seed leaves at its verdict; every seed's t and sup are
+    the bits of a march of its own (certificate "march").  A marched seed
+    that reaches neither threshold by t_max makes the check inconclusive:
+    the ``MaxPrincipleInconclusive`` names the lowest such seed by its index
+    in ``seeds``.
     ``lambda_bar``, estimated by the caller, is carried into the report for
     comparison with lam.
     """
     check_seeds(seeds, decay_threshold, blowup_threshold)
 
     problem = SteadyProblem(grid, b, c, ScalarField.constant(grid, 0.0), lam)
-    results = evolution.evolve_until(seeds, problem, t_max, stop_below=decay_threshold, stop_above=blowup_threshold)
-    verdicts = []
-    for i, (t, sup, outcome) in enumerate(results):
-        if outcome == "timeout":
-            raise MaxPrincipleInconclusive(t_max, i)
-        verdicts.append(SeedVerdict(i, outcome == "decayed", t, sup))
+    verdicts = [None] * len(seeds)
+    if estimate is not None:
+        if estimate.eigenfunction.grid is not grid:
+            raise ValueError("the estimate's eigenfunction lives on another grid")
+        evolution._check_horizon("t_max", t_max)  # as the march would, should no seed be marched
+        dt, _ = evolution._checked_dt(problem)
+        x = estimate.eigenfunction.values
+        verdicts = [
+            _bound_verdict(i, seed.values, x, estimate, lam, dt, t_max, decay_threshold, blowup_threshold)
+            for i, seed in enumerate(seeds)
+        ]
+    marched = [i for i, v in enumerate(verdicts) if v is None]
+    if marched:
+        results = evolution.evolve_until([seeds[i] for i in marched], problem, t_max,
+                                         stop_below=decay_threshold, stop_above=blowup_threshold)
+        for i, (t, sup, outcome) in zip(marched, results):
+            if outcome == "timeout":
+                raise MaxPrincipleInconclusive(t_max, i)
+            verdicts[i] = SeedVerdict(i, outcome == "decayed", t, sup)
     return MaxPrincipleReport(
         lam=lam,
         lambda_bar=lambda_bar,

@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 
-from infeig import steady, verify
+from infeig import cli, steady, verify
 from infeig.cli import main
 from infeig.config import ConfigError, load_config, parse_config_text
+from infeig.eigen import BracketFailure, check_maximum_principle
 from infeig.steady import SolverConfig
 
 EIGEN_CFG = """
@@ -285,17 +287,54 @@ class TestSubcommands:
         assert main(["eigen", "--out", str(tmp_path)]) == 2
         assert main(["eigen", "--config", str(tmp_path / "nope.cfg")]) == 2
 
-    def test_solver_failure_exit_3(self, tmp_path):
-        # lam above the eigenvalue: the solve diverges
+    def test_solver_failure_exit_3(self, tmp_path, capsys):
+        # lam above the eigenvalue: the solve diverges, and the eigen bracket
+        # (c = 0, so lam_bar_h = 0) says why
         cfg = _write(tmp_path, "div.cfg", SOLVE_CFG + "coeff.g = -1\nlambda = 0.5\nsolver.max_outer = 40\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "iteration diverged (sup reached the blowup threshold)" in err
+        assert "lambda = 0.5 lies above the eigen bracket" in err
         # constant c and lam = lam_bar = -c: the lam-matrix is singular, and
-        # the huge field it gives is refused rather than written
+        # the huge field it gives is refused rather than written; lam = -c
+        # lies inside the bracket, where the divergence is undecided
         for c, lam in (("0", "0"), ("-1", "1")):
             text = f"domain.type = disk\ngrid.h = 0.125\ncoeff.c = {c}\ncoeff.g = -1\nlambda = {lam}\n"
             out = tmp_path / f"o{lam}"
             assert main(["solve", "--config", _write(tmp_path, "at.cfg", text), "--out", str(out)]) == 3
             assert not (out / "solution.csv").exists()
+            err = capsys.readouterr().err
+            assert "iteration inconclusive (max_outer used up)" in err
+            assert f"lambda = {float(lam)!r} lies inside the eigen bracket" in err
+
+    def test_solver_failure_says_where_lambda_lies(self, tmp_path, capsys, monkeypatch):
+        # lam = 0 lies below lam_bar_h = 1 of c = -1, where a solution exists:
+        # a divergence there is the solver's failure, and the message says so
+        def diverged(problem, cfg):
+            raise steady.Diverged(7, 1e7)
+
+        monkeypatch.setattr(cli, "solve_general_rhs", diverged)
+        cfg = _write(tmp_path, "below.cfg", SOLVE_CFG + "coeff.c = -1\ncoeff.g = -1\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "lambda = 0.0 lies below the eigen bracket" in err and "solver failure" in err
+
+        # an end within 1e-12 max(1, |lam|) of lam counts as inside
+        for lo, hi, where in ((-1e-12, -1e-12, "inside"), (-3e-12, -3e-12, "above"),
+                              (1e-12, 1e-12, "inside"), (3e-12, 3e-12, "below")):
+            bracket = types.SimpleNamespace(lambda_lo=lo, lambda_hi=hi)
+            monkeypatch.setattr(cli, "estimate_principal_eigenvalue", lambda *args, b=bracket: b)
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+            assert f"lambda = 0.0 lies {where} the eigen bracket" in capsys.readouterr().err
+
+        # a bracket that fails too is named, and the exit stays 3
+        def no_bracket(*args):
+            raise BracketFailure("still open")
+
+        monkeypatch.setattr(cli, "estimate_principal_eigenvalue", no_bracket)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "at outer step 7" in err and "no eigen bracket to compare lambda with: still open" in err
 
     def test_eigen_open_bracket_exit_3(self, tmp_path):
         # one resolvent solve cannot close the bracket: no open bracket is written
@@ -350,6 +389,42 @@ class TestSubcommands:
         report = json.loads(open(os.path.join(out, "mpcheck.json")).read())
         assert report["holds"] is True  # lam = 0.5 < lam_bar = 1
         assert len(report["seeds"]) == 2
+
+    def test_mpcheck_bound_march_and_subsolution(self, tmp_path):
+        # the README config at h = 1/16: lam = 0.5 lies below lam_lo = 0.6748,
+        # and the decay bound settles both seeds within t_max = 500, no earlier
+        # than the march's own verdicts
+        text = README_DISK_CFG + "mpcheck.lambda = 0.5\nmpcheck.seeds = exp(-50*r^2) ; 1\n"
+        run = load_config(parse_config_text(text))
+        grid = run.build_grid()
+        b, c, seeds = run.drift_field(grid), run.scalar_field(grid, run.c), run.seed_fields(grid)
+        marched = check_maximum_principle(grid, b, c, 0.5, seeds, lambda_bar=0.0).verdicts
+
+        def mpcheck(name, *settings):
+            out = tmp_path / name
+            assert main(["mpcheck", "--config", _write(tmp_path, f"{name}.cfg", text), "--out", str(out),
+                         *(arg for s in settings for arg in ("--set", s))]) == 0
+            return json.loads((out / "mpcheck.json").read_text())
+
+        report = mpcheck("bound")
+        assert report["holds"] is True
+        for seed, march in zip(report["seeds"], marched):
+            assert seed["certificate"] == "supersolution" and seed["verdict"] == "MP-holds"
+            assert march.t_reached <= seed["t"] <= 500.0
+            assert march.sup_final <= 1e-6 and seed["sup"] <= 1e-6
+
+        # t_max = 75 puts the bump's bound (t = 79.04) past the horizon: it is marched
+        report = mpcheck("march", "mpcheck.t_max=75", "mpcheck.seeds=exp(-50*r^2)")
+        (seed,) = report["seeds"]
+        assert seed["certificate"] == "march" and seed["verdict"] == "MP-holds"
+        assert (seed["t"], seed["sup"]) == (marched[0].t_reached, marched[0].sup_final)
+
+        # lam = 0.9 lies above lam_hi: x is a strict subsolution and refutes the constant 1
+        report = mpcheck("refuted", "mpcheck.lambda=0.9", "mpcheck.seeds=1")
+        (seed,) = report["seeds"]
+        assert report["holds"] is False
+        assert seed["certificate"] == "subsolution" and seed["verdict"] == "MP-fails"
+        assert seed["sup"] >= 1e6 and seed["t"] <= 500.0
 
     def test_mpcheck_honours_bisect_tol(self, tmp_path):
         # mpcheck reports the same lambda_bar as eigen under a tighter eigen.bisect_tol

@@ -1,9 +1,10 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from infeig import evolution, steady
+from infeig import eigen, evolution, steady
 from infeig.config import load_config, parse_config_text
 from infeig.eigen import (
     BracketFailure,
@@ -220,6 +221,55 @@ class TestMaximumPrinciple:
         assert caught.value.seed_index == 1
         assert [_reference_march(seed, problem, 6.0, 0.1, 10.0)[2] for seed in (low, mid)] == ["timeout"] * 2
 
+    def test_estimate_decides_before_the_march(self, disk8, cfg, monkeypatch):
+        # c = 0 with a constant drift: x = 1 and lam_bar_h = 0, so at lam = 0.5 the
+        # growth bound (1 + 0.5 dt)^n refutes the constant 1 by t = 4.6 < t_max.
+        # A zero node gives min(u_0/x) = 0, so 0.2 with a hole is marched, and
+        # it grows like e^(0.5 t) to about 4 by t_max: a timeout
+        b, c = VectorField.constant(disk8, (0.4, -0.2)), ScalarField.constant(disk8, 0.0)
+        est = estimate_principal_eigenvalue(disk8, b, c, cfg)
+        ones = ScalarField.constant(disk8, 1.0)
+        holed = ScalarField(disk8, np.where(np.arange(disk8.n_active) == 0, 0.0, 0.2))
+        kwargs = dict(t_max=6.0, decay_threshold=0.1, blowup_threshold=10.0, lambda_bar=0.0, estimate=est)
+
+        marched = []
+        march = evolution.evolve_until
+
+        def recorded(seeds, *args, **kw):
+            marched.append(len(seeds))
+            return march(seeds, *args, **kw)
+
+        monkeypatch.setattr(evolution, "evolve_until", recorded)
+        report = check_maximum_principle(disk8, b, c, 0.5, [ones], **kwargs)
+        assert marched == []
+        (verdict,) = report.verdicts
+        assert not verdict.holds and verdict.certificate == "subsolution"
+        dt, _ = evolution._checked_dt(SteadyProblem(disk8, b, c, ScalarField.constant(disk8, 0.0), 0.5))
+        n = round(verdict.t_reached / dt)
+        assert verdict.t_reached == n * dt <= 6.0
+        assert (1 + 0.5 * dt) ** (n - 1) < 10.0 <= verdict.sup_final == pytest.approx((1 + 0.5 * dt) ** n, rel=1e-13)
+
+        with pytest.raises(MaxPrincipleInconclusive) as caught:
+            check_maximum_principle(disk8, b, c, 0.5, [ones, holed], **kwargs)
+        assert caught.value.seed_index == 1  # the index in the full list, not in the marched one
+        assert marched == [1]
+
+        # a gap lam_lo - lam = 5e-324 leaves dt * gap = 0: no bound, so the spike is marched
+        spike = ScalarField(disk8, np.eye(disk8.n_active)[disk8.n_active // 2])
+        tiny = dataclasses.replace(est, lambda_lo=5e-324, lambda_hi=5e-324)
+        report = check_maximum_principle(disk8, b, c, 0.0, [spike], **{**kwargs, "estimate": tiny})
+        assert marched == [1, 1]
+        assert report.verdicts[0].holds and report.verdicts[0].certificate == "march"
+
+        for t_max in (np.inf, np.nan, -1.0):  # refused as by the march, though no seed is marched
+            with pytest.raises(ValueError, match="t_max must be finite and positive"):
+                check_maximum_principle(disk8, b, c, 0.5, [ones], **{**kwargs, "t_max": t_max})
+
+        other = build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 8.0, 1)  # equal to disk8, not the same object
+        with pytest.raises(ValueError, match="another grid"):
+            check_maximum_principle(other, VectorField.constant(other, (0.4, -0.2)), ScalarField.constant(other, 0.0),
+                                    0.5, [ScalarField.constant(other, 1.0)], **kwargs)
+
     def test_decay_below_threshold(self, interval16):
         x = interval16.nodes[:, 0]
         bump = ScalarField(interval16, np.exp(-20.0 * (x - 0.5) ** 2))
@@ -378,3 +428,63 @@ class TestEstimateToDict:
         assert d["certificate"] == "collatz-wielandt"
         assert d["flags"] == []
         assert d["steps"] == est.steps > 0
+
+
+class TestEigenBounds:
+    @pytest.mark.parametrize("lam", [0.5, 0.9])
+    @pytest.mark.parametrize("drift", [(0.0, 0.0), (0.7, -0.3)])
+    def test_bounds_hold_along_the_march(self, drift, lam, cfg):
+        # lam_lo x <= -L_h x <= lam_hi x with the explicit step monotone, odd and
+        # 1-homogeneous: sup|u_n| <= max(|u_0|/x) (1 - dt (lam_lo - lam))^n, and
+        # max u_n >= min(u_0/x) (1 + dt (lam - lam_hi))^n when min(u_0/x) > 0.
+        # lam = 0.5 lies below the bracket, lam = 0.9 above it
+        grid, _, c = _readme_disk()
+        b = VectorField.constant(grid, drift)
+        est = estimate_principal_eigenvalue(grid, b, c, cfg)
+        assert est.lambda_lo > 0.5 and est.lambda_hi < 0.9
+        x = est.eigenfunction.values
+        problem = SteadyProblem(grid, b, c, ScalarField.constant(grid, 0.0), lam)
+        dt, _ = evolution._checked_dt(problem)
+        px, py = grid.nodes.T
+        seeds = np.stack([
+            x, np.ones(grid.n_active), np.exp(-50.0 * (px**2 + py**2)),
+            np.random.default_rng(0).normal(size=grid.n_active), 1.0 + 0.5 * np.sin(5.0 * px),
+        ], axis=1)
+        upper = np.max(np.abs(seeds) / x[:, None], axis=0)
+        lower = np.min(seeds / x[:, None], axis=0)
+        positive = lower > 0.0
+        assert positive.tolist() == [True, True, True, False, True]
+        decay, growth = 1.0 - dt * (est.lambda_lo - lam), 1.0 + dt * (lam - est.lambda_hi)
+        u, above, below = seeds, [], []
+        for n in range(1, 2049):
+            u = evolution._euler_step(u, problem, dt)
+            above.append(np.max(np.abs(u), axis=0) / (upper * decay**n))
+            below.append(np.max(u[:, positive], axis=0) / (lower[positive] * growth**n))
+            if n == 1000:
+                sup_1000 = np.max(np.abs(u), axis=0)
+        assert np.max(above) <= 1.0 + 1e-12
+        assert np.min(below) >= 1.0 - 1e-12
+
+        # check_maximum_principle's verdicts take the same bounds: a threshold
+        # halfway (in log) between the bounds of steps 999 and 1000 is crossed
+        # at step 1000, and not within a horizon of 999.9 dt
+        rate, start = (decay, upper) if lam < est.lambda_lo else (growth, lower)
+        for i in range(len(start)):
+            threshold = start[i] * rate**999.5
+            if lam < est.lambda_lo:
+                kwargs = dict(decay_threshold=threshold, blowup_threshold=np.inf)
+            else:
+                kwargs = dict(decay_threshold=0.0, blowup_threshold=threshold)
+            verdict = eigen._bound_verdict(i, seeds[:, i], x, est, lam, dt, 2048 * dt, **kwargs)
+            if start[i] <= 0.0:  # the sign-changing seed has no growth bound
+                assert verdict is None
+                continue
+            assert verdict.holds == (lam < est.lambda_lo)
+            assert verdict.certificate == ("supersolution" if verdict.holds else "subsolution")
+            assert verdict.t_reached == 1000 * dt
+            assert verdict.sup_final == pytest.approx(start[i] * rate**1000, rel=1e-12)
+            if verdict.holds:
+                assert sup_1000[i] <= verdict.sup_final * (1.0 + 1e-12)
+            else:
+                assert sup_1000[i] >= verdict.sup_final * (1.0 - 1e-12)
+            assert eigen._bound_verdict(i, seeds[:, i], x, est, lam, dt, 999.9 * dt, **kwargs) is None
