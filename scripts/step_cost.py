@@ -5,14 +5,17 @@ Builds the README example config (the unit disk, its c, its h0 and its two
 mpcheck seeds) at the given spacing and ring factor, with an optional
 constant drift, and prints the grid's sizes (N, the ring's K arms and its
 scale groups, whose count sets the kernel's passes, and the ghost count),
-the core count and the numpy and scipy versions.  Then it times --repeats rounds of four loops of
---steps each: ``residual_values`` on h0, a ``run_evolution`` march from h0,
-and two ``evolve_until`` marches at the mpcheck lambda, one of the mpcheck
-seeds as one (N, S) stack and one of the first seed alone, an (N, 1)
-stack; no march stops early, and all step at 0.9 times the CFL step.  It
-prints the median over the rounds of the time per call, per step, and per
-seed of a stacked step beside that of a 1-seed step, so the gain or loss of
-stacking shows at each size:
+the core count and the numpy and scipy versions.  Then it times --repeats
+rounds of four loops of --steps each: ``residual_values`` on h0, a
+``run_evolution`` march from h0, and two stacked ``evolve_until`` marches
+at the mpcheck lambda, one of both seeds as one (N, S) stack and one of the
+first seed alone, an (N, 1) stack; no march stops early, and all step at
+0.9 times the CFL step.  The README ``mpcheck`` itself settles both seeds
+by the eigen bound and marches neither, so these marches time the path
+that ``mpcheck`` takes for a seed the bound cannot settle.  It prints the
+median over the rounds of the time per call, per step, and per seed of a
+stacked step beside that of a 1-seed step, so the gain or loss of stacking
+shows at each size:
 
     PYTHONPATH=src python scripts/step_cost.py --h 0.015625 --drift 0.7 -0.3
 """
@@ -76,7 +79,7 @@ def main():
         single_steps.append((perf_counter() - start) / args.steps)
     print(f"residual_values  {1e6 * statistics.median(calls):.1f} us per call (median)")
     print(f"explicit step    {1e6 * statistics.median(steps):.1f} us per step (median)")
-    print(f"mpcheck step     {1e6 * statistics.median(seed_steps):.1f} us per seed of a "
+    print(f"evolve_until     {1e6 * statistics.median(seed_steps):.1f} us per seed of a "
           f"{len(seeds)}-seed stacked step, {1e6 * statistics.median(single_steps):.1f} us "
           f"of a 1-seed step (median)")
 

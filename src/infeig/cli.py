@@ -114,10 +114,9 @@ def _cmd_mpcheck(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
         check_seeds(seeds, cfg.mp_decay_threshold, cfg.mp_blowup)
     except ValueError as e:
         raise ConfigError(f"mpcheck.seeds: {e}") from None
-    lam = cfg.mp_lambda if cfg.mp_lambda is not None else cfg.lam
     est = estimate_principal_eigenvalue(grid, b, c, cfg.solver, cfg.bisect_tol)
     report = check_maximum_principle(
-        grid, b, c, lam, seeds,
+        grid, b, c, cfg.mp_lambda, seeds,
         t_max=cfg.mp_t_max,
         decay_threshold=cfg.mp_decay_threshold,
         blowup_threshold=cfg.mp_blowup,

@@ -58,29 +58,29 @@ _DEFAULTS = {
 }
 
 
+def _assign(values: dict, item: str, where: str) -> None:
+    """Set one ``key = value`` item; ``where`` ("at byte 12", "in --set") places an error."""
+    key, eq, val = item.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"expected key=value {where}: {item!r}")
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r} {where}")
+    values[key] = val.strip()
+
+
 def parse_config_text(text: str, overrides: list | None = None) -> dict:
-    """Parse config text into a raw key -> string map (defaults filled in)."""
+    """Parse config text into a raw key -> string map (defaults filled in);
+    error offsets count the UTF-8 bytes of ``text``."""
     values = dict(_DEFAULTS)
     offset = 0
     for raw_line in text.splitlines(keepends=True):
         line = raw_line.split("#", 1)[0].strip()
         if line:
-            if "=" not in line:
-                raise ConfigError(f"expected key=value at byte {offset}: {line!r}")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key not in _DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r} at byte {offset}")
-            values[key] = val.strip()
-        offset += len(raw_line)
+            _assign(values, line, f"at byte {offset}")
+        offset += len(raw_line.encode())
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r} in --set")
-        values[key] = val.strip()
+        _assign(values, item, "in --set")
     return values
 
 
@@ -147,7 +147,7 @@ class RunConfig:
     bisect_tol: float
     evolve_T: float
     output_interval: float | None
-    mp_lambda: float | None
+    mp_lambda: float  # mpcheck.lambda, or lambda when that is empty
     mp_seeds: list
     mp_t_max: float
     mp_blowup: float
@@ -178,9 +178,17 @@ def _positive(values: dict, key: str) -> float:
     return v
 
 
+def _expression(key: str, source: str) -> expr.ExprAst:
+    """The AST of ``source``; a parse error is a ConfigError led by ``key``."""
+    try:
+        return expr.parse(source)
+    except expr.ExprError as e:
+        raise ConfigError(f"{key}: {e}") from None
+
+
 def load_config(values: dict) -> RunConfig:
     """Validate a raw key map into a RunConfig; expressions are parsed here
-    so syntax errors surface with their byte offsets."""
+    so syntax errors surface with their key and byte offset."""
     try:
         solver = SolverConfig(
             tol=_number(values, "solver.tol"),
@@ -195,18 +203,17 @@ def load_config(values: dict) -> RunConfig:
     mp_blowup = _positive(values, "mpcheck.blowup")
     if not mp_blowup > mp_decay_threshold:
         raise ConfigError(f"mpcheck.blowup {mp_blowup!r} must exceed mpcheck.decay_threshold")
-    seeds = []
-    if values["mpcheck.seeds"]:
-        seeds = [expr.parse(s.strip()) for s in values["mpcheck.seeds"].split(";") if s.strip()]
+    texts = [s.strip() for s in values["mpcheck.seeds"].split(";") if s.strip()]
+    seeds = [_expression(f"mpcheck.seeds: seed {i}", s) for i, s in enumerate(texts)]
     return RunConfig(
         domain=_domain(values),
         h=_number(values, "grid.h"),
         s=_integer(values, "grid.s"),
-        bx=expr.parse(values["coeff.bx"]),
-        by=expr.parse(values["coeff.by"]),
-        c=expr.parse(values["coeff.c"]),
-        g=expr.parse(values["coeff.g"]),
-        h0=expr.parse(values["coeff.h0"]),
+        bx=_expression("coeff.bx", values["coeff.bx"]),
+        by=_expression("coeff.by", values["coeff.by"]),
+        c=_expression("coeff.c", values["coeff.c"]),
+        g=_expression("coeff.g", values["coeff.g"]),
+        h0=_expression("coeff.h0", values["coeff.h0"]),
         lam=_number(values, "lambda"),
         solver=solver,
         bisect_tol=_positive(values, "eigen.bisect_tol"),
@@ -214,7 +221,7 @@ def load_config(values: dict) -> RunConfig:
         output_interval=(
             _positive(values, "evolve.output_interval") if values["evolve.output_interval"] else None
         ),
-        mp_lambda=_number(values, "mpcheck.lambda") if values["mpcheck.lambda"] else None,
+        mp_lambda=_number(values, "mpcheck.lambda" if values["mpcheck.lambda"] else "lambda"),
         mp_seeds=seeds,
         mp_t_max=_positive(values, "mpcheck.t_max"),
         mp_blowup=mp_blowup,

@@ -24,10 +24,11 @@ constant c, x = 1 closes the bracket with no solve.  Bisection on the
 monotone iteration's dichotomy is kept in ``oracles`` as an independent
 reference.
 
-``check_maximum_principle`` given the estimate decides a seed from the
-bracket where it can.  Under the CFL bound the explicit step
-S(u) = u + dt (L_h + lam) u is monotone, odd and positively 1-homogeneous,
-so lam_lo x <= -L_h x <= lam_hi x with max x = 1 gives, at every step n,
+``check_maximum_principle`` given the estimate decides a seed where it can
+from the bracket [min q, max q] that the estimate's x gives for the call's
+own b and c.  Under the CFL bound the explicit step S(u) = u + dt (L_h + lam) u
+is monotone, odd and positively 1-homogeneous, so lam_lo x <= -L_h x <= lam_hi x
+gives, at every step n,
 
     sup|u_n| <= max(|u_0|/x) (1 - dt (lam_lo - lam))^n,
     max u_n  >= min(u_0/x) (1 + dt (lam - lam_hi))^n   if min(u_0/x) > 0.
@@ -227,15 +228,16 @@ def _first_crossing(log_start: float, log_rate: float, threshold: float, n_max: 
 
 
 def _bound_verdict(
-    i: int, seed: np.ndarray, x: np.ndarray, estimate: EigenEstimate, lam: float, dt: float,
+    i: int, seed: np.ndarray, x: np.ndarray, lam_lo: float, lam_hi: float, lam: float, dt: float,
     t_max: float, decay_threshold: float, blowup_threshold: float,
 ) -> SeedVerdict | None:
-    """The verdict that the bounds of the module docstring give seed i within t_max, or None."""
-    if lam < estimate.lambda_lo and decay_threshold > 0.0:  # the bound stays positive
-        start, rate = float(np.max(np.abs(seed) / x)), -dt * (estimate.lambda_lo - lam)
+    """The verdict that the bounds of the module docstring, with lam_lo x <=
+    -L_h x <= lam_hi x, give seed i within t_max, or None."""
+    if lam < lam_lo and decay_threshold > 0.0:  # the bound stays positive
+        start, rate = float(np.max(np.abs(seed) / x)), -dt * (lam_lo - lam)
         threshold, holds, certificate = decay_threshold, True, "supersolution"
-    elif lam > estimate.lambda_hi and float(np.min(seed / x)) > 0.0:
-        start, rate = float(np.min(seed / x)), dt * (lam - estimate.lambda_hi)
+    elif lam > lam_hi and float(np.min(seed / x)) > 0.0:
+        start, rate = float(np.min(seed / x)), dt * (lam - lam_hi)
         threshold, holds, certificate = blowup_threshold, False, "subsolution"
     else:
         return None
@@ -263,12 +265,15 @@ def check_maximum_principle(
     at this lam; a seed that grows past blowup_threshold refutes it.  Seeds
     must pass ``check_seeds``.
 
-    With ``estimate``, the eigen bracket of (grid, b, c) and its positive x,
-    each seed is first tried against the bounds of the module docstring at
-    the dt ``evolve_until`` takes.  A seed whose bound crosses its threshold
-    after n steps, with n dt <= t_max, takes that verdict at t = n dt, with
-    the bound as its sup: MP-holds for lam < lam_lo (certificate
-    "supersolution"), MP-fails for lam > lam_hi (certificate "subsolution").
+    With ``estimate``, whose eigenfunction x must be strictly positive, each
+    seed is first tried against the bounds of the module docstring at the
+    dt ``evolve_until`` takes.  lam_lo and lam_hi are the min and max of
+    -L_h x / x for this call's (b, c), not the estimate's stored ends, so an
+    estimate made for other coefficients gives weaker bounds, never false
+    ones.  A seed whose bound crosses its threshold after n steps, with
+    n dt <= t_max, takes that verdict at t = n dt, with the bound as its
+    sup: MP-holds for lam < lam_lo (certificate "supersolution"), MP-fails
+    for lam > lam_hi (certificate "subsolution").
 
     The other seeds, all of them without an estimate, are marched: one
     ``evolve_until`` call marches them as an (N, S) stack, one seed a column,
@@ -290,8 +295,12 @@ def check_maximum_principle(
         evolution._check_horizon("t_max", t_max)  # as the march would, should no seed be marched
         dt, _ = evolution._checked_dt(problem)
         x = estimate.eigenfunction.values
+        if not float(np.min(x)) > 0.0:
+            raise ValueError("the estimate's eigenfunction is not strictly positive")
+        q = _collatz_wielandt(grid, b, c, x)
         verdicts = [
-            _bound_verdict(i, seed.values, x, estimate, lam, dt, t_max, decay_threshold, blowup_threshold)
+            _bound_verdict(i, seed.values, x, float(np.min(q)), float(np.max(q)), lam, dt, t_max,
+                           decay_threshold, blowup_threshold)
             for i, seed in enumerate(seeds)
         ]
     marched = [i for i, v in enumerate(verdicts) if v is None]

@@ -8,6 +8,11 @@ and named functions of ``_OPS`` and a radial piecewise selector.  ``_OPS`` is
 the one place where the operators are listed: the parser, the evaluator and
 the printer all read it.  ASTs are immutable; evaluation is pure.
 
+Tokens come from the compiled patterns ``_NUMBER`` and ``_NAME``; digits and
+names are ASCII, and names are case-insensitive.  Scanning stops at the first
+non-ASCII character, so a syntax error's offset counts the UTF-8 bytes of the
+source before it as well as its characters.
+
 ``evaluate_on_points`` is the one evaluator.  It computes every node on whole
 node arrays (a constant stays a scalar, except as a power's exponent), and a
 domain error (division by zero, sqrt of a negative, an invalid power) counts
@@ -18,6 +23,7 @@ an intermediate value counts only if the result is non-finite.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -104,9 +110,9 @@ class Piecewise:
 
 ExprAst = Union[Const, Var, Unary, Binary, Piecewise]
 
-_NUM_START = "0123456789."
-_IDENT_START = "abcdefghijklmnopqrstuvwxyz_"
-_IDENT_BODY = _IDENT_START + "0123456789"
+# an exponent with no digits is left to the next token
+_NUMBER = re.compile(r"[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class _Scanner:
@@ -114,48 +120,20 @@ class _Scanner:
         self.src = source
         self.pos = 0
 
+    def take(self, pattern: re.Pattern) -> str:
+        """The text ``pattern`` matches at pos ("" if none), moving pos past it."""
+        m = pattern.match(self.src, self.pos)
+        text = m.group() if m else ""
+        self.pos += len(text)
+        return text
+
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos] in " \t\r\n":
             self.pos += 1
 
     def peek(self) -> str:
         self.skip_ws()
-        if self.pos >= len(self.src):
-            return ""
-        return self.src[self.pos]
-
-    def number(self) -> float:
-        start = self.pos
-        src = self.src
-        n = len(src)
-        while self.pos < n and src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < n and src[self.pos] == ".":
-            self.pos += 1
-            while self.pos < n and src[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < n and src[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and src[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and src[self.pos].isdigit():
-                while self.pos < n and src[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # bare "e" belongs to the next token
-        text = src[start:self.pos]
-        try:
-            return float(text)
-        except ValueError:
-            raise ExprSyntaxError(start, "a number") from None
-
-    def ident(self) -> str:
-        start = self.pos
-        src = self.src
-        while self.pos < len(src) and src[self.pos].lower() in _IDENT_BODY:
-            self.pos += 1
-        return src[start:self.pos]
+        return self.src[self.pos:self.pos + 1]
 
 
 def parse(source: str) -> ExprAst:
@@ -213,17 +191,20 @@ def _parse_atom(sc: _Scanner) -> ExprAst:
             raise ExprSyntaxError(sc.pos, "')'")
         sc.pos += 1
         return inner
-    if ch in _NUM_START:
-        return Const(sc.number())
-    if ch.lower() in _IDENT_START:
-        start = sc.pos
-        name = sc.ident().lower()
+    start = sc.pos
+    if name := sc.take(_NAME).lower():
         if sc.peek() == "(":
             return _parse_call(sc, name, start)
         if name in VARIABLES:
             return Var(name)
         raise UnknownIdentifier(name, start)
-    raise ExprSyntaxError(sc.pos, "a number, variable or '('")
+    text = sc.take(_NUMBER)
+    if not text:
+        raise ExprSyntaxError(start, "a number, variable or '('")
+    try:
+        return Const(float(text))
+    except ValueError:  # a dot with no digit
+        raise ExprSyntaxError(start, "a number") from None
 
 
 def _parse_call(sc: _Scanner, name: str, start: int) -> ExprAst:

@@ -94,6 +94,28 @@ class TestConfigParsing:
             load_config(parse_config_text("coeff.c = 2*(x+\n"))
         assert "byte" in str(err.value)
 
+    def test_offsets_count_bytes(self):
+        # the comment's lambda takes two bytes, so the second line starts at byte 11
+        with pytest.raises(ConfigError, match="at byte 11: 'foo'"):
+            parse_config_text("# \u03bb = 0.5\nfoo\n")
+
+    def test_expression_error_names_its_key(self, tmp_path, capsys):
+        for text, message in (
+            ("coeff.g = 1 +\n", "coeff.g: syntax error at byte 3: expected a value"),
+            ("mpcheck.seeds = 1 ; 2*(\n", "mpcheck.seeds: seed 1: syntax error at byte 3: expected a value"),
+            ("coeff.bx = 2 * z\n", "coeff.bx: unknown identifier 'z' at byte 4"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                load_config(parse_config_text(text))
+            assert str(err.value) == message
+        cfg = _write(tmp_path, "bad.cfg", "coeff.g = 1 +\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: coeff.g: syntax error at byte 3: expected a value\n"
+
+    def test_mpcheck_lambda_defaults_to_lambda(self):
+        assert load_config(parse_config_text("lambda = 0.25\n")).mp_lambda == 0.25
+        assert load_config(parse_config_text("lambda = 0.25\nmpcheck.lambda = 0.5\n")).mp_lambda == 0.5
+
     def test_every_solver_field_has_a_key(self):
         # every solver.* key set away from its default changes every SolverConfig
         # field, so the solver carries no switch that a run cannot set

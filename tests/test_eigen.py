@@ -270,6 +270,34 @@ class TestMaximumPrinciple:
             check_maximum_principle(other, VectorField.constant(other, (0.4, -0.2)), ScalarField.constant(other, 0.0),
                                     0.5, [ScalarField.constant(other, 1.0)], **kwargs)
 
+    def test_bounds_take_the_bracket_of_the_call(self, disk8, cfg):
+        # an estimate made for c, passed with c - 0.5: lam = lam_hi + 0.25 lies
+        # above the estimate's stored bracket but below that of c - 0.5, where
+        # the maximum principle holds.  The bounds take the bracket that x
+        # gives for the call's own (b, c), so the seed decays, as it does when
+        # marched, instead of being refuted by a growth bound that is false
+        b = VectorField.zero(disk8)
+        px, py = disk8.nodes.T
+        c = ScalarField(disk8, -np.exp(-4.0 * (px**2 + py**2)))
+        est = estimate_principal_eigenvalue(disk8, b, c, cfg)
+        x = est.eigenfunction.values
+        q = eigen._collatz_wielandt(disk8, b, c, x)
+        assert (np.min(q), np.max(q)) == (est.lambda_lo, est.lambda_hi)  # matching (b, c): the stored ends
+        shifted = ScalarField(disk8, c.values - 0.5)
+        lam, ones = est.lambda_hi + 0.25, [ScalarField.constant(disk8, 1.0)]
+        kwargs = dict(t_max=20.0, decay_threshold=0.1, blowup_threshold=10.0, lambda_bar=est.lambda_bar)
+        (bound,) = check_maximum_principle(disk8, b, shifted, lam, ones, estimate=est, **kwargs).verdicts
+        (march,) = check_maximum_principle(disk8, b, shifted, lam, ones, **kwargs).verdicts
+        assert bound.holds and bound.certificate == "supersolution"
+        assert march.holds and march.certificate == "march"
+
+        holed = dataclasses.replace(est, eigenfunction=ScalarField(disk8, np.where(px == px[0], 0.0, x)))
+        with pytest.raises(ValueError, match="not strictly positive"):
+            check_maximum_principle(disk8, b, shifted, lam, ones, estimate=holed, **kwargs)
+
+        # a gap lam_lo - lam = 5e-324 leaves dt * gap = 0: no bound
+        assert eigen._bound_verdict(0, x, x, 5e-324, 5e-324, 0.0, 0.1, 20.0, 0.1, 10.0) is None
+
     def test_decay_below_threshold(self, interval16):
         x = interval16.nodes[:, 0]
         bump = ScalarField(interval16, np.exp(-20.0 * (x - 0.5) ** 2))
@@ -475,7 +503,8 @@ class TestEigenBounds:
                 kwargs = dict(decay_threshold=threshold, blowup_threshold=np.inf)
             else:
                 kwargs = dict(decay_threshold=0.0, blowup_threshold=threshold)
-            verdict = eigen._bound_verdict(i, seeds[:, i], x, est, lam, dt, 2048 * dt, **kwargs)
+            verdict = eigen._bound_verdict(i, seeds[:, i], x, est.lambda_lo, est.lambda_hi, lam, dt, 2048 * dt,
+                                           **kwargs)
             if start[i] <= 0.0:  # the sign-changing seed has no growth bound
                 assert verdict is None
                 continue
@@ -487,4 +516,5 @@ class TestEigenBounds:
                 assert sup_1000[i] <= verdict.sup_final * (1.0 + 1e-12)
             else:
                 assert sup_1000[i] >= verdict.sup_final * (1.0 - 1e-12)
-            assert eigen._bound_verdict(i, seeds[:, i], x, est, lam, dt, 999.9 * dt, **kwargs) is None
+            late = eigen._bound_verdict(i, seeds[:, i], x, est.lambda_lo, est.lambda_hi, lam, dt, 999.9 * dt, **kwargs)
+            assert late is None

@@ -90,6 +90,32 @@ def test_syntax_errors_pinned(source, offset, expected):
     assert str(err.value) == f"syntax error at byte {offset}: expected {expected}"
 
 
+@pytest.mark.parametrize("source, value", [("1.", 1.0), (".5e-3", 5e-4), ("1.e5", 1e5), ("2.5E+2", 250.0)])
+def test_number_forms(source, value):
+    assert expr.parse(source) == expr.Const(value)
+
+
+@pytest.mark.parametrize(
+    "source, offset, expected",
+    [
+        ("1e", 1, "end of input"),  # an exponent with no digits is left to the next token
+        ("1e+", 1, "end of input"),
+        ("2x", 1, "end of input"),
+        ("..5", 0, "a number"),  # "1.2.3" and "." are pinned with the other syntax errors above
+        # digits and names are ASCII: a non-ASCII character ends a token
+        ("1\u0663", 1, "end of input"),  # ARABIC-INDIC DIGIT THREE
+        ("2\u00b2", 1, "end of input"),  # SUPERSCRIPT TWO
+        ("1.5e\u0663", 3, "end of input"),
+        ("\u212a", 0, "a number, variable or '('"),  # KELVIN SIGN, which lowercases to "k"
+    ],
+)
+def test_token_edges(source, offset, expected):
+    with pytest.raises(ExprSyntaxError) as err:
+        expr.parse(source)
+    assert (err.value.offset, err.value.expected) == (offset, expected)
+    assert len(source[:offset].encode()) == offset  # the offset counts bytes as well as characters
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifier) as err:
         expr.parse("2 * z")
