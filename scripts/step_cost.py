@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Median cost of one ``residual_values`` call and of one explicit step.
 
-Builds the README example config (the unit disk, its c, its h0 and its two
-mpcheck seeds) at the given spacing and ring factor, with an optional
+Builds the README example config (the unit disk, its c, its h0 and its first
+mpcheck seed) at the given spacing and ring factor, with an optional
 constant drift, and prints the grid's sizes (N, the ring's K arms and its
 scale groups, whose count sets the kernel's passes, and the ghost count),
 the core count and the numpy and scipy versions.  Then it times --repeats
-rounds of four loops of --steps each: ``residual_values`` on h0, a
-``run_evolution`` march from h0, and two stacked ``evolve_until`` marches
-at the mpcheck lambda, one of both seeds as one (N, S) stack and one of the
-first seed alone, an (N, 1) stack; no march stops early, and all step at
-0.9 times the CFL step.  The README ``mpcheck`` itself settles both seeds
-by the eigen bound and marches neither, so these marches time the path
-that ``mpcheck`` takes for a seed the bound cannot settle.  It prints the
-median over the rounds of the time per call, per step, and per seed of a
-stacked step beside that of a 1-seed step, so the gain or loss of stacking
-shows at each size:
+rounds of three loops of --steps each: ``residual_values`` on h0, a
+``run_evolution`` march from h0, and an ``evolve_until`` march of the
+mpcheck seed at the mpcheck lambda that does not stop early; both marches
+step at 0.9 times the CFL step.  The README ``mpcheck`` itself settles both
+seeds by the eigen bound and marches neither, so the last loop times the
+path that ``mpcheck`` takes for a seed the bound cannot settle.  It prints
+the median over the rounds of the time per call and per step:
 
     PYTHONPATH=src python scripts/step_cost.py --h 0.015625 --drift 0.7 -0.3
 """
@@ -51,7 +48,7 @@ def main():
     problem = SteadyProblem(grid, cfg.drift_field(grid), cfg.scalar_field(grid, cfg.c),
                             cfg.scalar_field(grid, cfg.g), cfg.lam)
     h0 = cfg.scalar_field(grid, cfg.h0)
-    seeds = cfg.seed_fields(grid)
+    seed = cfg.scalar_field(grid, cfg.mp_seeds[0])
     mp_problem = SteadyProblem(grid, problem.b, problem.c, ScalarField.constant(grid, 0.0), cfg.mp_lambda)
     mp_T = (args.steps - 0.5) * 0.9 * cfl_bound(mp_problem)
     coefficients = (grid, problem.b.values, problem.c.values, problem.g.values, problem.lam)
@@ -62,7 +59,7 @@ def main():
           f"cores {len(os.sched_getaffinity(0))}  numpy {np.__version__}  scipy {scipy.__version__}")
     print(f"h {grid.h}  s {grid.s}  drift {bool(problem.b.values.any())}  "
           f"steps {args.steps}  repeats {args.repeats}")
-    calls, steps, seed_steps, single_steps = [], [], [], []
+    calls, steps, seed_steps = [], [], []
     for _ in range(args.repeats):
         start = perf_counter()
         for _ in range(args.steps):
@@ -72,16 +69,11 @@ def main():
         run_evolution(h0, problem, T, output_interval=T, dt=dt)
         steps.append((perf_counter() - start) / args.steps)
         start = perf_counter()
-        evolve_until(seeds, mp_problem, mp_T, stop_below=0.0, stop_above=np.inf)
-        seed_steps.append((perf_counter() - start) / args.steps / len(seeds))
-        start = perf_counter()
-        evolve_until(seeds[:1], mp_problem, mp_T, stop_below=0.0, stop_above=np.inf)
-        single_steps.append((perf_counter() - start) / args.steps)
+        evolve_until([seed], mp_problem, mp_T, stop_below=0.0, stop_above=np.inf)
+        seed_steps.append((perf_counter() - start) / args.steps)
     print(f"residual_values  {1e6 * statistics.median(calls):.1f} us per call (median)")
-    print(f"explicit step    {1e6 * statistics.median(steps):.1f} us per step (median)")
-    print(f"evolve_until     {1e6 * statistics.median(seed_steps):.1f} us per seed of a "
-          f"{len(seeds)}-seed stacked step, {1e6 * statistics.median(single_steps):.1f} us "
-          f"of a 1-seed step (median)")
+    print(f"run_evolution    {1e6 * statistics.median(steps):.1f} us per step (median)")
+    print(f"evolve_until     {1e6 * statistics.median(seed_steps):.1f} us per step of a seed (median)")
 
 
 if __name__ == "__main__":

@@ -59,7 +59,12 @@ _DEFAULTS = {
 
 
 def _assign(values: dict, item: str, where: str) -> None:
-    """Set one ``key = value`` item; ``where`` ("at byte 12", "in --set") places an error."""
+    """Set one ``key = value`` item, ``#`` starting a comment, so a blank or
+    comment-only item sets nothing; ``where`` ("at byte 12", "in --set")
+    places an error."""
+    item = item.split("#", 1)[0].strip()
+    if not item:
+        return
     key, eq, val = item.partition("=")
     key = key.strip()
     if not eq:
@@ -74,11 +79,9 @@ def parse_config_text(text: str, overrides: list | None = None) -> dict:
     error offsets count the UTF-8 bytes of ``text``."""
     values = dict(_DEFAULTS)
     offset = 0
-    for raw_line in text.splitlines(keepends=True):
-        line = raw_line.split("#", 1)[0].strip()
-        if line:
-            _assign(values, line, f"at byte {offset}")
-        offset += len(raw_line.encode())
+    for line in text.splitlines(keepends=True):
+        _assign(values, line, f"at byte {offset}")
+        offset += len(line.encode())
     for item in overrides or []:
         _assign(values, item, "in --set")
     return values
@@ -158,13 +161,27 @@ class RunConfig:
     def build_grid(self) -> Grid:
         return build_grid(self.domain, self.h, self.s)
 
+    def _evaluate(self, grid: Grid, ast: expr.ExprAst) -> np.ndarray:
+        """``ast`` on the grid nodes; an error in one of this config's own
+        expressions, found by identity, is a ConfigError led by its key."""
+        try:
+            return expr.evaluate_on_points(ast, *grid.node_variables)
+        except expr.ExprError as e:
+            keys = {"coeff.bx": self.bx, "coeff.by": self.by, "coeff.c": self.c, "coeff.g": self.g,
+                    "coeff.h0": self.h0}
+            keys.update((f"mpcheck.seeds: seed {i}", seed) for i, seed in enumerate(self.mp_seeds))
+            key = next((key for key, parsed in keys.items() if parsed is ast), None)
+            if key is None:
+                raise
+            raise ConfigError(f"{key}: {e}") from None
+
     def scalar_field(self, grid: Grid, ast: expr.ExprAst) -> ScalarField:
-        return ScalarField(grid, expr.evaluate_on_points(ast, *grid.node_variables))
+        return ScalarField(grid, self._evaluate(grid, ast))
 
     def drift_field(self, grid: Grid) -> VectorField:
-        cols = [expr.evaluate_on_points(self.bx, *grid.node_variables)]
+        cols = [self._evaluate(grid, self.bx)]
         if grid.dim == 2:
-            cols.append(expr.evaluate_on_points(self.by, *grid.node_variables))
+            cols.append(self._evaluate(grid, self.by))
         return VectorField(grid, np.column_stack(cols))
 
     def seed_fields(self, grid: Grid) -> list:

@@ -276,12 +276,10 @@ def check_maximum_principle(
     for lam > lam_hi (certificate "subsolution").
 
     The other seeds, all of them without an estimate, are marched: one
-    ``evolve_until`` call marches them as an (N, S) stack, one seed a column,
-    from which each seed leaves at its verdict; every seed's t and sup are
-    the bits of a march of its own (certificate "march").  A marched seed
-    that reaches neither threshold by t_max makes the check inconclusive:
-    the ``MaxPrincipleInconclusive`` names the lowest such seed by its index
-    in ``seeds``.
+    ``evolve_until`` call marches each alone as an (N,) field to its verdict
+    (certificate "march").  A marched seed that reaches neither threshold
+    by t_max makes the check inconclusive: the ``MaxPrincipleInconclusive``
+    names the lowest such seed by its index in ``seeds``.
     ``lambda_bar``, estimated by the caller, is carried into the report for
     comparison with lam.
     """

@@ -27,12 +27,10 @@ shorter than rho (s >= 3).
 ``step_explicit``, ``run_evolution`` and ``evolve_until`` share one clock
 and one step.  The clock ``_clock`` gives ceil(T/dt) steps of dt, at least
 one, the last clipped to end exactly at T, with t a running sum of the steps.
-The step ``_euler_step`` returns u + step * residual(u) for an (N,) field or
-an (N, S) stack of fields, nodes first and one field a column; it builds the
-sum in place on the fresh array ``residual_values`` returns, so it never
-writes to its input.  ``evolve_until`` marches all its seeds as one stack,
-which gives each column the bytes of a march of its own, and drops a seed
-at its verdict by taking the other columns.
+The step ``_euler_step`` returns u + step * residual(u) for an (N,) field;
+it builds the sum in place on the fresh array ``residual_values`` returns,
+so it never writes to its input.  ``evolve_until`` marches its seeds one
+after another, each as an (N,) field.
 """
 
 from __future__ import annotations
@@ -206,33 +204,23 @@ def evolve_until(
     stop_below: float,
     stop_above: float,
 ) -> list:
-    """March the seeds as one (N, S) stack, one seed a column, until each
-    one's sup |h| crosses a threshold; returns one (t, sup, outcome) per
-    seed, with outcome in {"decayed", "blew-up", "timeout"}.  The sups are
-    checked every 16 steps and at the last, which is clipped, so a timeout
-    returns t == t_max.  A seed leaves the stack at its verdict; the stack
-    goes on in the same march, so each seed gets the bits of a march of its
-    own."""
+    """March each seed alone until its sup |h| crosses a threshold; returns
+    one (t, sup, outcome) per seed, with outcome in {"decayed", "blew-up",
+    "timeout"}.  The sup is checked every 16 steps and at the last, which is
+    clipped, so a timeout returns t == t_max."""
     _check_horizon("t_max", t_max)
     dt, _ = _checked_dt(problem)
-    u = np.stack([seed.values for seed in seeds], axis=1)
-    cols = list(range(len(seeds)))  # the seed of each column of the stack
-    results = [(0.0, float(np.max(np.abs(seed.values))), "timeout") for seed in seeds]
-    for k, (t, step, last) in enumerate(_clock(dt, t_max), 1):
-        u = _euler_step(u, problem, step)
-        if not (k % 16 == 0 or last):
-            continue
-        keep = []
-        for col, sup in enumerate(np.max(np.abs(u), axis=0).tolist()):
-            outcome = "decayed" if sup <= stop_below else "blew-up" if sup >= stop_above else "timeout"
-            results[cols[col]] = t, sup, outcome
-            if outcome == "timeout":
-                keep.append(col)
-        if not keep:
-            break
-        if len(keep) < len(cols):
-            cols = [cols[col] for col in keep]
-            u = u.take(keep, axis=1)  # C-contiguous, unlike u[:, keep]
+    results = []
+    for seed in seeds:
+        u = seed.values
+        for k, (t, step, last) in enumerate(_clock(dt, t_max), 1):
+            u = _euler_step(u, problem, step)
+            if k % 16 == 0 or last:
+                sup = float(np.max(np.abs(u)))
+                outcome = "decayed" if sup <= stop_below else "blew-up" if sup >= stop_above else "timeout"
+                if outcome != "timeout":
+                    break
+        results.append((t, sup, outcome))
     return results
 
 

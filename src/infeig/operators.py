@@ -23,26 +23,22 @@ first-order upwind.  ``apply_operator`` evaluates the full residual
 
     lap(u) + b . Du + (c + lam) u - g
 
-at every active node.  Every evaluation goes through two private kernels,
-which take an (N,) state or an (N, S) stack of states, nodes first and one
-state a column like ``ring_index`` (N, K) and ``VectorField`` (N, dim), and
-give each column of a stack the bytes of its own (N,) call.
-``_ring_laplacian`` (behind ``residual_values`` and ``inf_laplacian_values``)
-gathers the C-contiguous (K, N[, S]) block ``ext.take(ring_index.T,
-axis=0)``, whose arms come in runs of one scale s = rho/|v_k|
-(``Grid.ring_groups``).  It takes the max and min of each group's raw arm
-values, subtracts u from those N-vectors alone and scales them, and combines
-the groups with ``np.maximum`` and ``np.minimum``.  That is bit for bit the
-max and min of the rescaled increments fl(s * fl(u(x+v_k) - u)): for s > 0
-the map x -> fl(s * fl(x - u)) is nondecreasing, so it commutes with the
-max and min within a group.  The group of scale 1 skips the multiply, as
-fl(x * 1.0) = x.  Adding u to the two N-vectors then gives the max and min
-of the arm values w_k.  ``ring_arm_values`` rescales the whole (K, N) block
-of increments, adds u back and returns its (N, K) transpose.
-``_add_upwind_drift`` (behind ``residual_values`` and ``drift_values``)
-works one axis column at a time, gathering with ``take`` along the first
-axis; it and the zero-order term broadcast each per-node coefficient
-across a stack's columns.  ``frozen_matrices`` assembles the same ring and
+at every active node.  Every evaluation goes through two private kernels
+on an (N,) state.  ``_ring_laplacian`` (behind ``residual_values`` and
+``inf_laplacian_values``) gathers the C-contiguous (K, N) block
+``ext.take(ring_index.T)``, whose arms come in runs of one scale
+s = rho/|v_k| (``Grid.ring_groups``).  It takes the max and min of each
+group's raw arm values, subtracts u from those N-vectors alone and scales
+them, and combines the groups with ``np.maximum`` and ``np.minimum``.  That
+is bit for bit the max and min of the rescaled increments
+fl(s * fl(u(x+v_k) - u)): for s > 0 the map x -> fl(s * fl(x - u)) is
+nondecreasing, so it commutes with the max and min within a group.  The
+group of scale 1 skips the multiply, as fl(x * 1.0) = x.  Adding u to the
+two N-vectors then gives the max and min of the arm values w_k.
+``ring_arm_values`` rescales the whole (K, N) block of increments, adds u
+back and returns its (N, K) transpose.  ``_add_upwind_drift`` (behind
+``residual_values`` and ``drift_values``) works one axis column at a time,
+gathering with ``take``.  ``frozen_matrices`` assembles the same ring and
 upwind coefficients, with the (2, N) max and min arms frozen, as the sparse
 matrices that every solver factors; the ghost closure enters them as one
 sparse matrix, ``Grid.ghost_map``, the one that ``Grid.extended_values``
@@ -160,7 +156,7 @@ def ring_arm_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """Ring-scheme lap(u) at every active node, from u's extended values;
     reduces each scale group's raw arm values before subtracting u."""
-    w = ext.take(grid.ring_index.T, axis=0)
+    w = ext.take(grid.ring_index.T)
     top = bot = None
     for start, stop, scale in grid.ring_groups:
         group = w[start:stop]
@@ -187,13 +183,11 @@ def _ring_laplacian(grid: Grid, values: np.ndarray, ext: np.ndarray) -> np.ndarr
 def _add_upwind_drift(out: np.ndarray, grid: Grid, b_values: np.ndarray, values: np.ndarray,
                       ext: np.ndarray) -> np.ndarray:
     """Adds the componentwise upwind b . Du to out in place and returns out."""
-    if values.ndim > 1:
-        b_values = b_values[:, :, None]  # each node's b_d as a column over the stack
     for d in range(grid.dim):
-        fwd = ext.take(grid.axis_plus[:, d], axis=0)
+        fwd = ext.take(grid.axis_plus[:, d])
         fwd -= values
         fwd *= np.maximum(b_values[:, d], 0.0)
-        bwd = ext.take(grid.axis_minus[:, d], axis=0)
+        bwd = ext.take(grid.axis_minus[:, d])
         np.subtract(values, bwd, out=bwd)
         bwd *= np.minimum(b_values[:, d], 0.0)
         fwd += bwd
@@ -247,17 +241,12 @@ def residual_values(
     lam: float,
     values: np.ndarray,
 ) -> np.ndarray:
-    """lap(u) + b . Du + (c + lam) u - g on raw arrays (hot path); values
-    is an (N,) state or an (N, S) stack, one state a column, and so is the
-    result."""
+    """lap(u) + b . Du + (c + lam) u - g on raw (N,) arrays (hot path)."""
     ext = grid.extended_values(values)
     res = _ring_laplacian(grid, values, ext)
     if b_values.any():
         _add_upwind_drift(res, grid, b_values, values, ext)
-    zero_order = c_values + lam
-    if values.ndim > 1:
-        zero_order, g_values = zero_order[:, None], g_values[:, None]
-    res += zero_order * values - g_values
+    res += (c_values + lam) * values - g_values
     return res
 
 

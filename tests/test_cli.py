@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from infeig import cli, steady, verify
+from infeig import cli, expr, steady, verify
 from infeig.cli import main
 from infeig.config import ConfigError, load_config, parse_config_text
 from infeig.eigen import BracketFailure, check_maximum_principle
@@ -64,6 +64,13 @@ class TestConfigParsing:
             parse_config_text("# ok\ncoeff.c -2\n")
         assert "byte 5" in str(err.value)
 
+    def test_set_items_take_comments(self):
+        # a --set item reads as the same file line does: "#" starts a comment
+        line = parse_config_text("coeff.g=-1 # note\n")
+        assert line["coeff.g"] == "-1"
+        assert parse_config_text("", overrides=["coeff.g=-1 # note"]) == line
+        assert parse_config_text("", overrides=["  # a note alone"]) == parse_config_text("")
+
     def test_overrides_win(self):
         values = parse_config_text("coeff.c = -2\n", overrides=["coeff.c=-5", "grid.h=0.125"])
         assert values["coeff.c"] == "-5"
@@ -111,6 +118,24 @@ class TestConfigParsing:
         cfg = _write(tmp_path, "bad.cfg", "coeff.g = 1 +\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: coeff.g: syntax error at byte 3: expected a value\n"
+
+    def test_evaluation_error_names_its_key(self, tmp_path, capsys):
+        # an error found on the nodes rather than at parse is led by its key
+        # too: sqrt(x) is negative on the disk's left half, 1/(r - r) divides by 0
+        text = README_DISK_CFG + "coeff.g = sqrt(x)\nmpcheck.seeds = 1 ; 1/(r - r)\n"
+        run = load_config(parse_config_text(text))
+        grid = run.build_grid()
+        with pytest.raises(ConfigError, match="^coeff.g: sqrt of negative value$"):
+            run.scalar_field(grid, run.g)
+        with pytest.raises(ConfigError, match="^mpcheck.seeds: seed 1: division by zero$"):
+            run.seed_fields(grid)
+        with pytest.raises(expr.EvalError):  # an expression of the caller's own has no key
+            run.scalar_field(grid, expr.parse("sqrt(x)"))
+        cfg = _write(tmp_path, "eval.cfg", text)
+        for sub, message in (("solve", "coeff.g: sqrt of negative value"),
+                             ("mpcheck", "mpcheck.seeds: seed 1: division by zero")):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_mpcheck_lambda_defaults_to_lambda(self):
         assert load_config(parse_config_text("lambda = 0.25\n")).mp_lambda == 0.25

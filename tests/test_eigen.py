@@ -194,15 +194,16 @@ class TestMaximumPrinciple:
         ones, low, mid = (ScalarField.constant(disk8, v) for v in (1.0, 0.2, 0.3))
         kwargs = dict(t_max=6.0, decay_threshold=0.1, blowup_threshold=10.0, lambda_bar=0.0)
 
-        cols = []
+        seeds = [spike[0], spike[1], ones]
+        calls = []
         residual = evolution.residual_values
 
         def counted(*args):
-            cols.append(args[-1].shape[-1])  # the state, an (N, S) stack, is the last argument
+            u = args[-1]  # the state is the last argument; a march starts from its seed's own array
+            calls.append((u.shape, next((i for i, seed in enumerate(seeds) if u is seed.values), None)))
             return residual(*args)
 
         monkeypatch.setattr(evolution, "residual_values", counted)
-        seeds = [spike[0], spike[1], ones]
         report = check_maximum_principle(disk8, b, c, 0.5, seeds, **kwargs)
         want = [_reference_march(seed, problem, 6.0, 0.1, 10.0) for seed in seeds]
         assert [w[2] for w in want] == ["decayed", "decayed", "blew-up"]
@@ -212,9 +213,8 @@ class TestMaximumPrinciple:
             assert verdict.holds == (outcome == "decayed")
             assert np.float64(verdict.t_reached).tobytes() == np.float64(t).tobytes()
             assert np.float64(verdict.sup_final).tobytes() == sup.tobytes()
-        # a seed leaves the stack after the step of its verdict
-        assert cols == [sum(w[3] >= k for w in want) for k in range(1, want[2][3] + 1)]
-        assert cols[0] == 3 and cols[-1] == 1
+        # each seed is marched alone as an (N,) field, seed 0 first, to the step of its verdict
+        assert calls == [((n,), i if k == 1 else None) for i, w in enumerate(want) for k in range(1, w[3] + 1)]
 
         with pytest.raises(MaxPrincipleInconclusive) as caught:
             check_maximum_principle(disk8, b, c, 0.5, [spike[1], low, ones, mid], **kwargs)
@@ -474,24 +474,26 @@ class TestEigenBounds:
         problem = SteadyProblem(grid, b, c, ScalarField.constant(grid, 0.0), lam)
         dt, _ = evolution._checked_dt(problem)
         px, py = grid.nodes.T
-        seeds = np.stack([
+        seeds = [
             x, np.ones(grid.n_active), np.exp(-50.0 * (px**2 + py**2)),
             np.random.default_rng(0).normal(size=grid.n_active), 1.0 + 0.5 * np.sin(5.0 * px),
-        ], axis=1)
-        upper = np.max(np.abs(seeds) / x[:, None], axis=0)
-        lower = np.min(seeds / x[:, None], axis=0)
-        positive = lower > 0.0
-        assert positive.tolist() == [True, True, True, False, True]
+        ]
+        upper = [np.max(np.abs(seed) / x) for seed in seeds]
+        lower = [np.min(seed / x) for seed in seeds]
+        assert [low > 0.0 for low in lower] == [True, True, True, False, True]
         decay, growth = 1.0 - dt * (est.lambda_lo - lam), 1.0 + dt * (lam - est.lambda_hi)
-        u, above, below = seeds, [], []
-        for n in range(1, 2049):
-            u = evolution._euler_step(u, problem, dt)
-            above.append(np.max(np.abs(u), axis=0) / (upper * decay**n))
-            below.append(np.max(u[:, positive], axis=0) / (lower[positive] * growth**n))
-            if n == 1000:
-                sup_1000 = np.max(np.abs(u), axis=0)
-        assert np.max(above) <= 1.0 + 1e-12
-        assert np.min(below) >= 1.0 - 1e-12
+        above, below, sup_1000 = [], [], []
+        for seed, up, low in zip(seeds, upper, lower):
+            u = seed
+            for n in range(1, 2049):
+                u = evolution._euler_step(u, problem, dt)
+                above.append(np.max(np.abs(u)) / (up * decay**n))
+                if low > 0.0:
+                    below.append(np.max(u) / (low * growth**n))
+                if n == 1000:
+                    sup_1000.append(np.max(np.abs(u)))
+        assert max(above) <= 1.0 + 1e-12
+        assert min(below) >= 1.0 - 1e-12
 
         # check_maximum_principle's verdicts take the same bounds: a threshold
         # halfway (in log) between the bounds of steps 999 and 1000 is crossed
@@ -503,7 +505,7 @@ class TestEigenBounds:
                 kwargs = dict(decay_threshold=threshold, blowup_threshold=np.inf)
             else:
                 kwargs = dict(decay_threshold=0.0, blowup_threshold=threshold)
-            verdict = eigen._bound_verdict(i, seeds[:, i], x, est.lambda_lo, est.lambda_hi, lam, dt, 2048 * dt,
+            verdict = eigen._bound_verdict(i, seeds[i], x, est.lambda_lo, est.lambda_hi, lam, dt, 2048 * dt,
                                            **kwargs)
             if start[i] <= 0.0:  # the sign-changing seed has no growth bound
                 assert verdict is None
@@ -516,5 +518,5 @@ class TestEigenBounds:
                 assert sup_1000[i] <= verdict.sup_final * (1.0 + 1e-12)
             else:
                 assert sup_1000[i] >= verdict.sup_final * (1.0 - 1e-12)
-            late = eigen._bound_verdict(i, seeds[:, i], x, est.lambda_lo, est.lambda_hi, lam, dt, 999.9 * dt, **kwargs)
+            late = eigen._bound_verdict(i, seeds[i], x, est.lambda_lo, est.lambda_hi, lam, dt, 999.9 * dt, **kwargs)
             assert late is None

@@ -342,8 +342,7 @@ def _kernel_inputs(grid, rng):
 class TestKernelBytes:
     """The kernel that reduces each scale group's raw arm values, then
     subtracts u and rescales, gives the bytes of the one that rescaled the
-    whole block, and an (N, S) stack of states the bytes of one call per
-    column."""
+    whole block."""
 
     @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
     def test_bytes_as_the_full_block_kernel(self, name, rng):
@@ -363,23 +362,6 @@ class TestKernelBytes:
             for drift, b in drifts.items():
                 want = _residual_from_arm_array(grid, b, c, g, 0.3, u)
                 assert residual_values(grid, b, c, g, 0.3, u).tobytes() == want.tobytes(), (label, drift)
-
-    @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
-    def test_stack_rows_as_single_calls(self, name, rng):
-        grid = build_grid(*KERNEL_GRIDS[name])
-        n = grid.n_active
-        c = rng.normal(size=n)
-        g = rng.normal(size=n)
-        inputs = _kernel_inputs(grid, rng)
-        stack = np.stack(list(inputs.values()), axis=1)
-        lap = inf_laplacian_values(grid, stack)
-        assert lap.shape == stack.shape
-        for b in (np.zeros((n, grid.dim)), np.tile([0.7, -0.3][:grid.dim], (n, 1))):
-            res = residual_values(grid, b, c, g, 0.3, stack)
-            assert res.shape == stack.shape
-            for col, (label, u) in enumerate(inputs.items()):
-                assert lap[:, col].tobytes() == inf_laplacian_values(grid, u).tobytes(), label
-                assert res[:, col].tobytes() == residual_values(grid, b, c, g, 0.3, u).tobytes(), label
 
     @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
     def test_runs_cover_the_off_radius_arms(self, name):

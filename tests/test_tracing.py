@@ -61,15 +61,17 @@ def test_spans_see_steps_and_solves(tracing, disk8):
     tracer = tracing.Tracer()
     with tracer.installed():
         trace = evolution.run_evolution(h0, prob, 0.05)
-        evolution.evolve_until([h0], prob, 0.05, stop_below=0.0, stop_above=np.inf)
+        evolution.evolve_until([h0, ScalarField(disk8, -h0.values)], prob, 0.05, stop_below=0.0,
+                               stop_above=np.inf)
         out = steady.monotone_iteration(disk8, b, c, 0.5, ScalarField.constant(disk8, -1.0),
                                         steady.SolverConfig())
     names = {s[0] for s in tracer.spans}
     assert {"steady.monotone_iteration", "steady.splu", "operators.ring_arm_values"} <= names
-    # a time step is a residual evaluation whose parent span is the evolution loop
+    # a time step of one state is a residual evaluation whose parent span is
+    # the evolution loop: both seeds time out, so evolve_until takes 2 x steps
     steps = int(np.ceil(trace.T / trace.dt - 1e-12))
     assert _counts(tracer.spans, "evolution.run_evolution") == steps
-    assert _counts(tracer.spans, "evolution.evolve_until") == steps
+    assert _counts(tracer.spans, "evolution.evolve_until") == 2 * steps
     assert out.converged
     note = next(s[4] for s in tracer.spans if s[0] == "steady.monotone_iteration")
     assert note[0] == out.outer_steps
