@@ -23,7 +23,7 @@ from .evolution import check_decay_bound, run_evolution
 from .expr import ExprError
 from .geometry import CLASS_NAMES, GeometryError, grid_metadata
 from .operators import ScalarField, SteadyProblem, apply_operator
-from .output import node_rows, write_csv, write_json, write_run_meta
+from .output import node_columns, write_csv, write_json, write_run_meta
 from .steady import Diverged, SolverError, solve_general_rhs
 from .verify import run_verification
 
@@ -31,7 +31,7 @@ from .verify import run_verification
 def _emit_grid(out_dir: str, grid) -> None:
     write_json(os.path.join(out_dir, "grid.json"), grid_metadata(grid))
     write_csv(os.path.join(out_dir, "nodes.csv"), ("index", "x", "y", "class"),
-              node_rows(grid, CLASS_NAMES[grid.node_class]))
+              node_columns(grid, CLASS_NAMES[grid.node_class]))
 
 
 def _where_lambda_lies(cfg: RunConfig, grid, b, c) -> str:
@@ -60,7 +60,7 @@ def _cmd_solve(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
         raise SolverError(f"{e}; {_where_lambda_lies(cfg, grid, b, c)}") from e
     residual = apply_operator(problem, u)
     write_csv(os.path.join(out_dir, "solution.csv"), ("index", "x", "y", "u"),
-              node_rows(grid, u.values))
+              node_columns(grid, u.values))
     write_json(os.path.join(out_dir, "residual.json"), {
         "residual_sup": float(np.max(np.abs(residual.values))),
         "lambda": cfg.lam,
@@ -74,7 +74,7 @@ def _cmd_eigen(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
     est = estimate_principal_eigenvalue(grid, b, c, cfg.solver, cfg.bisect_tol)
     write_json(os.path.join(out_dir, "eigen.json"), est.to_dict())
     write_csv(os.path.join(out_dir, "eigenfunction.csv"), ("index", "x", "y", "phi"),
-              node_rows(grid, est.eigenfunction.values))
+              node_columns(grid, est.eigenfunction.values))
     return 0
 
 
@@ -90,11 +90,8 @@ def _cmd_evolve(cfg: RunConfig, grid, b, c, out_dir: str) -> int:
         weight=est.eigenfunction, rate=rate,
     )
     decay = check_decay_bound(trace, tol=1e-2)
-    write_csv(
-        os.path.join(out_dir, "trace.csv"),
-        ("t", "sup_norm", "weighted_ratio"),
-        zip(trace.times, trace.sup_norm, trace.weighted_ratio),
-    )
+    write_csv(os.path.join(out_dir, "trace.csv"), ("t", "sup_norm", "weighted_ratio"),
+              (trace.times, trace.sup_norm, trace.weighted_ratio))
     write_json(os.path.join(out_dir, "summary.json"), {
         "fitted_rate": trace.fitted_rate,
         "dt": trace.dt,

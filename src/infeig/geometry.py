@@ -25,9 +25,8 @@ among the nodes takes its nearest node from a search over windows of the
 table.  The bilinear rule leaves this module only as CSR maps, the ghost
 closure ``Grid.ghost_map`` and the transfer ``interpolation_map``, whose
 product sums each row left to right in corner order.  ``Grid.extended_values``
-applies the closure to an (N,) state or an (N, S) stack, nodes first and
-one state a column, like ``ring_index`` (N, K).  The transfer prolongs
-from the grid with twice the spacing and restricts onto it, one 1.0 a row.
+applies the closure to an (N,) state.  The transfer prolongs from the grid
+with twice the spacing and restricts onto it, one 1.0 a row.
 """
 
 from __future__ import annotations
@@ -413,11 +412,8 @@ class Grid:
         return self.ghost_points.shape[0]
 
     def extended_values(self, values: np.ndarray) -> np.ndarray:
-        """Active nodal values followed by ghost-closed values, along the
-        first axis of an (N,) state or an (N, S) stack, one state a column.
-        One CSR product closes every column of a C-contiguous stack, each
-        with the bytes of its own (N,) call; a nodes-last (S, N) array
-        with S != N raises."""
+        """Active nodal values of an (N,) state followed by its ghost-closed
+        values, one CSR product."""
         return np.concatenate([values, self.ghost_map @ values])
 
 

@@ -2,7 +2,9 @@
 
 Reruns with identical config must produce byte-identical data files, so
 floats are formatted to 17 significant digits and timestamps never enter
-data files (run metadata carries them separately).
+data files (run metadata carries them separately).  A CSV file is written
+from equal-length array columns with one row format for the whole file:
+``%.17g`` for a float column, ``%s`` for any other.
 """
 
 from __future__ import annotations
@@ -10,17 +12,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from itertools import groupby, repeat
 
 import numpy as np
-
-
-def fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
 
 
 def json_text(obj) -> str:
@@ -53,24 +46,13 @@ def write_json(path: str, obj) -> None:
         f.write("\n")
 
 
-def _row_format(types: tuple) -> tuple:
-    """%-format of a CSV line whose values have these types, and whether it
-    holds a bool (passed in as ``fmt``'s text, since %s spells it True)."""
-    specs = ["%.17g" if issubclass(t, float) else "%s" for t in types]
-    return ",".join(specs) + "\n", any(issubclass(t, bool) for t in types)
-
-
-def write_csv(path: str, header, rows) -> None:
-    """Header and rows of values as ``fmt`` writes each: one %-format for each
-    run of consecutive rows with the same value types, mapped over the run."""
-    lines = [",".join(header) + "\n"]
-    for types, run in groupby(map(tuple, rows), key=lambda row: tuple(map(type, row))):
-        form, has_bool = _row_format(types)
-        if has_bool:
-            run = (tuple(fmt(v) if isinstance(v, bool) else v for v in row) for row in run)
-        lines.extend(map(form.__mod__, run))
+def write_csv(path: str, header, columns) -> None:
+    """Header and one line per index of equal-length array columns, each
+    value as its column's format spells it."""
+    form = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
     with open(path, "w") as f:
-        f.writelines(lines)
+        f.write(",".join(header) + "\n")
+        f.writelines(map(form.__mod__, zip(*(col.tolist() for col in columns))))
 
 
 def write_run_meta(out_dir: str, subcommand: str, raw_config: dict) -> None:
@@ -83,9 +65,9 @@ def write_run_meta(out_dir: str, subcommand: str, raw_config: dict) -> None:
     write_json(os.path.join(out_dir, "run_meta.json"), meta)
 
 
-def node_rows(grid, column):
-    """CSV rows (index, x, y, column[index]) of Python scalars over the active
-    nodes of a grid, with y = 0 in 1D; ``column`` holds one value per node (a
-    field's values, or the node class names)."""
-    y = grid.nodes[:, 1].tolist() if grid.dim == 2 else repeat(0.0)
-    return zip(range(grid.n_active), grid.nodes[:, 0].tolist(), y, np.asarray(column).tolist())
+def node_columns(grid, column) -> tuple:
+    """CSV columns (index, x, y, column) over the active nodes of a grid, with
+    y = 0 in 1D; ``column`` holds one value per node (a field's values, or
+    the node class names)."""
+    y = grid.nodes[:, 1] if grid.dim == 2 else np.zeros(grid.n_active)
+    return np.arange(grid.n_active), grid.nodes[:, 0], y, np.asarray(column)

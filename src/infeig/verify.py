@@ -103,6 +103,7 @@ def _homogeneity(rng):
     rel = np.abs(inf_laplacian_values(grid, t * u) - t * a).max() / max(1.0, np.abs(t * a).max())
     return float(rel) - 1e-12
 
+
 def _dense_reference(rng):
     worst = 0.0
     for grid in (

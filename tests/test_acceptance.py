@@ -7,7 +7,6 @@ sign-changing-coefficient eigen solve is shared through a session fixture.
 import time
 
 import numpy as np
-import pytest
 
 from infeig.eigen import check_maximum_principle, estimate_principal_eigenvalue
 from infeig.evolution import check_decay_bound, run_evolution

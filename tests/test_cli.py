@@ -494,35 +494,37 @@ class TestSubcommands:
 
 
 class TestOutputFormatting:
-    def test_seventeen_significant_digits(self):
-        from infeig.output import fmt, json_text
+    def test_seventeen_significant_digits(self, tmp_path):
+        from infeig.output import json_text, write_csv
 
-        assert fmt(1.0 / 3.0) == "0.33333333333333331"
-        assert fmt(3.0) == "3"
-        assert fmt(True) == "true"
+        path = tmp_path / "digits.csv"
+        write_csv(str(path), ("v",), (np.array([1.0 / 3.0, 3.0]),))
+        assert path.read_text() == "v\n0.33333333333333331\n3\n"
+        assert json_text(True) == "true"
         assert json_text({"a": 0.1, "b": [1, None]}) == '{"a": 0.10000000000000001, "b": [1, null]}'
         assert json_text(float("nan")) == "null"
 
     def test_csv_rows_as_the_per_value_writer(self, tmp_path):
-        from infeig.output import fmt, write_csv
+        from infeig.output import write_csv
 
-        def reference(path, header, rows):
+        def reference(path, header, columns):
             with open(path, "w") as f:
                 f.write(",".join(header) + "\n")
-                for row in rows:
-                    f.write(",".join(fmt(v) for v in row) + "\n")
+                for i in range(len(columns[0])):
+                    f.write(",".join("%.17g" % v if isinstance(v, float) else "%s" % v
+                                     for v in (col[i].item() for col in columns)) + "\n")
 
-        rows = [
-            (0, 1.0 / 3.0, np.float64(-0.0), True, np.str_("interior")),
-            (1, float("inf"), np.float64(2.5e-300), False, np.str_("boundary")),
-            (2, -0.0, np.float64("-inf"), np.True_, "100%"),
-            [np.int64(3), 0.1, np.float64(1e300), float("nan"), np.float32(0.1)],
-            (4, 1.0 / 3.0, np.float64(-0.0), True, np.str_("interior")),
-        ]
-        header = ("index", "a", "b", "c", "d")
-        write_csv(str(tmp_path / "new.csv"), header, rows)
-        reference(str(tmp_path / "old.csv"), header, rows)
+        columns = (
+            np.arange(6, dtype=np.int64),
+            np.array([1.0 / 3.0, -0.0, float("inf"), 2.5e-300, -0.0, 0.1]),
+            np.array([0.0, float("-inf"), 1e300, float("nan"), -2.5e-300, -1e300]),
+            np.array(["interior", "boundary", "interior", "100%", "boundary", "interior"]),
+        )
+        header = ("index", "a", "b", "class")
+        write_csv(str(tmp_path / "new.csv"), header, columns)
+        reference(str(tmp_path / "old.csv"), header, columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[2] == "1,-0,-inf,boundary"
 
 
 class TestVerify:

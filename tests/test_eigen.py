@@ -182,7 +182,7 @@ def _reference_march(seed, problem, t_max, stop_below, stop_above):
 
 
 class TestMaximumPrinciple:
-    def test_stacked_march_matches_per_seed_marches(self, disk8, monkeypatch):
+    def test_march_steps_each_seed_alone(self, disk8, monkeypatch):
         # c = 0 with a constant drift: constants are the positive eigenfunction,
         # so lam_bar_h = 0 and lam = 0.5 lies above the bracket.  Spikes spread
         # below the decay threshold first (at steps 32 and 16); constants grow

@@ -22,7 +22,7 @@ from infeig.geometry import (
     interpolation_map,
 )
 from infeig.geometry import LatticeMap, _bilinear, _box, _norm
-from infeig.output import json_text, node_rows
+from infeig.output import json_text, node_columns
 
 
 def _map(points, pad=(0, 0)):
@@ -192,31 +192,6 @@ def test_ghost_closure_sums_each_row_left_to_right(domain, h, s):
             total += w * v[col]
         want.append(total)
     assert grid.extended_values(np.array(v))[grid.n_active:].tolist() == want
-
-
-@pytest.mark.parametrize("domain, h, s", [
-    (Disk((0.0, 0.0), 1.0), 1.0 / 16.0, 2),
-    (Annulus((0.0, 0.0), 0.25, 1.0), 1.0 / 40.0, 2),
-    (Interval(0.0, 1.0), 1.0 / 32.0, 2),
-])
-def test_ghost_closure_of_a_stack_closes_each_column_as_its_own_call(domain, h, s):
-    # an (N, S) stack, one state a column, is closed in one product that gives
-    # each column the bytes of its (N,) call; a nodes-last (S, N) array with
-    # S != N is refused, not broadcast
-    grid = build_grid(domain, h, s)
-    n = grid.n_active
-    rng = np.random.default_rng(5)
-    signed_zeros = rng.normal(size=n)
-    signed_zeros[rng.random(n) < 0.5] = -0.0
-    columns = [signed_zeros, np.full(n, -0.0), 1e300 * rng.normal(size=n),
-               1e-300 * rng.normal(size=n), np.full(n, 7.0)]
-    stack = np.stack(columns, axis=1)
-    ext = grid.extended_values(stack)
-    assert ext.shape == (n + grid.n_ghost, len(columns))
-    for col, v in enumerate(columns):
-        assert ext[:, col].tobytes() == grid.extended_values(v).tobytes()
-    with pytest.raises(ValueError):
-        grid.extended_values(np.ascontiguousarray(stack.T))
 
 
 def test_interior_stencils_complete():
@@ -406,12 +381,13 @@ def test_metadata_and_rows():
     assert meta["h"] == 0.25
     counts = meta["counts"]
     assert counts["interior"] + counts["boundary"] == grid.n_active
-    rows = list(node_rows(grid, CLASS_NAMES[grid.node_class]))
-    assert len(rows) == grid.n_active
-    assert rows[0][3] in ("interior", "boundary")
-    assert [r[0] for r in rows] == list(range(grid.n_active))
-    line = list(node_rows(build_grid(Interval(0.0, 1.0), 0.25, 1), [5.0, 6.0, 7.0, 8.0, 9.0]))
-    assert line[1] == (1, 0.25, 0.0, 6.0)
+    index, x, y, classes = node_columns(grid, CLASS_NAMES[grid.node_class])
+    assert len(index) == len(x) == len(y) == len(classes) == grid.n_active
+    assert classes[0] in ("interior", "boundary")
+    assert index.tolist() == list(range(grid.n_active))
+    assert x.tolist() == grid.nodes[:, 0].tolist() and y.tolist() == grid.nodes[:, 1].tolist()
+    line = node_columns(build_grid(Interval(0.0, 1.0), 0.25, 1), [5.0, 6.0, 7.0, 8.0, 9.0])
+    assert tuple(col[1].item() for col in line) == (1, 0.25, 0.0, 6.0)
 
 
 def test_deterministic_build():

@@ -13,7 +13,7 @@ from infeig.oracles import (
     positive_bump_bound,
     sign_changing_coefficient,
 )
-from infeig.steady import SolverConfig, solve_coercive
+from infeig.steady import solve_coercive
 
 
 class TestBumpBound:
