@@ -30,26 +30,26 @@
   about 3.2 nonzeros a row, and SuperLU's default relaxed supernodes and
   panels, sized for denser matrices, make each factorization 25-40% slower.
 
-* The repeated resolvent solves, the inner solves of ``_shifted_iteration``
+* The repeated resolvent solves, the inner solves of ``monotone_iteration``
   below and of ``eigen``'s inverse power iteration, go through the same
   system.  It carries the arm selection and factor of its last solve, so a
   solve whose right-hand side changed little starts from arms that are
   nearly right and reuses the factor while they are unchanged.
 
-* ``monotone_iteration`` runs the inductive sequence u_1 = 0,
+* ``monotone_iteration`` runs the inductive sequence from a subsolution
+  u_1 of the lam-problem, 0 when g <= 0,
 
       lap(u_{n+1}) + b . Du_{n+1} + (c - |c|_inf - 1) u_{n+1}
           = g - (lam + |c|_inf + 1) u_n,
 
   whose boundedness/blowup dichotomy separates lam < lam_bar from
-  lam >= lam_bar.  ``solve_general_rhs`` runs the same sequence for a
-  general g, starting from minus the solution w for -g^+; both are the one
-  private loop ``_shifted_iteration``, which first returns its start if that
-  passes the certificate.  So w = 0 costs no solve when g <= 0, and for
-  g >= 0, where L(-w) = g exactly (the scheme is odd), -w is the answer with
-  no further step.  The sequence is the plain one; its only side channel is
-  a frozen-policy solve of the lam-problem at the resolvent's arms after
-  each step, the same
+  lam >= lam_bar.  It first returns its start if that passes the
+  certificate.  ``solve_general_rhs`` runs it twice for a general g: from 0
+  for the solution w of the problem with -g^+, then from -w.  So w = 0 costs
+  no solve when g <= 0, and for g >= 0, where L(-w) = g exactly (the scheme
+  is odd), -w is the answer with no further step.  The sequence is the
+  plain one; its only side channel is a frozen-policy solve of the
+  lam-problem at the resolvent's arms after each step, the same
   ``operators.frozen_matrices`` map at zero order c + lam, accepted once its
   lam-residual passes the certificate and its sup stays below the blowup
   threshold.  Near the eigenvalue the iterates grow like 1/(lam_bar - lam)
@@ -305,19 +305,31 @@ def _certificate(residual_sup: float, sup: float, cfg: SolverConfig):
     return None
 
 
-def _shifted_iteration(
+def monotone_iteration(
     grid: Grid,
     b: VectorField,
     c: ScalarField,
     lam: float,
     g: ScalarField,
     cfg: SolverConfig,
-    start: np.ndarray,
+    start: np.ndarray | None = None,
 ) -> IterationOutcome:
-    """The shifted-coefficient inductive sequence from u_1 = start, a
-    subsolution of the lam-problem; the sequence rises from it, so a
-    candidate that dips well below it is wild and skipped.  A start that
-    already passes the certificate is returned at outer step 0."""
+    """Run the shifted-coefficient inductive sequence from u_1 = start, a
+    subsolution of the lam-problem (a lam-residual below minus the
+    certificate's tolerance is a ValueError naming the worst node), or from
+    0, which requires g <= 0 nodewise.  The sequence rises from its start,
+    so a candidate that dips well below it is wild and skipped.
+
+    Converged means a field whose residual for the lam-problem passes the
+    certificate (the start itself, at outer step 0, when it passes);
+    Diverged means the sup norm crossed the blowup threshold, doubled for 10
+    consecutive steps, or the step budget ran out (the last case is flagged
+    ``inconclusive``).
+    """
+    if start is None:
+        if np.max(g.values) > 0.0:
+            raise ValueError("monotone_iteration requires g <= 0 nodewise")
+        start = np.zeros(grid.n_active)
     g_sup = float(np.max(np.abs(g.values)))
     blowup = cfg.blowup_threshold if cfg.blowup_threshold is not None else 1e6 * (1.0 + g_sup)
     c_sup = float(np.max(np.abs(c.values)))
@@ -334,17 +346,24 @@ def _shifted_iteration(
     lam_diag = c.values + lam
     tried_arms = None
 
-    def certified(u, n, *tags):
-        """The converged outcome at u if its lam-residual passes the certificate, else None."""
+    def lam_residual(u):
+        return residual_values(grid, b.values, c.values, g.values, lam, u)
+
+    def certified(u, res, n, *tags):
+        """The converged outcome at u, of lam-residual res, if that passes the certificate, else None."""
         sup = float(np.max(np.abs(u)))
-        r = float(np.max(np.abs(residual_values(grid, b.values, c.values, g.values, lam, u))))
+        r = float(np.max(np.abs(res)))
         cert = _certificate(r, sup, cfg)
         if cert is None:
             return None
         flags = [*tags, "rel-certified"] if cert == "rel" else list(tags)
         return IterationOutcome(True, ScalarField(grid, u), n, system.factorizations, r, sup, flags)
 
-    out = certified(start, 0)
+    res = lam_residual(start)
+    worst = int(np.argmin(res))  # a NaN is the first minimum, and fails the certificate below
+    if _certificate(-float(res[worst]), float(np.max(np.abs(start))), cfg) is None:
+        raise ValueError(f"start is not a subsolution: lam-residual {res[worst]:.3e} at node {worst}")
+    out = certified(start, res, 0)
     if out is not None:
         return out
     u = start
@@ -352,7 +371,7 @@ def _shifted_iteration(
     doubling_streak = 0
     for n in range(1, cfg.max_outer + 1):
         u_next = system.solve(g.values - gamma * u, initial=u)
-        out = certified(u_next, n)
+        out = certified(u_next, lam_residual(u_next), n)
         if out is not None:
             return out
 
@@ -366,7 +385,7 @@ def _shifted_iteration(
             # max|d| < blowup is False for a non-finite candidate too
             if (d is not None and float(np.max(np.abs(d))) < blowup
                     and float(np.min(d - start)) >= -10.0 * cfg.tol):
-                out = certified(d, n, "extrapolated")
+                out = certified(d, lam_residual(d), n, "extrapolated")
                 if out is not None:
                     return out
 
@@ -384,35 +403,13 @@ def _shifted_iteration(
     return IterationOutcome(False, None, n, system.factorizations, None, sup, flags)
 
 
-def monotone_iteration(
-    grid: Grid,
-    b: VectorField,
-    c: ScalarField,
-    lam: float,
-    g: ScalarField,
-    cfg: SolverConfig,
-) -> IterationOutcome:
-    """Run the shifted-coefficient inductive sequence from u_1 = 0.
-
-    Requires g <= 0 nodewise.  Converged means a field whose residual for the
-    lam-problem passes the certificate (positive by construction up to
-    tolerance; u_1 = 0 itself, at outer step 0, when |g| passes it);
-    Diverged means the sup norm crossed the blowup threshold, doubled for 10
-    consecutive steps, or the step budget ran out (the last case is flagged
-    ``inconclusive``).
-    """
-    if np.max(g.values) > 0.0:
-        raise ValueError("monotone_iteration requires g <= 0 nodewise")
-    return _shifted_iteration(grid, b, c, lam, g, cfg, np.zeros(grid.n_active))
-
-
 def solve_general_rhs(problem: SteadyProblem, cfg: SolverConfig) -> ScalarField:
     """Solve the lam-problem for an arbitrary right-hand side, lam < lam_bar.
 
-    Coercive case goes straight to solve_coercive.  Otherwise the iteration
-    starts from -w, where w >= 0 solves the lam-problem with right-hand side
-    -g^+ (the barrier pass, a monotone iteration); L(-w) = g^+ >= g makes -w
-    a subsolution, and the sequence rises from it toward the solution.  Each
+    Coercive case goes straight to solve_coercive.  Otherwise two monotone
+    iterations run: the barrier pass from 0 finds w >= 0 solving the
+    lam-problem with right-hand side -g^+; L(-w) = g^+ >= g makes -w a
+    subsolution, and the main pass rises from it toward the solution.  Each
     pass first checks its start: for g <= 0 the barrier pass returns w = 0
     without a solve, and for g >= 0 the start -w already solves the problem,
     so only one pass takes outer steps.  Both passes try only the
@@ -424,7 +421,7 @@ def solve_general_rhs(problem: SteadyProblem, cfg: SolverConfig) -> ScalarField:
         return solve_coercive(problem, cfg)
     out = monotone_iteration(grid, b, c, lam, ScalarField(grid, -np.maximum(g.values, 0.0)), cfg)
     if out.converged:  # 0.0 - w, not -w: a zero barrier must not start the pass at -0.0
-        out = _shifted_iteration(grid, b, c, lam, g, cfg, 0.0 - out.u.values)
+        out = monotone_iteration(grid, b, c, lam, g, cfg, 0.0 - out.u.values)
     if not out.converged:
         raise Diverged(out.outer_steps, out.sup_norm, out.flags)
     return out.u

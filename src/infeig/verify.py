@@ -136,12 +136,13 @@ def _monotone_perturbation(rng):
     return worst - 1e-12
 
 
-def _uniqueness():
+def _uniqueness(rng):
+    """The coarse start against a random one; a constant start ties every arm."""
     grid = build_grid(Interval(0.0, 1.0), 1.0 / 32.0, 1)
     prob = _problem(grid, -1.0, -np.exp(-5.0 * np.abs(grid.nodes[:, 0] - 0.5)))
     cfg = SolverConfig()
-    u1 = solve_coercive(prob, cfg, initial=ScalarField.constant(grid, 0.0))
-    u2 = solve_coercive(prob, cfg, initial=ScalarField.constant(grid, 10.0))
+    u1 = solve_coercive(prob, cfg)
+    u2 = solve_coercive(prob, cfg, initial=ScalarField(grid, rng.uniform(-1.0, 1.0, grid.n_active)))
     return float(np.abs(u1.values - u2.values).max()) - 2.0 * cfg.tol
 
 
@@ -288,7 +289,7 @@ def run_verification() -> list:
         ("positive-homogeneity", lambda: _homogeneity(rng)),
         ("dense-reference-agreement", lambda: _dense_reference(rng)),
         ("monotone-perturbation", lambda: _monotone_perturbation(rng)),
-        ("coercive-uniqueness", _uniqueness),
+        ("coercive-uniqueness", lambda: _uniqueness(rng)),
         ("coercive-h64", _coercive_h64),
         ("solve-refuses-at-threshold", _solve_refuses_at_threshold),
         ("manufactured-1d-convergence", _manufactured),

@@ -64,7 +64,7 @@ def inductive_sequence(cfg):
 
     as a reference for the solver's own loop: each step is a public
     ``solve_coercive`` of a fresh shifted problem, started from u_n's arms, so
-    it shares only the resolvent with ``steady._shifted_iteration``.  Returns
+    it shares only the resolvent with ``steady.monotone_iteration``.  Returns
     the values u_1, ..., u_{steps+1}."""
 
     def run(grid, b, c, lam, g, steps):

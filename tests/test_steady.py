@@ -59,12 +59,19 @@ class TestSolveCoercive:
         u = solve_coercive(_problem(interval64, -2.0, -2.0), cfg)
         assert np.abs(u.values - 1.0).max() <= cfg.tol
 
-    def test_uniqueness_across_guesses(self, cfg):
+    def test_uniqueness_across_guesses(self, cfg, rng):
+        # the coarse start against a random field: a constant start ties every
+        # arm, so two constants would start from nearly the same arms
         grid = build_grid(Disk((0.0, 0.0), 1.0), 1.0 / 8.0, 1)
         r = np.linalg.norm(grid.nodes, axis=1)
         prob = _problem(grid, -1.0, ScalarField(grid, -np.exp(-5.0 * r)))
-        u0 = solve_coercive(prob, cfg, initial=ScalarField.constant(grid, 0.0))
-        u1 = solve_coercive(prob, cfg, initial=ScalarField.constant(grid, 10.0))
+        guess = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.n_active))
+        system = steady._CoerciveSystem(grid, prob.b.values, prob.c.values, cfg)
+        coarse_arms = steady._arms_at(grid, system._coarse_start(prob.g.values))[0]
+        moved = np.any(coarse_arms != steady._arms_at(grid, guess.values)[0], axis=0)
+        assert np.count_nonzero(moved) >= 0.9 * grid.n_active
+        u0 = solve_coercive(prob, cfg)
+        u1 = solve_coercive(prob, cfg, initial=guess)
         assert np.abs(u0.values - u1.values).max() <= 2.0 * cfg.tol
 
     def test_manufactured_first_order(self, cfg):
@@ -297,6 +304,34 @@ class TestMonotoneIteration:
                 -1.0, ScalarField.constant(interval16, 0.5), cfg,
             )
 
+    def test_start_must_be_a_subsolution(self, disk8, cfg):
+        # c = -1, g = -1: u = 1 solves the problem, and the lam-residual of a
+        # constant start 1 + d is -d, so a start may sit above the solution by
+        # the certificate's tolerance and no more; a peak names its node
+        args = (disk8, VectorField.zero(disk8), ScalarField.constant(disk8, -1.0), 0.0,
+                ScalarField.constant(disk8, -1.0), cfg)
+        out = monotone_iteration(*args, np.full(disk8.n_active, 1.0 + 0.5 * cfg.tol))
+        assert out.converged and out.outer_steps == 0 and out.sweeps == 0
+        with pytest.raises(ValueError, match="not a subsolution"):
+            monotone_iteration(*args, np.full(disk8.n_active, 1.0 + 2.0 * cfg.tol))
+        start = np.full(disk8.n_active, 0.5)
+        start[7] = 2.0
+        with pytest.raises(ValueError, match=r"at node 7$"):
+            monotone_iteration(*args, start)
+        start[7] = np.nan  # the ring spreads it: the first NaN row is named
+        with pytest.raises(ValueError, match="lam-residual nan at node"):
+            monotone_iteration(*args, start)
+
+    def test_rises_from_a_given_subsolution(self, disk8, cfg):
+        # from the subsolution 0.5 the sequence rises to the solution u = 1,
+        # as it does from 0
+        args = (disk8, VectorField.zero(disk8), ScalarField.constant(disk8, -1.0), 0.0,
+                ScalarField.constant(disk8, -1.0), cfg)
+        out = monotone_iteration(*args, np.full(disk8.n_active, 0.5))
+        assert out.converged and out.outer_steps >= 1
+        assert np.abs(out.u.values - 1.0).max() <= 10.0 * cfg.tol
+        assert np.abs(monotone_iteration(*args).u.values - out.u.values).max() <= 20.0 * cfg.tol
+
     def test_sequence_nondecreasing(self, disk8, cfg, inductive_sequence):
         r = np.linalg.norm(disk8.nodes, axis=1)
         g = ScalarField(disk8, -np.exp(-4.0 * r**2))
@@ -464,6 +499,36 @@ class TestSolveGeneralRhs:
             assert np.abs(apply_operator(prob, u).values).max() <= cfg.tol
             counts.append(len(splu_sizes))
         assert abs(counts[0] - counts[1]) <= 4
+
+    def test_readme_h16_both_signs_cost(self, disk16s2, cfg, splu_sizes):
+        # g = sin(3x) changes sign, so both passes take outer steps: the
+        # barrier pass 15 with 58 factorizations, the main pass 25 with 80
+        g = ScalarField(disk16s2, np.sin(3.0 * disk16s2.nodes[:, 0]))
+        prob = _problem(disk16s2, _readme_c(disk16s2), g)
+        u = solve_general_rhs(prob, cfg)
+        assert np.abs(apply_operator(prob, u).values).max() <= max(cfg.tol, cfg.rel_tol * u.sup_norm)
+        assert len(splu_sizes) <= 150
+
+    def test_both_passes_are_monotone_iterations(self, disk8, cfg, monkeypatch):
+        # the barrier pass runs from 0 on -g^+, the main pass from 0.0 - w on
+        # g, and the main pass's field is the answer
+        calls = []
+        run = steady.monotone_iteration
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs, run(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(steady, "monotone_iteration", recorded)
+        g = np.sin(3.0 * disk8.nodes[:, 0])
+        u = solve_general_rhs(_problem(disk8, _readme_c(disk8), ScalarField(disk8, g)), cfg)
+        (bargs, bkw, barrier), (margs, _, main) = calls
+        assert "start" not in bkw and len(bargs) == 6
+        assert np.array_equal(bargs[4].values, -np.maximum(g, 0.0))
+        assert barrier.outer_steps > 0 and main.outer_steps > 0
+        assert np.array_equal(margs[4].values, g)
+        assert np.array_equal(margs[6], 0.0 - barrier.u.values)
+        assert np.array_equal(u.values, main.u.values)
 
     def test_nonpositive_rhs_runs_one_pass(self, disk16s2, splu_sizes):
         # for g <= 0 the barrier pass returns 0 without a factorization, so
